@@ -124,15 +124,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_bounds(args, parser) -> None:
+    """Reject a numeric flag below the least value its check can use."""
+    for flag, low in (("trials", 1), ("height", 1), ("precision", 1), ("factor_bound", 2)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            parser.error(f"--{flag.replace('_', '-')} must be at least {low}, got {value}")
+
+
+def _prime_field(args, parser, missing: str) -> Field:
+    if args.p is None:
+        parser.error(missing)
+    try:
+        return GF(args.p)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _resolve_field(args, parser) -> Field:
-    if getattr(args, "field", "q") == "fp":
-        if args.p is None:
-            parser.error("--field fp requires --p")
-        try:
-            return GF(args.p)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if getattr(args, "p", None) is not None and getattr(args, "field", "q") == "q":
+    if args.field == "fp":
+        return _prime_field(args, parser, "--field fp requires --p")
+    if args.p is not None:
         parser.error("--p requires --field fp")
     return QQ
 
@@ -152,6 +164,14 @@ def _load_pattern(args, parser):
         return matrix, schedule, config.get("name", path)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         parser.error(f"invalid pattern: {exc}")
+
+
+def _load_periodic_pattern(args, parser):
+    matrix, schedule, name = _load_pattern(args, parser)
+    if not cluster.matrix_returns(matrix, schedule):
+        parser.error(f"invalid pattern: {name} does not return to nu of itself"
+                     " at the matrix level")
+    return matrix, schedule, name
 
 
 def _validate_mw(args, parser) -> tuple[int, int]:
@@ -209,6 +229,7 @@ def _resolved_config(args, **extra) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _check_bounds(args, parser)
 
     if args.command == "suite":
         report = verify.run_suite(seed=args.seed)
@@ -226,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         verdict = cluster.check_periodicity(
             matrix, schedule, field=field, trials=args.trials,
             height_bound=args.height, seed=args.seed,
-            precision=args.precision or 2,
+            precision=2 if args.precision is None else args.precision,
         )
         status = "periodic" if verdict.periodic else "not periodic"
         print(f"{name}: {status} (matrix {'ok' if verdict.matrix_ok else 'mismatch'},"
@@ -238,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "mutate":
         matrix, schedule, name = _load_pattern(args, parser)
         field = _resolve_field(args, parser)
-        precision = args.precision or 2
+        precision = 2 if args.precision is None else args.precision
         point = _parse_point(args.point, field, precision, parser)
         if len(point) != matrix.n:
             parser.error(f"pattern {name} has rank {matrix.n}, point has {len(point)} coordinates")
@@ -266,40 +287,35 @@ def main(argv: list[str] | None = None) -> int:
             report = verify.check_pentagon(p=field.characteristic, trials=args.trials,
                                            height=args.height, seed=args.seed)
     elif kind == "cluster":
-        matrix, schedule, name = _load_pattern(args, parser)
+        matrix, schedule, name = _load_periodic_pattern(args, parser)
         m, w = _validate_mw(args, parser)
         report = verify.check_cluster_char0(
             (matrix, schedule), m, w, trials=args.trials, height=args.height,
             seed=args.seed, pattern_name=name,
         )
     elif kind == "cluster-p":
-        matrix, schedule, name = _load_pattern(args, parser)
-        if args.p is None:
-            parser.error("cluster-p requires --p")
-        try:
-            GF(args.p)
-        except ValueError as exc:
-            parser.error(str(exc))
+        matrix, schedule, name = _load_periodic_pattern(args, parser)
+        field = _prime_field(args, parser, "cluster-p requires --p")
         report = verify.check_cluster_charp(
-            (matrix, schedule), args.p, trials=args.trials, seed=args.seed,
+            (matrix, schedule), field.characteristic, trials=args.trials, seed=args.seed,
             pattern_name=name,
         )
     elif kind == "named":
-        if args.p is None:
-            parser.error("named identities require --p")
-        try:
-            GF(args.p)
-        except ValueError as exc:
-            parser.error(str(exc))
-        report = verify.check_named_identity(args.identity, args.p,
+        field = _prime_field(args, parser, "named identities require --p")
+        report = verify.check_named_identity(args.identity, field.characteristic,
                                              trials=args.trials, seed=args.seed)
     elif kind == "lemma":
-        matrix, schedule, name = _load_pattern(args, parser)
+        matrix, schedule, name = _load_periodic_pattern(args, parser)
         field = _resolve_field(args, parser)
         if args.exhaustive and field.characteristic == 0:
             parser.error("--exhaustive requires --field fp")
+        precision = 6 if args.precision is None else args.precision
+        if field.characteristic and precision > field.characteristic:
+            # log_circ divides by 1 .. N-1, which must stay invertible mod p
+            parser.error(f"--precision {precision} exceeds p = {field.characteristic};"
+                         " the zero test needs N <= p")
         report = verify.check_lemma_wedge(
-            (matrix, schedule), field=field, precision=args.precision or 6,
+            (matrix, schedule), field=field, precision=precision,
             trials=args.trials, height=args.height, seed=args.seed,
             factor_bound=args.factor_bound, exhaustive_constants=args.exhaustive,
             pattern_name=name,
@@ -317,3 +333,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -37,6 +37,8 @@ __all__ = [
     "YSeed",
     "builtin_pattern",
     "check_periodicity",
+    "matrix_path",
+    "matrix_returns",
     "pattern_from_dict",
     "run_schedule",
     "skew_symmetrizer",
@@ -292,6 +294,19 @@ def run_schedule(
     return Trajectory(tuple(steps), seed)
 
 
+def matrix_path(matrix: ExchangeMatrix, directions) -> list[ExchangeMatrix]:
+    """The matrix followed by its mutation after each step along `directions`."""
+    path = [matrix]
+    for r in directions:
+        path.append(path[-1].mutate(r))
+    return path
+
+
+def matrix_returns(matrix: ExchangeMatrix, schedule: MutationSchedule) -> bool:
+    """The exact half of nu-periodicity: mutating along the schedule gives nu(B)."""
+    return matrix_path(matrix, schedule.directions)[-1] == matrix.permuted(schedule.nu)
+
+
 @dataclass(frozen=True)
 class PeriodicityVerdict:
     periodic: bool
@@ -316,11 +331,7 @@ def check_periodicity(
     with overwhelming probability for rational-function identities.
     """
     schedule.validate(matrix)
-    mat = matrix
-    for r in schedule.directions:
-        mat = mat.mutate(r)
-    matrix_ok = mat == matrix.permuted(schedule.nu)
-    if not matrix_ok:
+    if not matrix_returns(matrix, schedule):
         return PeriodicityVerdict(False, False, 0, "matrix does not return to nu of itself")
 
     rng = random.Random(seed)

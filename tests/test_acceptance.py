@@ -4,6 +4,7 @@ One test per criterion; each prints a PASS line when its assertions hold, so
 `pytest -v` (or -s) reads as the acceptance report.
 """
 
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -157,4 +158,8 @@ def test_criterion_11_suite_determinism_and_wallclock(tmp_path):
         assert code == 0
         assert elapsed < 300.0, f"suite took {elapsed:.0f}s"
     assert first.read_bytes() == second.read_bytes()
+    # the seed commit's report; a pure refactor keeps these bytes
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == (
+        "3770404f995b0e5473cb3c9256b767fda270c46051bae85bb2e3d430b43e54d5"
+    )
     _announce(11, "suite --seed 0 twice: byte-identical reports, wall-clock in budget")

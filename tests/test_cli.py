@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from infdilog import cli
+
+# A2's matrix after three mutations is -B, which is not nu(B) for nu = identity
+APERIODIC = {"B": [[0, -1], [1, 0]], "sequence": [0, 1, 0], "nu": [0, 1]}
 
 
 def run(argv):
@@ -36,6 +42,36 @@ def test_fp_requires_prime():
     with pytest.raises(SystemExit) as err:
         run(["check", "pentagon", "--p", "5", "--m", "2", "--w", "3"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cluster", "--pattern-file", "APERIODIC", "--m", "2", "--w", "3"],
+    ["check", "cluster-p", "--pattern-file", "APERIODIC", "--p", "5"],
+    ["check", "lemma", "--pattern-file", "APERIODIC"],
+    ["check", "lemma", "--pattern", "A2", "--factor-bound", "1"],
+    ["check", "pentagon", "--m", "2", "--w", "3", "--height", "0"],
+    ["check", "lemma", "--pattern", "A2", "--field", "fp", "--p", "7", "--precision", "8"],
+    ["check", "lemma", "--pattern", "A2", "--precision", "0"],
+    ["check", "cluster-p", "--pattern", "A2", "--p", "5", "--trials", "-3"],
+    ["check", "pentagon", "--m", "2", "--w", "3", "--trials", "0"],
+])
+def test_bad_input_is_config_error(argv, tmp_path):
+    aperiodic = tmp_path / "aperiodic.json"
+    aperiodic.write_text(json.dumps(APERIODIC))
+    with pytest.raises(SystemExit) as err:
+        run([str(aperiodic) if arg == "APERIODIC" else arg for arg in argv])
+    assert err.value.code == 2
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "infdilog.cli", "theta", "--pattern", "B2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "(1, 2)"
 
 
 def test_unknown_pattern_is_config_error():
@@ -133,7 +169,5 @@ def test_welldef_command(capsys):
 def test_periodicity_exit_codes(tmp_path):
     assert run(["periodicity", "--pattern", "A2", "--trials", "10"]) == 0
     aperiodic = tmp_path / "aperiodic.json"
-    aperiodic.write_text(json.dumps(
-        {"B": [[0, -1], [1, 0]], "sequence": [0, 1, 0], "nu": [0, 1]}
-    ))
+    aperiodic.write_text(json.dumps(APERIODIC))
     assert run(["periodicity", "--pattern-file", str(aperiodic), "--trials", "5"]) == 1

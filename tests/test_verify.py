@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from infdilog import cluster, dilog, verify
+from infdilog import bloch, cluster, dilog, verify
 from infdilog.fields import GF, QQ
 from infdilog.series import TruncatedSeries
 
@@ -124,6 +124,35 @@ def test_corrupted_dilogarithm_is_caught(monkeypatch):
     assert report.witnesses and "a" in report.witnesses[0]["inputs"]
     report = verify.check_cluster_char0("A2", 2, 3, trials=5)
     assert report.verdict == "fail" and report.witnesses
+
+
+def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
+    # a constant error of 1 per li2p value cannot cancel in these sums: B2's
+    # weights (1, 2, 1, 2, 1, 2) add to 9, which is not 0 mod 5, and the
+    # pentagon signs add to 1 (A2's five unit weights would cancel mod 5)
+    original = dilog.li2p
+    monkeypatch.setattr(dilog, "li2p", lambda y: original(y) + 1)
+    cluster_report = verify.check_cluster_charp("B2", 5)
+    assert cluster_report.name == "clusterp[B2,p=5,exhaustive]"
+    assert cluster_report.witnesses[0]["value"].startswith("li2p sum ")
+    named = verify.check_named_identity("a2_pentagon_substitution", 5)
+    assert named.name == "named[a2_pentagon_substitution,p=5,exhaustive]"
+    for report in (cluster_report, named, verify.check_li2p_lift(5)):
+        assert report.verdict == "fail", report.name
+        assert report.failed == report.valid > 0 and report.witnesses, report.name
+
+
+def test_corrupted_zero_test_is_caught_exhaustively(monkeypatch):
+    verdicts = {"nonzero": "fail", "inconclusive": "inconclusive"}
+    for corrupted, expected in verdicts.items():
+        result = bloch.ZeroTestResult(corrupted, None, "corrupted")
+        monkeypatch.setattr(bloch, "zero_test_rational", lambda ledger, bound, result=result: result)
+        report = verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True)
+        assert report.verdict == expected
+        assert report.valid > 0
+        counted = report.failed if expected == "fail" else report.inconclusive
+        assert counted == report.valid
+    assert report.failed == 0 and not report.witnesses
 
 
 def test_reports_are_deterministic():
