@@ -4,7 +4,9 @@ The differential delta sends a flat symbol [a] to the wedge (1 - a) ^ a inside
 the second exterior power of the unit group.  Wedges are kept as WedgeLedger
 objects: formal integer combinations of ordered pairs of units, with no
 rewriting applied on insertion.  Consumers are linear: the antisymmetric
-functional pairs (ell_i ^ ell_j) and the rationalized zero test.
+functional pairs (ell_i ^ ell_j) and the rationalized zero test.  A ledger
+computes each distinct side's log_circ once; the pairs and all three zero-test
+components share it.
 
 Zero testing works through the splitting of a unit a into its constant a(0)
 and the principal part exp(log_circ(a)).  Rationally (torsion discarded) a
@@ -67,7 +69,7 @@ class WedgeLedger:
     construction, and zero membership is decided by zero_test_rational.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_logs")
 
     def __init__(self, terms: Iterable[tuple[int, TruncatedSeries, TruncatedSeries]] = ()) -> None:
         checked: list[tuple[int, TruncatedSeries, TruncatedSeries]] = []
@@ -85,6 +87,14 @@ class WedgeLedger:
             if coeff:
                 checked.append((coeff, left, right))
         self.terms = tuple(checked)
+        self._logs: dict[TruncatedSeries, tuple[FieldElement, ...]] = {}
+
+    def log(self, side: TruncatedSeries) -> tuple[FieldElement, ...]:
+        """The coefficients of log_circ(side), computed once per distinct side."""
+        coeffs = self._logs.get(side)
+        if coeffs is None:
+            coeffs = self._logs[side] = log_circ(side).coeffs
+        return coeffs
 
     def __add__(self, other: "WedgeLedger") -> "WedgeLedger":
         return WedgeLedger(self.terms + other.terms)
@@ -140,13 +150,14 @@ def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> Fi
     if not ledger.terms:
         raise ValueError("cannot infer field from an empty ledger; evaluate termwise")
     field = ledger.terms[0][1].field
+    precision = ledger.terms[0][1].precision
+    for index in (f_index, g_index):
+        if not 1 <= index < precision:
+            raise PrecisionError(f"functional index {index} out of range for precision {precision}")
     total = field.zero
     for coeff, left, right in ledger.terms:
-        fl = ell(f_index, left)
-        gr = ell(g_index, right)
-        gl = ell(g_index, left)
-        fr = ell(f_index, right)
-        total = total + field.element(coeff) * (fl * gr - gl * fr)
+        lo, ro = ledger.log(left), ledger.log(right)
+        total = total + field.element(coeff) * (lo[f_index] * ro[g_index] - lo[g_index] * ro[f_index])
     return total
 
 
@@ -209,20 +220,10 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
     precision = ledger.terms[0][1].precision
     char = field.characteristic
 
-    logs: dict[TruncatedSeries, TruncatedSeries] = {}
-    for _, left, right in ledger.terms:
-        for side in (left, right):
-            if side not in logs:
-                logs[side] = log_circ(side)
-
     # (i) infinitesimal component == every antisymmetric functional pair
     for i in range(1, precision):
         for j in range(i + 1, precision):
-            entry = field.zero
-            for coeff, left, right in ledger.terms:
-                li, lj = logs[left].coeff(i), logs[left].coeff(j)
-                ri, rj = logs[right].coeff(i), logs[right].coeff(j)
-                entry = entry + field.element(coeff) * (li * rj - lj * ri)
+            entry = apply_functional_pair(i, j, ledger)
             if entry:
                 return ZeroTestResult(
                     "nonzero",
@@ -259,10 +260,9 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
             eq_r = exponents[right.constant_term()].get(q, 0)
             if not eq_l and not eq_r:
                 continue
+            lo, ro = ledger.log(left), ledger.log(right)
             for d in range(1, precision):
-                acc[d] = acc[d] + field.element(
-                    coeff * eq_l
-                ) * logs[right].coeff(d) - field.element(coeff * eq_r) * logs[left].coeff(d)
+                acc[d] = acc[d] + field.element(coeff * eq_l) * ro[d] - field.element(coeff * eq_r) * lo[d]
         if any(acc):
             bad = next(d for d in range(1, precision) if acc[d])
             return ZeroTestResult(

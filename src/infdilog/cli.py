@@ -126,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_bounds(args, parser) -> None:
     """Reject a numeric flag below the least value its check can use."""
-    for flag, low in (("trials", 1), ("height", 1), ("precision", 1), ("factor_bound", 2)):
+    for flag, low in (("trials", 1), ("height", 1), ("precision", 1), ("factor_bound", 2),
+                      ("perturbations", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             parser.error(f"--{flag.replace('_', '-')} must be at least {low}, got {value}")
@@ -296,14 +297,20 @@ def main(argv: list[str] | None = None) -> int:
     elif kind == "cluster-p":
         matrix, schedule, name = _load_periodic_pattern(args, parser)
         field = _prime_field(args, parser, "cluster-p requires --p")
-        report = verify.check_cluster_charp(
-            (matrix, schedule), field.characteristic, trials=args.trials, seed=args.seed,
-            pattern_name=name,
-        )
+        try:
+            report = verify.check_cluster_charp(
+                (matrix, schedule), field.characteristic, trials=args.trials, seed=args.seed,
+                pattern_name=name,
+            )
+        except ValueError as exc:  # a point space too large to enumerate
+            parser.error(f"{exc} with --trials")
     elif kind == "named":
         field = _prime_field(args, parser, "named identities require --p")
-        report = verify.check_named_identity(args.identity, field.characteristic,
-                                             trials=args.trials, seed=args.seed)
+        try:
+            report = verify.check_named_identity(args.identity, field.characteristic,
+                                                 trials=args.trials, seed=args.seed)
+        except ValueError as exc:  # a point space too large to enumerate
+            parser.error(f"{exc} with --trials")
     elif kind == "lemma":
         matrix, schedule, name = _load_periodic_pattern(args, parser)
         field = _resolve_field(args, parser)

@@ -96,10 +96,15 @@ def li_via_lift(m: int, w: int, lift: TruncatedSeries) -> FieldElement:
     if lift.precision < w:
         raise PrecisionError(f"lift needs precision >= {w}, has {lift.precision}")
     _require_flat(lift, "li_via_lift")
+    return _lift_sum(lift, w, w - m)
+
+
+def _lift_sum(lift: TruncatedSeries, top: int, count: int) -> FieldElement:
+    """sum_{1 <= i <= count} i * (ell_{top-i} ^ ell_i)(delta(lift)), on one ledger."""
     led = delta(lift)
     total = lift.field.zero
-    for i in range(1, w - m + 1):
-        total = total + lift.field.element(i) * apply_functional_pair(w - i, i, led)
+    for i in range(1, count + 1):
+        total = total + lift.field.element(i) * apply_functional_pair(top - i, i, led)
     return total
 
 
@@ -176,8 +181,4 @@ def li2p_via_lift(lift: TruncatedSeries) -> FieldElement:
     if lift.precision != p:
         raise PrecisionError(f"lift precision must equal the characteristic {p}, got {lift.precision}")
     _require_flat(lift, "li2p_via_lift")
-    led = delta(lift)
-    total = lift.field.zero
-    for i in range(1, p):
-        total = total + lift.field.element(i) * apply_functional_pair(p - i, i, led)
-    return total / 2
+    return _lift_sum(lift, p, p - 1) / 2

@@ -9,14 +9,14 @@ coefficients when shrinking (the canonical projection).
 The two composition patterns the identities need are provided as module
 functions:
 
-  log_circ(a) = log(a / a(0)) = sum_{n>=1} (-1)^(n+1) u^n / n,  u = a/a(0) - 1
-  exp_t(u)    = sum_{n>=0} u^n / n!                              for u(0) = 0
+  log_circ(a) = log(a / a(0)) = integral of a'/a
+  exp_t(u)    = exp(u) for u(0) = 0, from E' = u'E: k E_k = sum_{j<=k} j u_j E_(k-j)
 
-Both are group homomorphisms between units and the additive group t*k[t]/(t^N)
-and are mutually inverse after fixing the constant term.  Over GF(p) they are
-defined only for precision N <= p: the coefficient denominators run through
-N - 1 < p, so p never appears in a denominator.  Larger precision is refused
-loudly rather than silently reduced.
+Both cost O(N^2) field operations, are group homomorphisms between units and
+the additive group t*k[t]/(t^N), and are mutually inverse after fixing the
+constant term.  Over GF(p) they are defined only for precision N <= p: they
+divide only by k <= N - 1 < p, so p never appears in a denominator.  Larger
+precision is refused loudly rather than silently reduced.
 """
 
 from __future__ import annotations
@@ -300,22 +300,17 @@ def _require_charp_precision(series: TruncatedSeries, op: str) -> None:
 def log_circ(a: TruncatedSeries) -> TruncatedSeries:
     """log of a unit divided by its constant term; kills constants.
 
-    log_circ(a) = sum_{n>=1} (-1)^(n+1) u^n / n with u = a/a(0) - 1, truncated
-    at the precision of a.  Satisfies log_circ(ab) = log_circ(a) + log_circ(b).
+    log_circ(a) is the integral of a'/a with zero constant term, truncated at
+    the precision of a.  Satisfies log_circ(ab) = log_circ(a) + log_circ(b).
     """
     _require_charp_precision(a, "log_circ")
-    c = a.constant_term()
-    if not c:
+    if not a.constant_term():
         raise NonUnitError("log_circ requires a unit (nonzero constant term)")
-    u = a * c.inverse() - 1
-    result = TruncatedSeries.zero(a.field, a.precision)
-    power = u
-    for n in range(1, a.precision):
-        if power.is_zero():
-            break
-        result = result + power * a.field.element(Fraction((-1) ** (n + 1), n))
-        power = power * u
-    return result
+    # a' is exact through degree N - 2, which is all the integral reads
+    ratio = (a.derivative().with_precision(a.precision) * a.invert()).coeffs
+    return TruncatedSeries(
+        a.field, (a.field.zero,) + tuple(ratio[k - 1] / k for k in range(1, a.precision))
+    )
 
 
 def exp_t(u: TruncatedSeries) -> TruncatedSeries:
@@ -326,14 +321,15 @@ def exp_t(u: TruncatedSeries) -> TruncatedSeries:
     _require_charp_precision(u, "exp_t")
     if u.constant_term():
         raise ValueError("exp_t requires zero constant term")
-    result = TruncatedSeries.one(u.field, u.precision)
-    term = TruncatedSeries.one(u.field, u.precision)
-    for n in range(1, u.precision):
-        term = term * u * u.field.element(Fraction(1, n))
-        if term.is_zero():
-            break
-        result = result + term
-    return result
+    du = u.derivative().coeffs  # du[j - 1] = j * u_j
+    out = [u.field.one]
+    for k in range(1, u.precision):
+        acc = u.field.zero
+        for j in range(1, k + 1):
+            if du[j - 1]:
+                acc = acc + du[j - 1] * out[k - j]
+        out.append(acc / k)
+    return TruncatedSeries(u.field, tuple(out))
 
 
 def random_series(

@@ -10,10 +10,11 @@ so reports are deterministic and independent of execution order; rejected
 samples are resampled, up to RESAMPLE_FACTOR attempts per requested trial, and
 a sampled check that cannot gather enough valid samples reports that instead
 of passing.  Prime-field point spaces are enumerated exhaustively whenever
-p^dimension stays within EXHAUSTIVE_LIMIT and a trial count is not forced.  An
-exhaustive cluster-p or named check passes when no valid point fails, even if
-no point was valid: at p = 3 the A2 and B2 cluster sums and three of the named
-identities pass that way, with valid = 0 in their reports.
+p^dimension stays within EXHAUSTIVE_LIMIT and a trial count is not forced;
+above the limit a trial count is required.  An exhaustive cluster-p or named
+check passes when no valid point fails, even if no point was valid: at p = 3
+the A2 and B2 cluster sums and three of the named identities pass that way,
+with valid = 0 in their reports.
 """
 
 from __future__ import annotations
@@ -165,9 +166,13 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
     """Judge points of GF(p)^dimension, given to judge as tuples of least residues.
 
     The whole space is enumerated when it stays within EXHAUSTIVE_LIMIT and no
-    trial count is forced; otherwise `trials` valid points are sampled.
+    trial count is forced; otherwise `trials` valid points are sampled.  A space
+    above the limit with no trial count is refused with ValueError.
     """
-    exhaustive = trials is None and p ** dimension <= EXHAUSTIVE_LIMIT
+    if trials is None and p ** dimension > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"GF({p})^{dimension} has {p ** dimension} points, more than the"
+                         f" exhaustive limit {EXHAUSTIVE_LIMIT}; give a trial count")
+    exhaustive = trials is None
     mode = "exhaustive" if exhaustive else f"random[{trials}]"
     report = CheckReport(name=f"{family}[{subject},p={p},{mode}]",
                          params={**params, "p": p, "mode": mode, "seed": seed})
@@ -476,7 +481,8 @@ def check_cluster_charp(
     """The weighted cluster sum of li2p over GF(p) dual numbers vanishes.
 
     Enumerates GF(p)^(2n) exhaustively when that stays within
-    EXHAUSTIVE_LIMIT and no trial count is forced; otherwise samples.
+    EXHAUSTIVE_LIMIT and no trial count is forced; otherwise samples, and a
+    trial count is then required.
     """
     field = GF(p)
     matrix, schedule, name, weights = _periodic_pattern(pattern, pattern_name)

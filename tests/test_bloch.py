@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from infdilog import bloch, dilog
 from infdilog.bloch import (
     WedgeLedger,
     apply_functional_pair,
@@ -168,3 +169,34 @@ def test_ledger_validation():
     with pytest.raises(TypeError):
         WedgeLedger([(Fraction(1, 2), q_series(2, 1), q_series(2, 1))])
     assert len(WedgeLedger([(0, q_series(2, 1), q_series(3, 1))])) == 0
+
+
+def test_ledger_computes_each_log_once(monkeypatch):
+    calls = []
+    original = bloch.log_circ
+    monkeypatch.setattr(bloch, "log_circ", lambda a: calls.append(a) or original(a))
+    dilog.li_via_lift(4, 7, q_series(2, 1, 3, -1, 5, 0, 2))
+    assert len(calls) == 2  # delta(lift) has the two sides 1 - lift and lift
+    calls.clear()
+    dilog.li2p_via_lift(TruncatedSeries.from_coeffs(GF(7), [3, 1, 2, 0, 5, 1, 4]))
+    assert len(calls) == 2
+
+    rng = random.Random(40)
+    while True:
+        a = random_series(QQ, 5, rng, 6)
+        b = random_series(QQ, 5, rng, 6)
+        if a.is_flat and b.is_flat and a.constant_term() != b.constant_term():
+            break
+    ledger = WedgeLedger()
+    for sign, arg in pentagon_terms(a, b):
+        ledger = ledger + delta(arg).scaled(sign)
+    calls.clear()
+    assert zero_test_rational(ledger).is_zero
+    assert len(calls) == len({side for _, left, right in ledger for side in (left, right)})
+    calls.clear()
+    apply_functional_pair(1, 4, ledger)
+    assert calls == []
+    with pytest.raises(PrecisionError):
+        apply_functional_pair(0, 1, ledger)
+    with pytest.raises(PrecisionError):
+        apply_functional_pair(1, 5, ledger)

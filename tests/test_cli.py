@@ -54,6 +54,9 @@ def test_fp_requires_prime():
     ["check", "lemma", "--pattern", "A2", "--precision", "0"],
     ["check", "cluster-p", "--pattern", "A2", "--p", "5", "--trials", "-3"],
     ["check", "pentagon", "--m", "2", "--w", "3", "--trials", "0"],
+    ["check", "cluster-p", "--pattern", "A2", "--p", "37"],
+    ["check", "named", "four_term", "--p", "1009"],
+    ["check", "welldef", "--m", "2", "--w", "3", "--perturbations", "-4"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path):
     aperiodic = tmp_path / "aperiodic.json"

@@ -95,6 +95,46 @@ def test_exp_log_round_trips():
         assert log_circ(exp_t(u) * c) == u
 
 
+def power_sum_log_circ(a):
+    """Reference log_circ: sum_{n>=1} (-1)^(n+1) u^n / n with u = a/a(0) - 1."""
+    u = a * a.constant_term().inverse() - 1
+    result = TruncatedSeries.zero(a.field, a.precision)
+    power = u
+    for n in range(1, a.precision):
+        result = result + power * a.field.element(Fraction((-1) ** (n + 1), n))
+        power = power * u
+    return result
+
+
+def power_sum_exp_t(u):
+    """Reference exp_t: sum_{n>=0} u^n / n!."""
+    result = TruncatedSeries.one(u.field, u.precision)
+    term = TruncatedSeries.one(u.field, u.precision)
+    for n in range(1, u.precision):
+        term = term * u * u.field.element(Fraction(1, n))
+        result = result + term
+    return result
+
+
+def test_log_and_exp_match_power_sums():
+    rng = random.Random(17)
+    cases = [(QQ, n) for n in range(1, 10)]
+    cases += [(GF(p), n) for p in (7, 11) for n in range(1, p + 1)]
+    for field, n in cases:
+        units = 0
+        while units < 12:
+            a = random_series(field, n, rng)
+            if not a.is_unit:
+                continue
+            assert log_circ(a) == power_sum_log_circ(a)
+            u = a - TruncatedSeries.constant(field, a.constant_term(), n)
+            assert exp_t(u) == power_sum_exp_t(u)
+            units += 1
+    # precision 1: the log of a constant is 0 and the exp of 0 is 1
+    assert log_circ(q_series(5)) == q_series(0)
+    assert exp_t(q_series(0)) == q_series(1)
+
+
 def test_charp_precision_gate():
     f5 = GF(5)
     ok = TruncatedSeries.from_coeffs(f5, [2, 1], 5)

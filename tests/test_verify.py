@@ -55,6 +55,9 @@ def test_cluster_charp_modes():
     assert empty.passed and empty.valid == 0
     starved = verify.check_cluster_charp("A2", 3, trials=3)
     assert starved.verdict == "insufficient-valid-samples"
+    # 37^4 points exceed EXHAUSTIVE_LIMIT: without a trial count there is no mode
+    with pytest.raises(ValueError):
+        verify.check_cluster_charp("A2", 37)
 
 
 def test_named_identity_checks():
