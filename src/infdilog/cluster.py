@@ -313,6 +313,7 @@ class PeriodicityVerdict:
     matrix_ok: bool
     points_checked: int
     failure: str | None = None
+    refuted: bool = False
 
 
 def check_periodicity(
@@ -328,11 +329,13 @@ def check_periodicity(
 
     The matrix condition is exact.  The y-condition is polynomial identity
     testing: exact equality at `trials` random valid points, which is correct
-    with overwhelming probability for rational-function identities.
+    with overwhelming probability for rational-function identities.  Too few
+    valid points is neither periodic nor refuted.
     """
     schedule.validate(matrix)
     if not matrix_returns(matrix, schedule):
-        return PeriodicityVerdict(False, False, 0, "matrix does not return to nu of itself")
+        return PeriodicityVerdict(False, False, 0, "matrix does not return to nu of itself",
+                                  refuted=True)
 
     rng = random.Random(seed)
     checked = 0
@@ -352,6 +355,7 @@ def check_periodicity(
                 True,
                 checked,
                 f"y-values disagree at point {[str(y) for y in point]}",
+                refuted=True,
             )
         checked += 1
     if checked < trials:

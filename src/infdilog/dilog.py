@@ -15,7 +15,10 @@ Closed forms are available for (m, w) in {(2,3), (3,4), (3,5)} and serve as
 independent oracles for the direct formula.
 
 Characteristic p (odd).  The 1 1/2 logarithm pounds1(s) = sum_{1<=i<p} s^i / i
-and the weight-two map on dual numbers li2p(s + at) = (a / (s(1-s)))^p *
+equals (1 - s^p - (1-s)^p) / p mod p on an integer lift of s (Kontsevich, "The
+1 1/2-logarithm", appendix to Elbaz-Vincent and Gangl, "On poly(ana)logs I",
+Compositio Math. 130, 2002); the closed form is the one evaluated, in O(log p).
+The weight-two map on dual numbers is li2p(s + at) = (a / (s(1-s)))^p *
 pounds1(s), with the lift expression
 (1/2) * sum_{1<=i<p} i * (ell_{p-i} ^ ell_i) applied to delta of a lift at
 precision exactly p.
@@ -139,16 +142,17 @@ def li_closed_form(m: int, w: int, s: FieldElement, u1, u2=None) -> FieldElement
 
 
 def pounds1(s: FieldElement) -> FieldElement:
-    """The 1 1/2 logarithm over GF(p): sum of s^i / i for 1 <= i < p."""
+    """The 1 1/2 logarithm over GF(p): sum of s^i / i for 1 <= i < p.
+
+    Computed as Kontsevich's (1 - x^p - (1-x)^p) / p on the least residue x,
+    with two powers mod p^2 and no field inversion: exact since x^p + (1-x)^p
+    = 1 mod p, and the same on any lift since (x + kp)^p = x^p mod p^2.
+    """
     p = s.field.characteristic
     if p == 0:
         raise ValueError("pounds1 is defined over prime fields only")
-    total = s.field.zero
-    power = s.field.one
-    for i in range(1, p):
-        power = power * s
-        total = total + power / i
-    return total
+    x, pp = s.value, p * p
+    return s.field.element((1 - pow(x, p, pp) - pow(1 - x, p, pp)) % pp // p)
 
 
 def li2p(y: TruncatedSeries) -> FieldElement:

@@ -26,8 +26,8 @@ __all__ = [
 
 Scalar = Union["FieldElement", int, Fraction]
 
-# p must fit in a machine word: the 1 1/2 logarithm sums p - 1 terms and the
-# char-p series caps live at precision p, so huge primes are useless here.
+# p must fit in a machine word.  This bound only validates input: the char-p
+# series caps live at precision p, so huge primes are useless here.
 _WORD_SIZE_LIMIT = 1 << 63
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

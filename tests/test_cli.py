@@ -126,6 +126,11 @@ def test_insufficient_samples_exit_one(capsys):
     code = run(["check", "cluster-p", "--pattern", "A2", "--p", "3", "--trials", "2"])
     assert code == 1
     assert "insufficient" in capsys.readouterr().out.lower()
+    # exhaustive constants over GF(3): every A2 point is rejected
+    code = run(["check", "lemma", "--pattern", "A2", "--field", "fp", "--p", "3",
+                "--precision", "3", "--exhaustive"])
+    assert code == 1
+    assert "[INSUFFICIENT-VALID-SAMPLES] lemma[A2,fp3" in capsys.readouterr().out
 
 
 def test_json_report_is_replayable(tmp_path, capsys):

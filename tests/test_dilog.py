@@ -14,7 +14,7 @@ from infdilog.dilog import (
     li_via_lift,
     pounds1,
 )
-from infdilog.fields import GF, QQ
+from infdilog.fields import GF, QQ, FieldElement
 from infdilog.series import NotFlatError, PrecisionError, TruncatedSeries, random_series
 
 ALL_PARAMS = ((2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7))
@@ -153,6 +153,64 @@ def test_pounds1_values():
     with pytest.raises(ValueError):
         pounds1(QQ.element(2))
 
+
+
+def _pounds1_sum(s):
+    """Reference oracle: sum_{1 <= i < p} s^i / i, term by term."""
+    total, power = s.field.zero, s.field.one
+    for i in range(1, s.field.characteristic):
+        power = power * s
+        total = total + power / i
+    return total
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 43, 101))
+def test_pounds1_matches_power_sum_everywhere(p):
+    field = GF(p)
+    for x in range(p):
+        s = field.element(x)
+        assert pounds1(s) == _pounds1_sum(s), (p, x)
+
+
+def test_pounds1_is_lift_independent():
+    for p in (3, 13, 101):
+        field = GF(p)
+        for x in range(p):
+            expected = pounds1(field.element(x))
+            for k in (-p, -2, -1, 1, 3, p + 1):
+                assert pounds1(field.element(x + k * p)) == expected, (p, x, k)
+                # the closed form read on a lift that is not the least residue
+                assert pounds1(FieldElement(field, x + k * p)) == expected, (p, x, k)
+
+
+def test_pounds1_at_word_size_prime():
+    field = GF(2**61 - 1)
+    assert pounds1(field.zero) == field.zero
+    assert pounds1(field.one) == field.zero
+    for x in (2, 3, 12345, 2**40 + 7, 2**61 - 3):
+        s = field.element(x)
+        assert pounds1(s) == pounds1(1 - s)
+        # pounds1(s) = -s^p pounds1(1/s): reverse the sum with i -> p - i
+        assert pounds1(s) == -(s ** field.p) * pounds1(s.inverse())
+
+
+def test_pounds1_makes_no_inversion(monkeypatch):
+    calls = []
+    original = FieldElement.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
+    field = GF(101)
+    _pounds1_sum(field.element(2))
+    assert calls, "the counter must see the power sum's inversions"
+    calls.clear()
+    for x in range(101):
+        pounds1(field.element(x))
+    pounds1(GF(2**61 - 1).element(12345))
+    assert calls == []
 
 def test_li2p_hand_values():
     f5 = GF(5)

@@ -86,6 +86,10 @@ def test_lemma_wedge_check():
     assert report.passed and report.inconclusive == 0
     report = verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True)
     assert report.passed and report.valid > 0
+    # over GF(3) every A2 constant point is rejected: nothing is certified
+    empty = verify.check_lemma_wedge("A2", field=GF(3), precision=3, exhaustive_constants=True)
+    assert empty.verdict == "insufficient-valid-samples"
+    assert (empty.attempted, empty.valid, empty.rejected) == (9, 0, 9)
 
 
 def test_lemma_wedge_inconclusive_is_distinct():
@@ -110,6 +114,22 @@ def test_structural_checks():
     assert verify.check_theta_invariance("B2").passed
     assert verify.check_mutation_involution("A2", trials=100).passed
     assert verify.check_periodicity_report("B2", trials=20).passed
+
+
+def test_periodicity_report_verdicts():
+    # A2 over GF(3) has no valid point: too few samples, not a failure
+    starved = verify.check_periodicity_report("A2", field=GF(3), trials=5)
+    assert starved.verdict == "insufficient-valid-samples"
+    assert starved.failed == 0 and starved.witnesses == []
+    # one mutation of A1 returns the matrix but inverts y
+    a1 = (cluster.ExchangeMatrix([[0]]), cluster.MutationSchedule(directions=(0,), nu=(0,)))
+    refuted = verify.check_periodicity_report(a1, trials=5)
+    assert refuted.verdict == "fail" and refuted.failed == 1
+    assert refuted.witnesses[0]["value"].startswith("y-values disagree")
+    # three mutations of A2 do not return the matrix
+    a2 = (cluster.ExchangeMatrix([[0, -1], [1, 0]]),
+          cluster.MutationSchedule(directions=(0, 1, 0), nu=(0, 1)))
+    assert verify.check_periodicity_report(a2, trials=5).verdict == "fail"
 
 
 def test_corrupted_dilogarithm_is_caught(monkeypatch):
