@@ -5,8 +5,10 @@ the second exterior power of the unit group.  Wedges are kept as WedgeLedger
 objects: formal integer combinations of ordered pairs of units, with no
 rewriting applied on insertion.  Consumers are linear: the antisymmetric
 functional pairs (ell_i ^ ell_j) and the rationalized zero test.  A ledger
-computes each distinct side's log_circ once; the pairs and all three zero-test
-components share it.
+computes each distinct side's log_circ once, as the series' raw coefficient
+tuple; the pairs and all three zero-test components share it.  The pairs and
+the mixed component sum raw coefficients with plain + and * and reduce the
+total once, so a FieldElement is made only for the value handed back.
 
 Zero testing works through the splitting of a unit a into its constant a(0)
 and the principal part exp(log_circ(a)).  Rationally (torsion discarded) a
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Iterable
 
-from .fields import FieldElement
+from .fields import FieldElement, Raw
 from .series import NonUnitError, NotFlatError, PrecisionError, TruncatedSeries, log_circ
 
 __all__ = [
@@ -87,10 +89,10 @@ class WedgeLedger:
             if coeff:
                 checked.append((coeff, left, right))
         self.terms = tuple(checked)
-        self._logs: dict[TruncatedSeries, tuple[FieldElement, ...]] = {}
+        self._logs: dict[TruncatedSeries, tuple[Raw, ...]] = {}
 
-    def log(self, side: TruncatedSeries) -> tuple[FieldElement, ...]:
-        """The coefficients of log_circ(side), computed once per distinct side."""
+    def log(self, side: TruncatedSeries) -> tuple[Raw, ...]:
+        """The raw coefficients of log_circ(side), computed once per distinct side."""
         coeffs = self._logs.get(side)
         if coeffs is None:
             coeffs = self._logs[side] = log_circ(side).coeffs
@@ -154,11 +156,11 @@ def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> Fi
     for index in (f_index, g_index):
         if not 1 <= index < precision:
             raise PrecisionError(f"functional index {index} out of range for precision {precision}")
-    total = field.zero
+    total = field.zero.value
     for coeff, left, right in ledger.terms:
         lo, ro = ledger.log(left), ledger.log(right)
-        total = total + field.element(coeff) * (lo[f_index] * ro[g_index] - lo[g_index] * ro[f_index])
-    return total
+        total += coeff * (lo[f_index] * ro[g_index] - lo[g_index] * ro[f_index])
+    return FieldElement(field, field.reduce(total))
 
 
 @dataclass(frozen=True)
@@ -236,12 +238,12 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
         # constant components are torsion and vanish after rationalization.
         return ZeroTestResult("zero")
 
-    exponents: dict[FieldElement, dict[int, int]] = {}
+    exponents: dict[Fraction, dict[int, int]] = {}
     for _, left, right in ledger.terms:
         for side in (left, right):
-            c = side.constant_term()
+            c = side.coeffs[0]
             if c not in exponents:
-                vec = _rational_exponents(c.value, factor_bound)
+                vec = _rational_exponents(c, factor_bound)
                 if vec is None:
                     return ZeroTestResult(
                         "inconclusive",
@@ -254,15 +256,16 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
 
     # (ii) mixed component: one series-valued accumulator per support prime
     for q in support:
-        acc = [field.zero] * precision
+        acc = [field.zero.value] * precision
         for coeff, left, right in ledger.terms:
-            eq_l = exponents[left.constant_term()].get(q, 0)
-            eq_r = exponents[right.constant_term()].get(q, 0)
+            eq_l = coeff * exponents[left.coeffs[0]].get(q, 0)
+            eq_r = coeff * exponents[right.coeffs[0]].get(q, 0)
             if not eq_l and not eq_r:
                 continue
             lo, ro = ledger.log(left), ledger.log(right)
             for d in range(1, precision):
-                acc[d] = acc[d] + field.element(coeff * eq_l) * ro[d] - field.element(coeff * eq_r) * lo[d]
+                acc[d] += eq_l * ro[d] - eq_r * lo[d]
+        acc = [field.reduce(x) for x in acc]
         if any(acc):
             bad = next(d for d in range(1, precision) if acc[d])
             return ZeroTestResult(
@@ -277,7 +280,7 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
         for r in support[a_pos + 1:]:
             entry = 0
             for coeff, left, right in ledger.terms:
-                el, er = exponents[left.constant_term()], exponents[right.constant_term()]
+                el, er = exponents[left.coeffs[0]], exponents[right.coeffs[0]]
                 entry += coeff * (el.get(q, 0) * er.get(r, 0) - el.get(r, 0) * er.get(q, 0))
             if entry:
                 return ZeroTestResult(

@@ -59,9 +59,14 @@ class InvalidPointError(ValueError):
 
 
 class ExchangeMatrix:
-    """An integer exchange matrix, validated to be sign-skew-symmetric."""
+    """An integer exchange matrix, validated to be sign-skew-symmetric.
 
-    __slots__ = ("rows",)
+    The matrix is immutable, so each instance remembers its mutation in each
+    direction once computed (at most n entries): a schedule's matrix path is
+    built and validated once, however many points walk it.
+    """
+
+    __slots__ = ("rows", "_mutations")
 
     def __init__(self, rows) -> None:
         rows = tuple(tuple(entry for entry in row) for row in rows)
@@ -83,6 +88,7 @@ class ExchangeMatrix:
                         f"sign-skew-symmetry violated at ({i},{j}): {a} vs {b}"
                     )
         self.rows = rows
+        self._mutations: dict[int, ExchangeMatrix] = {}
 
     @property
     def n(self) -> int:
@@ -93,6 +99,9 @@ class ExchangeMatrix:
 
     def mutate(self, k: int) -> "ExchangeMatrix":
         """Matrix mutation in direction k."""
+        memo = self._mutations.get(k)
+        if memo is not None:
+            return memo
         n = self.n
         if not 0 <= k < n:
             raise IndexError(f"direction {k} out of range for rank {n}")
@@ -111,7 +120,8 @@ class ExchangeMatrix:
                     else:
                         row.append(old[i][j])
             new.append(row)
-        return ExchangeMatrix(new)
+        mutated = self._mutations[k] = ExchangeMatrix(new)
+        return mutated
 
     def permuted(self, nu: tuple[int, ...]) -> "ExchangeMatrix":
         """Apply a permutation to rows and columns: result[nu[i]][nu[j]] = self[i][j]."""

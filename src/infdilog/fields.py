@@ -1,11 +1,19 @@
 """Exact coefficient fields: arbitrary-precision rationals and odd prime fields.
 
-Every value is a FieldElement tagged with the field it lives in.  Rational
-values are backed by fractions.Fraction, so they are always reduced (gcd of
-numerator and denominator is 1, denominator positive).  Prime-field values are
-least residues in [0, p).  Elements of distinct fields never combine: any
-attempt raises FieldMismatchError.  All operations are pure and elements are
-immutable, so they can be shared freely.
+A value has a raw canonical form: a fractions.Fraction over QQ (always reduced,
+denominator positive) and a least residue int in [0, p) over GF(p).  Each
+field has one pair of raw operations, and they are the one place where a field
+turns into arithmetic: reduce(raw) brings a sum or product of canonical values
+back to canonical form (the identity over QQ, raw % p over GF(p)), and
+inv(raw) inverts a nonzero canonical value (Fraction(1) / raw over QQ,
+pow(raw, p - 2, p) over GF(p)).  Series keep raw coefficients and call these
+two directly.  Only FieldElement powers bypass them, with a three-argument pow
+over GF(p), so that exponents as large as p stay cheap.
+
+At the public boundary a scalar is a FieldElement: a raw value tagged with its
+field.  Elements of distinct fields never combine: any attempt raises
+FieldMismatchError.  All operations are pure and elements are immutable, so
+they can be shared freely.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ __all__ = [
 ]
 
 Scalar = Union["FieldElement", int, Fraction]
+# A canonical raw value: a Fraction over QQ, a least residue in [0, p) over GF(p).
+Raw = Union[int, Fraction]
+
+_ONE = Fraction(1)
 
 # p must fit in a machine word.  This bound only validates input: the char-p
 # series caps live at precision p, so huge primes are useless here.
@@ -69,6 +81,14 @@ class Field:
     def element(self, value: Scalar) -> FieldElement:
         raise NotImplementedError
 
+    def reduce(self, raw: Raw) -> Raw:
+        """The canonical form of a sum, difference or product of canonical values."""
+        raise NotImplementedError
+
+    def inv(self, raw: Raw) -> Raw:
+        """The canonical inverse of a nonzero canonical value."""
+        raise NotImplementedError
+
     @property
     def zero(self) -> FieldElement:
         return self._zero
@@ -96,6 +116,12 @@ class RationalField(Field):
                 raise FieldMismatchError(f"cannot reinterpret {value!r} as rational")
             return value
         return FieldElement(self, Fraction(value))
+
+    def reduce(self, raw: Raw) -> Raw:
+        return raw
+
+    def inv(self, raw: Raw) -> Raw:
+        return _ONE / raw
 
     def random_element(self, rng: random.Random, height_bound: int = 10) -> FieldElement:
         """Numerator uniform in [-height_bound, height_bound], denominator in [1, height_bound]."""
@@ -131,13 +157,20 @@ class PrimeField(Field):
             if value.field is not self:
                 raise FieldMismatchError(f"cannot reinterpret {value!r} in GF({self.p})")
             return value
+        if isinstance(value, int):
+            return FieldElement(self, self.reduce(value))
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes in GF({self.p})")
-            num = value.numerator % self.p
-            return FieldElement(self, num * pow(den, self.p - 2, self.p) % self.p)
+            return FieldElement(self, self.reduce(value.numerator * self.inv(den)))
         return FieldElement(self, value % self.p)
+
+    def reduce(self, raw: Raw) -> Raw:
+        return raw % self.p
+
+    def inv(self, raw: Raw) -> Raw:
+        return pow(raw, self.p - 2, self.p)
 
     def random_element(self, rng: random.Random, height_bound: int = 10) -> FieldElement:
         """Uniform least residue; height_bound is accepted for interface parity."""
@@ -173,9 +206,8 @@ class FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.field.characteristic == 0:
-            return FieldElement(self.field, self.value + rhs.value)
-        return FieldElement(self.field, (self.value + rhs.value) % self.field.p)
+        field = self.field
+        return FieldElement(field, field.reduce(self.value + rhs.value))
 
     __radd__ = __add__
 
@@ -183,9 +215,8 @@ class FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.field.characteristic == 0:
-            return FieldElement(self.field, self.value - rhs.value)
-        return FieldElement(self.field, (self.value - rhs.value) % self.field.p)
+        field = self.field
+        return FieldElement(field, field.reduce(self.value - rhs.value))
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -197,9 +228,8 @@ class FieldElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.field.characteristic == 0:
-            return FieldElement(self.field, self.value * rhs.value)
-        return FieldElement(self.field, self.value * rhs.value % self.field.p)
+        field = self.field
+        return FieldElement(field, field.reduce(self.value * rhs.value))
 
     __rmul__ = __mul__
 
@@ -216,9 +246,8 @@ class FieldElement:
         return rhs * self.inverse()
 
     def __neg__(self):
-        if self.field.characteristic == 0:
-            return FieldElement(self.field, -self.value)
-        return FieldElement(self.field, -self.value % self.field.p)
+        field = self.field
+        return FieldElement(field, field.reduce(-self.value))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -232,10 +261,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError(f"0 has no inverse in {self.field!r}")
-        if self.field.characteristic == 0:
-            return FieldElement(self.field, 1 / self.value)
-        p = self.field.p
-        return FieldElement(self.field, pow(self.value, p - 2, p))
+        return FieldElement(self.field, self.field.inv(self.value))
 
     # -- comparison / hashing ----------------------------------------------
 

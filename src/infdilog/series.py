@@ -6,14 +6,21 @@ requires equal field and precision; change precision explicitly with
 with_precision, which zero-pads when growing (the canonical lift) and drops
 coefficients when shrinking (the canonical projection).
 
+Coefficients are stored raw, as the field's canonical values: Fractions over
+QQ, least residue ints in [0, p) over GF(p).  Every operation accumulates with
+plain + and * and brings each output coefficient back to canonical form once,
+through the field's reduce; division goes through the field's inv.  coeff and
+constant_term hand out FieldElements, and from_coeffs is the validating
+constructor for arbitrary scalars.
+
 The two composition patterns the identities need are provided as module
 functions:
 
   log_circ(a) = log(a / a(0)) = integral of a'/a
   exp_t(u)    = exp(u) for u(0) = 0, from E' = u'E: k E_k = sum_{j<=k} j u_j E_(k-j)
 
-Both cost O(N^2) field operations, are group homomorphisms between units and
-the additive group t*k[t]/(t^N), and are mutually inverse after fixing the
+Both cost O(N^2) coefficient operations, are group homomorphisms between units
+and the additive group t*k[t]/(t^N), and are mutually inverse after fixing the
 constant term.  Over GF(p) they are defined only for precision N <= p: they
 divide only by k <= N - 1 < p, so p never appears in a denominator.  Larger
 precision is refused loudly rather than silently reduced.
@@ -25,7 +32,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .fields import Field, FieldElement, FieldMismatchError
+from .fields import Field, FieldElement, FieldMismatchError, Raw
 
 __all__ = [
     "NonUnitError",
@@ -53,11 +60,15 @@ class NotFlatError(ValueError):
 
 
 class TruncatedSeries:
-    """An element of k[t]/(t^N): immutable coefficient vector plus precision."""
+    """An element of k[t]/(t^N): immutable raw coefficient vector plus precision.
+
+    The constructor trusts its coefficients to be canonical raw values of
+    `field`; use from_coeffs to convert and validate arbitrary scalars.
+    """
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs: tuple[FieldElement, ...]) -> None:
+    def __init__(self, field: Field, coeffs: tuple[Raw, ...]) -> None:
         if not coeffs:
             raise PrecisionError("precision must be at least 1")
         self.field = field
@@ -68,14 +79,14 @@ class TruncatedSeries:
     @classmethod
     def from_coeffs(cls, field: Field, values: Iterable[Scalar], precision: int | None = None) -> "TruncatedSeries":
         """Build from low-degree-first coefficients, zero-padded to precision."""
-        coeffs = [field.element(v) for v in values]
+        coeffs = [field.element(v).value for v in values]
         if precision is None:
             precision = len(coeffs)
         if precision < 1:
             raise PrecisionError("precision must be at least 1")
         if len(coeffs) > precision:
             raise PrecisionError(f"{len(coeffs)} coefficients exceed precision {precision}")
-        coeffs.extend([field.zero] * (precision - len(coeffs)))
+        coeffs.extend([field.zero.value] * (precision - len(coeffs)))
         return cls(field, tuple(coeffs))
 
     @classmethod
@@ -100,16 +111,16 @@ class TruncatedSeries:
         """The coefficient of t^a."""
         if not 0 <= a < self.precision:
             raise PrecisionError(f"coefficient index {a} out of range for precision {self.precision}")
-        return self.coeffs[a]
+        return FieldElement(self.field, self.coeffs[a])
 
     def constant_term(self) -> FieldElement:
-        return self.coeffs[0]
+        return FieldElement(self.field, self.coeffs[0])
 
     def truncate_below(self, a: int) -> "TruncatedSeries":
         """Zero every coefficient of t^a and above, keeping the precision."""
         if not 0 <= a <= self.precision:
             raise PrecisionError(f"truncation index {a} out of range for precision {self.precision}")
-        zero = self.field.zero
+        zero = self.field.zero.value
         return TruncatedSeries(self.field, self.coeffs[:a] + (zero,) * (self.precision - a))
 
     def with_precision(self, precision: int) -> "TruncatedSeries":
@@ -118,28 +129,30 @@ class TruncatedSeries:
             raise PrecisionError("precision must be at least 1")
         if precision <= self.precision:
             return TruncatedSeries(self.field, self.coeffs[:precision])
-        pad = (self.field.zero,) * (precision - self.precision)
+        pad = (self.field.zero.value,) * (precision - self.precision)
         return TruncatedSeries(self.field, self.coeffs + pad)
 
     def derivative(self) -> "TruncatedSeries":
         """Formal d/dt; the result is exact through degree N - 2."""
         if self.precision == 1:
             return TruncatedSeries.zero(self.field, 1)
-        coeffs = tuple(
-            self.field.element(i) * c for i, c in enumerate(self.coeffs) if i >= 1
+        reduce = self.field.reduce
+        coeffs = self.coeffs
+        return TruncatedSeries(
+            self.field, tuple(reduce(coeffs[i] * i) for i in range(1, len(coeffs)))
         )
-        return TruncatedSeries(self.field, coeffs)
 
     def scale(self, lam: Scalar) -> "TruncatedSeries":
         """The scaling action f(t) -> f(lam * t): multiplies coeff i by lam^i."""
-        lam = self.field.element(lam)
+        lam = self.field.element(lam).value
         if not lam:
             raise ValueError("scaling by 0 is not invertible and is not allowed")
+        reduce = self.field.reduce
         out = []
-        power = self.field.one
+        power = self.field.one.value
         for c in self.coeffs:
-            out.append(power * c)
-            power = power * lam
+            out.append(reduce(power * c))
+            power = reduce(power * lam)
         return TruncatedSeries(self.field, tuple(out))
 
     @property
@@ -150,7 +163,7 @@ class TruncatedSeries:
     def is_flat(self) -> bool:
         """Whether a(1 - a) is a unit, i.e. a(0) is neither 0 nor 1."""
         c = self.coeffs[0]
-        return bool(c) and c != self.field.one
+        return bool(c) and c != 1
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -168,14 +181,17 @@ class TruncatedSeries:
                 )
             return other
         if isinstance(other, (int, Fraction, FieldElement)) and not isinstance(other, bool):
-            return TruncatedSeries.constant(self.field, self.field.element(other), self.precision)
+            return TruncatedSeries.constant(self.field, other, self.precision)
         return None
 
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return TruncatedSeries(self.field, tuple(a + b for a, b in zip(self.coeffs, rhs.coeffs)))
+        reduce = self.field.reduce
+        return TruncatedSeries(
+            self.field, tuple(reduce(a + b) for a, b in zip(self.coeffs, rhs.coeffs))
+        )
 
     __radd__ = __add__
 
@@ -183,7 +199,10 @@ class TruncatedSeries:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return TruncatedSeries(self.field, tuple(a - b for a, b in zip(self.coeffs, rhs.coeffs)))
+        reduce = self.field.reduce
+        return TruncatedSeries(
+            self.field, tuple(reduce(a - b) for a, b in zip(self.coeffs, rhs.coeffs))
+        )
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -192,25 +211,29 @@ class TruncatedSeries:
         return rhs - self
 
     def __neg__(self):
-        return TruncatedSeries(self.field, tuple(-a for a in self.coeffs))
+        reduce = self.field.reduce
+        return TruncatedSeries(self.field, tuple(reduce(-a) for a in self.coeffs))
 
     def __mul__(self, other):
+        field = self.field
+        reduce = field.reduce
         if isinstance(other, (int, Fraction, FieldElement)) and not isinstance(other, bool):
-            lam = self.field.element(other)
-            return TruncatedSeries(self.field, tuple(lam * c for c in self.coeffs))
+            lam = field.element(other).value
+            return TruncatedSeries(field, tuple(reduce(lam * c) for c in self.coeffs))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         n = self.precision
-        out = [self.field.zero] * n
+        out = [field.zero.value] * n
+        nonzero_b = [(j, b) for j, b in enumerate(rhs.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j in range(n - i):
-                b = rhs.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.field, tuple(out))
+            for j, b in nonzero_b:
+                if i + j >= n:
+                    break
+                out[i + j] += a * b
+        return TruncatedSeries(field, tuple(map(reduce, out)))
 
     __rmul__ = __mul__
 
@@ -231,16 +254,21 @@ class TruncatedSeries:
         a0 = self.coeffs[0]
         if not a0:
             raise NonUnitError("series with zero constant term has no inverse")
-        inv0 = a0.inverse()
+        field = self.field
+        reduce = field.reduce
+        zero = field.zero.value
+        inv0 = field.inv(a0)
+        neg_inv0 = reduce(-inv0)
+        nonzero = [(j, a) for j, a in enumerate(self.coeffs) if j and a]
         out = [inv0]
         for k in range(1, self.precision):
-            acc = self.field.zero
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if aj:
-                    acc = acc + aj * out[k - j]
-            out.append(-(inv0 * acc))
-        return TruncatedSeries(self.field, tuple(out))
+            acc = zero
+            for j, a in nonzero:
+                if j > k:
+                    break
+                acc += a * out[k - j]
+            out.append(reduce(neg_inv0 * acc))
+        return TruncatedSeries(field, tuple(out))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -304,12 +332,15 @@ def log_circ(a: TruncatedSeries) -> TruncatedSeries:
     the precision of a.  Satisfies log_circ(ab) = log_circ(a) + log_circ(b).
     """
     _require_charp_precision(a, "log_circ")
-    if not a.constant_term():
+    if not a.is_unit:
         raise NonUnitError("log_circ requires a unit (nonzero constant term)")
+    field = a.field
+    reduce, inv = field.reduce, field.inv
     # a' is exact through degree N - 2, which is all the integral reads
     ratio = (a.derivative().with_precision(a.precision) * a.invert()).coeffs
     return TruncatedSeries(
-        a.field, (a.field.zero,) + tuple(ratio[k - 1] / k for k in range(1, a.precision))
+        field,
+        (field.zero.value,) + tuple(reduce(ratio[k - 1] * inv(k)) for k in range(1, a.precision)),
     )
 
 
@@ -319,17 +350,22 @@ def exp_t(u: TruncatedSeries) -> TruncatedSeries:
     exp_t(log_circ(a)) * a(0) = a and log_circ(c * exp_t(u)) = u exactly.
     """
     _require_charp_precision(u, "exp_t")
-    if u.constant_term():
+    if u.coeffs[0]:
         raise ValueError("exp_t requires zero constant term")
-    du = u.derivative().coeffs  # du[j - 1] = j * u_j
-    out = [u.field.one]
+    field = u.field
+    reduce, inv = field.reduce, field.inv
+    zero = field.zero.value
+    # (j, j * u_j) for the nonzero terms of u'
+    nonzero = [(j, d) for j, d in enumerate(u.derivative().coeffs, 1) if d]
+    out = [field.one.value]
     for k in range(1, u.precision):
-        acc = u.field.zero
-        for j in range(1, k + 1):
-            if du[j - 1]:
-                acc = acc + du[j - 1] * out[k - j]
-        out.append(acc / k)
-    return TruncatedSeries(u.field, tuple(out))
+        acc = zero
+        for j, d in nonzero:
+            if j > k:
+                break
+            acc += d * out[k - j]
+        out.append(reduce(acc * inv(k)))
+    return TruncatedSeries(field, tuple(out))
 
 
 def random_series(
@@ -340,5 +376,5 @@ def random_series(
 ) -> TruncatedSeries:
     """A series with independently sampled coefficients; deterministic given rng."""
     return TruncatedSeries(
-        field, tuple(field.random_element(rng, height_bound) for _ in range(precision))
+        field, tuple(field.random_element(rng, height_bound).value for _ in range(precision))
     )

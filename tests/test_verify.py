@@ -60,6 +60,25 @@ def test_cluster_charp_modes():
         verify.check_cluster_charp("A2", 37)
 
 
+def test_cluster_charp_builds_the_matrix_path_once(monkeypatch):
+    built = []
+    original = cluster.ExchangeMatrix.__init__
+
+    def counting(self, rows):
+        built.append(rows)
+        original(self, rows)
+
+    monkeypatch.setattr(cluster.ExchangeMatrix, "__init__", counting)
+    counts = {}
+    for p in (5, 7):
+        built.clear()
+        assert verify.check_cluster_charp("A2", p).valid > 0
+        counts[p] = len(built)
+    # the parsed matrix, one per schedule step, and nu of the matrix; no
+    # matrix is rebuilt per point, so the count does not grow with p^4
+    assert counts == {5: 7, 7: 7}
+
+
 def test_named_identity_checks():
     for name in sorted(verify.NAMED_IDENTITIES):
         report = verify.check_named_identity(name, 5)
