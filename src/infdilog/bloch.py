@@ -34,7 +34,7 @@ verdict `inconclusive` rather than risking a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -170,7 +170,6 @@ class ZeroTestResult:
     verdict: str  # "zero" | "nonzero" | "inconclusive"
     failing_component: str | None = None
     detail: str = ""
-    prime_support: tuple[int, ...] = dataclass_field(default_factory=tuple)
 
     @property
     def is_zero(self) -> bool:
@@ -272,7 +271,6 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
                 "nonzero",
                 "mixed",
                 f"prime {q} accumulator has t^{bad} coefficient {acc[bad]}",
-                tuple(support),
             )
 
     # (iii) constant component: antisymmetric integer form on exponent vectors
@@ -287,7 +285,6 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
                     "nonzero",
                     "constants",
                     f"(v_{q} ^ v_{r}) evaluates to {entry}",
-                    tuple(support),
                 )
 
-    return ZeroTestResult("zero", None, "", tuple(support))
+    return ZeroTestResult("zero")

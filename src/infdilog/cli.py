@@ -11,11 +11,12 @@ Commands:
   suite              the full acceptance battery
   mutate             print a trajectory at a point
   theta              print the skew-symmetrizer of a pattern
-  periodicity        certify nu-periodicity of a pattern
+  periodicity        certify nu-periodicity of a pattern, as a check report
 
 Directions are 0-indexed in pattern files and 1-indexed in human output.
-Exit codes: 0 when every executed check passes, 1 on a check failure,
-2 on a configuration error.
+Every check and periodicity print a check report.  Exit codes: 0 when every
+executed check passes, 1 on a failure or too few valid samples, 2 on a
+configuration error.
 """
 
 from __future__ import annotations
@@ -245,17 +246,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "periodicity":
         matrix, schedule, name = _load_pattern(args, parser)
         field = _resolve_field(args, parser)
-        verdict = cluster.check_periodicity(
-            matrix, schedule, field=field, trials=args.trials,
-            height_bound=args.height, seed=args.seed,
-            precision=2 if args.precision is None else args.precision,
+        report = verify.check_periodicity_report(
+            (matrix, schedule), trials=args.trials, height=args.height, seed=args.seed,
+            field=field, precision=2 if args.precision is None else args.precision,
+            pattern_name=name,
         )
-        status = "periodic" if verdict.periodic else "not periodic"
-        print(f"{name}: {status} (matrix {'ok' if verdict.matrix_ok else 'mismatch'},"
-              f" {verdict.points_checked} points)")
-        if verdict.failure:
-            print(f"  {verdict.failure}")
-        return 0 if verdict.periodic else 1
+        return _emit(_resolved_config(args), [report], args)
 
     if args.command == "mutate":
         matrix, schedule, name = _load_pattern(args, parser)

@@ -13,6 +13,12 @@ with B = [[0, -1], [1, 0]] in direction 0 must send (y1, y2) to
 (1/y1, y2(1 + y1)).  Evaluation points where a required inversion fails lie in
 the excluded locus and surface as InvalidPointError, to be resampled by
 callers.
+
+Each factor is computed as the single power (1 + y_k^sgn(b))^(-b), b = b_ki.
+For b < 0 this is (1 + y_k)^|b| as displayed.  For b > 0 it is
+(1 + 1/y_k)^(-b) = (y_k / (1 + y_k))^b = y_k^b * (1 + y_k)^(-b).  It needs an
+inversion exactly when the displayed factor does (b > 0), and for a unit y_k,
+1 + 1/y_k is a unit exactly when 1 + y_k is: the same points are invalid.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ __all__ = [
     "InvalidPointError",
     "MutationSchedule",
     "NotSkewSymmetrizableError",
-    "PeriodicityVerdict",
     "Trajectory",
     "TrajectoryStep",
     "YSeed",
@@ -219,10 +224,6 @@ class MutationSchedule:
     def resolved_theta(self, matrix: ExchangeMatrix) -> tuple[int, ...]:
         return self.theta if self.theta is not None else skew_symmetrizer(matrix)
 
-    @property
-    def length(self) -> int:
-        return len(self.directions)
-
 
 @dataclass(frozen=True)
 class YSeed:
@@ -244,7 +245,6 @@ class YSeed:
             yk_inv = yk.invert()
         except NonUnitError as exc:
             raise InvalidPointError(f"y_{k + 1} is not invertible here", direction=k) from exc
-        one_plus = 1 + yk
         new_ys = list(self.ys)
         new_ys[k] = yk_inv
         for i in range(n):
@@ -254,7 +254,7 @@ class YSeed:
             if b == 0:
                 continue
             try:
-                factor = yk ** max(b, 0) * one_plus ** (-b)
+                factor = (1 + (yk_inv if b > 0 else yk)) ** (-b)
             except NonUnitError as exc:
                 raise InvalidPointError(
                     f"1 + y_{k + 1} is not invertible here", direction=k
@@ -273,16 +273,12 @@ class YSeed:
 class TrajectoryStep:
     direction: int
     value: TruncatedSeries  # the mutated-direction y-value before the step
-    seed_after: YSeed
 
 
 @dataclass(frozen=True)
 class Trajectory:
     steps: tuple[TrajectoryStep, ...]
     final: YSeed
-
-    def values(self) -> tuple[TruncatedSeries, ...]:
-        return tuple(step.value for step in self.steps)
 
 
 def run_schedule(
@@ -300,7 +296,7 @@ def run_schedule(
             seed = seed.mutate(r)
         except InvalidPointError as exc:
             raise InvalidPointError(str(exc), step=j, direction=r) from exc
-        steps.append(TrajectoryStep(r, value, seed))
+        steps.append(TrajectoryStep(r, value))
     return Trajectory(tuple(steps), seed)
 
 
@@ -317,15 +313,6 @@ def matrix_returns(matrix: ExchangeMatrix, schedule: MutationSchedule) -> bool:
     return matrix_path(matrix, schedule.directions)[-1] == matrix.permuted(schedule.nu)
 
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
-    periodic: bool
-    matrix_ok: bool
-    points_checked: int
-    failure: str | None = None
-    refuted: bool = False
-
-
 def check_periodicity(
     matrix: ExchangeMatrix,
     schedule: MutationSchedule,
@@ -334,45 +321,35 @@ def check_periodicity(
     height_bound: int = 10,
     seed: int = 0,
     precision: int = 2,
-) -> PeriodicityVerdict:
-    """Certify nu-periodicity: exact matrix return plus y-agreement at points.
+) -> tuple[int, str | None]:
+    """Test nu-periodicity: exact matrix return plus y-agreement at points.
 
-    The matrix condition is exact.  The y-condition is polynomial identity
-    testing: exact equality at `trials` random valid points, which is correct
-    with overwhelming probability for rational-function identities.  Too few
-    valid points is neither periodic nor refuted.
+    Returns (points_checked, refutation).  The matrix condition is exact.  The
+    y-condition is polynomial identity testing: exact equality at `trials`
+    valid points, drawn from random.Random(seed) in at most 100 * trials
+    attempts.  refutation describes the first condition that fails, or is
+    None; fewer than `trials` points and no refutation means too few valid
+    points were found, which neither certifies nor refutes.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     schedule.validate(matrix)
     if not matrix_returns(matrix, schedule):
-        return PeriodicityVerdict(False, False, 0, "matrix does not return to nu of itself",
-                                  refuted=True)
-
+        return 0, "matrix does not return to nu of itself"
     rng = random.Random(seed)
     checked = 0
-    attempts = 0
-    max_attempts = max(1, trials) * 100
-    while checked < trials and attempts < max_attempts:
-        attempts += 1
+    for _ in range(trials * 100):
+        if checked == trials:
+            break
         point = tuple(random_series(field, precision, rng, height_bound) for _ in range(matrix.n))
         try:
             trajectory = run_schedule(matrix, point, schedule)
         except InvalidPointError:
             continue
-        expected = YSeed(matrix, point).permuted(schedule.nu)
-        if trajectory.final.ys != expected.ys:
-            return PeriodicityVerdict(
-                False,
-                True,
-                checked,
-                f"y-values disagree at point {[str(y) for y in point]}",
-                refuted=True,
-            )
+        if trajectory.final.ys != YSeed(matrix, point).permuted(schedule.nu).ys:
+            return checked, f"y-values disagree at point {[str(y) for y in point]}"
         checked += 1
-    if checked < trials:
-        return PeriodicityVerdict(
-            False, True, checked, f"only {checked} valid points found in {attempts} attempts"
-        )
-    return PeriodicityVerdict(True, True, checked)
+    return checked, None
 
 
 # Built-in patterns.  B2's closing permutation is the identity: six alternating

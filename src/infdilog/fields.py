@@ -11,7 +11,9 @@ two directly.  Only FieldElement powers bypass them, with a three-argument pow
 over GF(p), so that exponents as large as p stay cheap.
 
 At the public boundary a scalar is a FieldElement: a raw value tagged with its
-field.  Elements of distinct fields never combine: any attempt raises
+field.  Field.element takes exact scalars only (an int, a Fraction or an
+element of the same field) and raises TypeError for a float or anything else.
+Elements of distinct fields never combine: any attempt raises
 FieldMismatchError.  All operations are pure and elements are immutable, so
 they can be shared freely.
 """
@@ -79,6 +81,16 @@ class Field:
     characteristic: int
 
     def element(self, value: Scalar) -> FieldElement:
+        """The element an exact scalar names: an int, a Fraction or an element of this field."""
+        if isinstance(value, FieldElement):
+            if value.field is not self:
+                raise FieldMismatchError(f"cannot reinterpret {value!r} in {self!r}")
+            return value
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{self!r} takes an int, a Fraction or a FieldElement, got {value!r}")
+        return FieldElement(self, self._canonical(value))
+
+    def _canonical(self, value: int | Fraction) -> Raw:
         raise NotImplementedError
 
     def reduce(self, raw: Raw) -> Raw:
@@ -110,12 +122,8 @@ class RationalField(Field):
         self._zero = FieldElement(self, Fraction(0))
         self._one = FieldElement(self, Fraction(1))
 
-    def element(self, value: Scalar) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise FieldMismatchError(f"cannot reinterpret {value!r} as rational")
-            return value
-        return FieldElement(self, Fraction(value))
+    def _canonical(self, value: int | Fraction) -> Raw:
+        return Fraction(value)
 
     def reduce(self, raw: Raw) -> Raw:
         return raw
@@ -152,19 +160,13 @@ class PrimeField(Field):
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
 
-    def element(self, value: Scalar) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise FieldMismatchError(f"cannot reinterpret {value!r} in GF({self.p})")
-            return value
+    def _canonical(self, value: int | Fraction) -> Raw:
         if isinstance(value, int):
-            return FieldElement(self, self.reduce(value))
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {value} vanishes in GF({self.p})")
-            return FieldElement(self, self.reduce(value.numerator * self.inv(den)))
-        return FieldElement(self, value % self.p)
+            return value % self.p
+        den = value.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator of {value} vanishes in GF({self.p})")
+        return value.numerator * self.inv(den) % self.p
 
     def reduce(self, raw: Raw) -> Raw:
         return raw % self.p

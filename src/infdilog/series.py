@@ -275,15 +275,14 @@ class TruncatedSeries:
             return NotImplemented
         if exponent < 0:
             return self.invert() ** (-exponent)
-        result = TruncatedSeries.one(self.field, self.precision)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        if exponent == 0:
+            return TruncatedSeries.one(self.field, self.precision)
+        # left-to-right binary powering from the base: no product by one
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- comparison / rendering ----------------------------------------------

@@ -145,8 +145,11 @@ def _resample(report: CheckReport, trials: int, seed: int, evaluate) -> CheckRep
 
     Trial k draws from the rng of (seed, report.name, k) for at most
     RESAMPLE_FACTOR attempts; the first trial to run out of attempts ends the
-    check, which then reports too few valid samples.
+    check, which then reports too few valid samples.  A trial count below 1 is
+    refused with ValueError, so no sampled verdict rests on zero trials.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     for trial in range(trials):
         rng = _derive_rng(seed, report.name, trial)
         if not any(_tally(report, evaluate(rng)) for _ in range(RESAMPLE_FACTOR)):
@@ -313,6 +316,8 @@ def check_welldef(
     [m, w).
     """
     dilog.validate_modulus_weight(m, w)
+    if perturbations < 0:
+        raise ValueError(f"perturbations must be at least 0, got {perturbations}")
     report = CheckReport(
         name=f"welldef[m={m},w={w}]",
         params={"m": m, "w": w, "trials": trials, "perturbations": perturbations,
@@ -404,6 +409,8 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
     Each dual number is also lifted with random tail coefficients to witness
     lift independence of the expression.
     """
+    if perturbations < 0:
+        raise ValueError(f"perturbations must be at least 0, got {perturbations}")
     field = GF(p)
     report = CheckReport(
         name=f"li2p-lift[p={p}]",
@@ -440,14 +447,11 @@ def check_cluster_char0(
     trials: int = 100,
     height: int = 10,
     seed: int = 0,
-    theta: tuple[int, ...] | None = None,
     pattern_name: str | None = None,
 ) -> CheckReport:
     """The weighted cluster sum of li_{m,w} along a periodic mutation sequence."""
     dilog.validate_modulus_weight(m, w)
     matrix, schedule, name, weights = _periodic_pattern(pattern, pattern_name)
-    if theta is not None:
-        weights = theta
     report = CheckReport(
         name=f"cluster0[{name},m={m},w={w}]",
         params={"pattern": name, "m": m, "w": w, "theta": list(weights),
@@ -687,19 +691,18 @@ def check_mutation_involution(
     trials: int = 1000,
     height: int = 10,
     seed: int = 0,
-    precision: int = 2,
     pattern_name: str | None = None,
 ) -> CheckReport:
-    """Mutating twice in the same direction restores the seed exactly."""
+    """Mutating twice in the same direction restores the seed exactly, at precision 2."""
     matrix, schedule, name = _resolve_pattern(pattern, pattern_name)
     report = CheckReport(
         name=f"involution[{name}]",
         params={"pattern": name, "trials": trials, "height": height,
-                "seed": seed, "precision": precision},
+                "seed": seed, "precision": 2},
     )
 
     def evaluate(rng: random.Random):
-        point = tuple(random_series(QQ, precision, rng, height) for _ in range(matrix.n))
+        point = tuple(random_series(QQ, 2, rng, height) for _ in range(matrix.n))
         direction = rng.randrange(matrix.n)
         twice = cluster.MutationSchedule((direction, direction), tuple(range(matrix.n)))
         try:
@@ -725,9 +728,9 @@ def check_periodicity_report(
     precision: int = 2,
     pattern_name: str | None = None,
 ) -> CheckReport:
-    """Wrap the periodicity certificate as a report; only a refuted pattern fails."""
+    """The periodicity certificate as a report: a refuted pattern fails, a starved one is insufficient."""
     matrix, schedule, name = _resolve_pattern(pattern, pattern_name)
-    verdict = cluster.check_periodicity(
+    checked, refutation = cluster.check_periodicity(
         matrix, schedule, field=field, trials=trials, height_bound=height,
         seed=seed, precision=precision,
     )
@@ -735,11 +738,11 @@ def check_periodicity_report(
         name=f"periodicity[{name}]",
         params={"pattern": name, "trials": trials, "height": height, "seed": seed,
                 "nu": list(schedule.nu)},
-        attempted=verdict.points_checked,
-        valid=verdict.points_checked,
+        attempted=checked,
+        valid=checked,
     )
-    if verdict.refuted:
-        report.record_failure({"inputs": {}, "value": verdict.failure})
+    if refutation is not None:
+        report.record_failure({"inputs": {}, "value": refutation})
     return report.finish(min_valid=trials)
 
 

@@ -49,11 +49,11 @@ def test_criterion_02_pentagon_suite():
 
 
 def test_criterion_03_cluster_sums_char0():
-    for pattern, theta in (("A2", (1, 1)), ("B2", (1, 2))):
+    for pattern, theta in (("A2", [1, 1]), ("B2", [1, 2])):
         for m, w in ((2, 3), (3, 4), (3, 5)):
-            report = verify.check_cluster_char0(pattern, m, w, trials=100, seed=0,
-                                                theta=theta)
+            report = verify.check_cluster_char0(pattern, m, w, trials=100, seed=0)
             assert report.passed and report.valid >= 100, report.name
+            assert report.params["theta"] == theta
     rank1 = verify.check_cluster_char0("A1", 2, 3, trials=100, seed=0)
     assert rank1.passed and rank1.valid >= 100
     _announce(3, "cluster sums over QQ: A2/B2 for m in {2,3}, rank-1 involution")
@@ -135,16 +135,16 @@ def test_criterion_09_lemma_wedge_vanishing():
 
 
 def test_criterion_10_periodicity_certificates():
-    a2_matrix, a2_schedule = cluster.builtin_pattern("A2")
+    _, a2_schedule = cluster.builtin_pattern("A2")
     assert a2_schedule.nu == (1, 0)  # closing permutation is the transposition
     assert len(a2_schedule.directions) == 5
-    verdict = cluster.check_periodicity(a2_matrix, a2_schedule, trials=50, seed=0)
-    assert verdict.periodic and verdict.matrix_ok and verdict.points_checked >= 50
+    report = verify.check_periodicity_report("A2", trials=50, seed=0)
+    assert report.passed and report.valid >= 50
 
-    b2_matrix, b2_schedule = cluster.builtin_pattern("B2")
+    _, b2_schedule = cluster.builtin_pattern("B2")
     assert len(b2_schedule.directions) == 6
-    verdict = cluster.check_periodicity(b2_matrix, b2_schedule, trials=50, seed=0)
-    assert verdict.periodic and verdict.matrix_ok and verdict.points_checked >= 50
+    report = verify.check_periodicity_report("B2", trials=50, seed=0)
+    assert report.passed and report.valid >= 50
     _announce(10, "periodicity: A2 (P=5, nu = swap) and B2 (P=6), 50-point agreement")
 
 

@@ -1,0 +1,58 @@
+"""The benchmark's tracer patches the program by name; pin the names it needs.
+
+bench/tracer.py wraps public functions and methods of `src/` from outside.  A
+refactor that deletes or renames one of them would break a traced benchmark
+run, so these tests load the tracer from its file and check that every span
+owner still holds its attribute and that a tracer installs and removes itself
+cleanly on this tree.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from infdilog import cli, fields
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every attribute the tracer may patch: span owners, field ops, module names."""
+    tracer = _load_tracer()
+    snapshot = {}
+    for owner in {id(owner): owner for owner, _, _ in tracer.SPANS}.values():
+        snapshot[id(owner)] = dict(vars(owner))
+    for name, module in sys.modules.items():
+        if module is not None and (name == "infdilog" or name.startswith("infdilog.")):
+            snapshot[id(module)] = dict(vars(module))
+    snapshot[id(fields.FieldElement)] = dict(vars(fields.FieldElement))
+    return snapshot
+
+
+def test_every_span_owner_holds_its_attribute():
+    tracer = _load_tracer()
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in tracer.SPANS if attr not in vars(owner)]
+    assert missing == []
+    for attr in (*tracer.FIELD_OPS, "inverse"):
+        assert callable(getattr(fields.FieldElement, attr))
+
+
+def test_tracer_counts_spans_and_restores_the_originals():
+    before = _bindings()
+    tracer_module = _load_tracer()
+    with tracer_module.Tracer() as tracer:
+        assert cli.main(["periodicity", "--pattern", "A2", "--trials", "3"]) == 0
+    assert _bindings() == before
+    layers = tracer.layers()
+    assert layers["cluster.check_periodicity.calls"] == 1
+    assert layers["verify.periodicity.points"] == 3
+    assert layers["cluster.YSeed.mutate.calls"] >= 15
+    assert layers["cli.main.self_s"] > 0

@@ -174,8 +174,19 @@ def test_welldef_command(capsys):
     assert "welldef" in capsys.readouterr().out
 
 
-def test_periodicity_exit_codes(tmp_path):
+def test_periodicity_exit_codes(tmp_path, capsys):
     assert run(["periodicity", "--pattern", "A2", "--trials", "10"]) == 0
+    assert "[PASS] periodicity[A2]: valid=10 rejected=0 failed=0" in capsys.readouterr().out
     aperiodic = tmp_path / "aperiodic.json"
     aperiodic.write_text(json.dumps(APERIODIC))
     assert run(["periodicity", "--pattern-file", str(aperiodic), "--trials", "5"]) == 1
+    assert "[FAIL] periodicity[" in capsys.readouterr().out
+    # A2 over GF(3) has no valid point: too few samples, not a pass
+    assert run(["periodicity", "--pattern", "A2", "--field", "fp", "--p", "3",
+                "--trials", "5"]) == 1
+    assert "[INSUFFICIENT-VALID-SAMPLES] periodicity[A2]" in capsys.readouterr().out
+    for argv in (["--pattern-file", str(tmp_path / "missing.json")],
+                 ["--pattern", "A2", "--trials", "0"]):
+        with pytest.raises(SystemExit) as err:
+            run(["periodicity", *argv])
+        assert err.value.code == 2

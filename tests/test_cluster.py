@@ -17,7 +17,8 @@ from infdilog.cluster import (
     skew_symmetrizer,
 )
 from infdilog.fields import GF, QQ
-from infdilog.series import TruncatedSeries, random_series
+from infdilog.series import NonUnitError, TruncatedSeries, random_series
+from infdilog.verify import check_periodicity_report
 
 
 def q_const(value, precision=1):
@@ -88,6 +89,60 @@ def test_mutation_involution_thousand_seeds():
             continue
         assert back.ys == seed.ys and back.matrix == seed.matrix
         done += 1
+
+
+def _power_by_products(series, exponent):
+    base = series.invert() if exponent < 0 else series
+    result = TruncatedSeries.one(series.field, series.precision)
+    for _ in range(abs(exponent)):
+        result = result * base
+    return result
+
+
+def _textbook_mutate(seed, k):
+    """y'_k = 1/y_k, y'_i = y_i * y_k^max(b, 0) * (1 + y_k)^(-b) with b = b_ki.
+
+    Returns the new y-values, or the message of the inversion that fails.
+    """
+    yk = seed.ys[k]
+    try:
+        new = [yk.invert() if i == k else y for i, y in enumerate(seed.ys)]
+    except NonUnitError:
+        return f"y_{k + 1} is not invertible here"
+    for i in range(seed.matrix.n):
+        b = seed.matrix.entry(k, i)
+        if i == k or b == 0:
+            continue
+        try:
+            factor = _power_by_products(yk, max(b, 0)) * _power_by_products(1 + yk, -b)
+        except NonUnitError:
+            return f"1 + y_{k + 1} is not invertible here"
+        new[i] = new[i] * factor
+    return tuple(new)
+
+
+def test_mutation_matches_the_textbook_formula():
+    valid = invalid = 0
+    for field, height in ((QQ, 2), (GF(7), 10), (GF(11), 10)):
+        rng = random.Random(field.characteristic)
+        for rows in ([[0, -1], [3, 0]], [[0, 2], [-2, 0]], [[0, -1, 0], [3, 0, -1], [0, 2, 0]]):
+            matrix = ExchangeMatrix(rows)
+            for precision in (1, 2, 4):
+                for _ in range(12):
+                    seed = YSeed(matrix, tuple(random_series(field, precision, rng, height)
+                                               for _ in range(matrix.n)))
+                    for k in range(matrix.n):
+                        expected = _textbook_mutate(seed, k)
+                        if isinstance(expected, str):
+                            with pytest.raises(InvalidPointError) as err:
+                                seed.mutate(k)
+                            assert str(err.value) == expected and err.value.direction == k
+                            invalid += 1
+                        else:
+                            mutated = seed.mutate(k)
+                            assert mutated.ys == expected and mutated.matrix == matrix.mutate(k)
+                            valid += 1
+    assert valid > 400 and invalid > 50
 
 
 A2_FUNCTIONS = (
@@ -161,28 +216,27 @@ def test_invalid_point_mid_schedule_reports_step():
 
 def test_periodicity_builtins():
     for name in ("A1", "A2", "B2"):
-        matrix, schedule = builtin_pattern(name)
-        verdict = check_periodicity(matrix, schedule, trials=50)
-        assert verdict.periodic and verdict.matrix_ok
-        assert verdict.points_checked >= 50
+        report = check_periodicity_report(name, trials=50)
+        assert report.passed and report.valid >= 50
+        assert check_periodicity(*builtin_pattern(name), trials=50) == (50, None)
 
 
 def test_periodicity_failures():
     matrix, _ = builtin_pattern("A2")
-    short = MutationSchedule(directions=(0, 1, 0), nu=(0, 1))
-    assert not check_periodicity(matrix, short, trials=5).periodic
-    swapped = MutationSchedule(directions=(0, 1, 0, 1, 0), nu=(0, 1))
-    verdict = check_periodicity(matrix, swapped, trials=5)
-    assert not verdict.periodic and not verdict.matrix_ok
     b2, sched2 = builtin_pattern("B2")
-    wrong_nu = MutationSchedule(sched2.directions, nu=(1, 0))
-    assert not check_periodicity(b2, wrong_nu, trials=5).periodic
+    for pattern in (
+        (matrix, MutationSchedule(directions=(0, 1, 0), nu=(0, 1))),  # short
+        (matrix, MutationSchedule(directions=(0, 1, 0, 1, 0), nu=(0, 1))),  # swapped
+        (b2, MutationSchedule(sched2.directions, nu=(1, 0))),  # wrong nu
+    ):
+        report = check_periodicity_report(pattern, trials=5)
+        assert report.verdict == "fail" and report.failed == 1 and report.valid == 0
+        assert report.witnesses[0]["value"] == "matrix does not return to nu of itself"
 
 
 def test_periodicity_over_prime_field():
-    matrix, schedule = builtin_pattern("A2")
-    verdict = check_periodicity(matrix, schedule, field=GF(11), trials=25)
-    assert verdict.periodic
+    report = check_periodicity_report("A2", field=GF(11), trials=25)
+    assert report.passed and report.valid == 25
 
 
 def test_theta_invariant_under_mutation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infdilog.fields import GF, QQ, FieldMismatchError, PrimeField
+from infdilog.series import TruncatedSeries
 
 
 def test_rational_addition_example():
@@ -23,6 +24,16 @@ def test_canonical_form_is_idempotent():
     assert a.value.denominator == 2
     # negative denominators normalize to a positive one
     assert QQ.element(Fraction(3, -6)).value == Fraction(-1, 2)
+
+
+def test_inexact_scalars_are_refused():
+    for field in (QQ, GF(5)):
+        for value in (2.5, 0.1, 2.0, "3", None):
+            with pytest.raises(TypeError):
+                field.element(value)
+        with pytest.raises(TypeError):
+            TruncatedSeries.from_coeffs(field, [2.5, 1])
+        assert field.element(Fraction(5, 2)) == field.element(5) / 2
 
 
 def test_division_by_zero():

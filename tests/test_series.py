@@ -204,6 +204,29 @@ def test_pow():
     assert s ** -1 == s.invert()
 
 
+def test_pow_matches_repeated_products():
+    rng = random.Random(5)
+    for field in (QQ, GF(11)):
+        for precision in (1, 3, 5):
+            unit = random_series(field, precision, rng)
+            while not unit.is_unit:
+                unit = random_series(field, precision, rng)
+            non_unit = TruncatedSeries(field, (field.zero.value,) + unit.coeffs[1:])
+            for exponent in range(-3, 10):
+                expected = TruncatedSeries.one(field, precision)
+                for _ in range(abs(exponent)):
+                    expected = expected * (unit if exponent > 0 else unit.invert())
+                assert unit ** exponent == expected
+                if exponent >= 0:
+                    expected = TruncatedSeries.one(field, precision)
+                    for _ in range(exponent):
+                        expected = expected * non_unit
+                    assert non_unit ** exponent == expected
+                else:
+                    with pytest.raises(NonUnitError):
+                        non_unit ** exponent
+
+
 def test_text_format():
     assert str(q_series(Fraction(1, 2), Fraction(-1, 4))) == "1/2 + -1/4*t"
     assert str(q_series(1, 3, 7)) == "1 + 3*t + 7*t^2"

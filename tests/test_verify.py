@@ -27,8 +27,8 @@ def test_pentagon_check_both_characteristics():
 def test_cluster_char0_check():
     report = verify.check_cluster_char0("A2", 2, 3, trials=30)
     assert report.passed and report.valid == 30
-    report = verify.check_cluster_char0("B2", 3, 4, trials=20, theta=(1, 2))
-    assert report.passed
+    report = verify.check_cluster_char0("B2", 3, 4, trials=20)
+    assert report.passed and report.params["theta"] == [1, 2]
     report = verify.check_cluster_char0("A1", 2, 3, trials=20)
     assert report.passed
     with pytest.raises(ValueError):
@@ -149,6 +149,24 @@ def test_periodicity_report_verdicts():
     a2 = (cluster.ExchangeMatrix([[0, -1], [1, 0]]),
           cluster.MutationSchedule(directions=(0, 1, 0), nu=(0, 1)))
     assert verify.check_periodicity_report(a2, trials=5).verdict == "fail"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify.check_pentagon(m=2, w=3, trials=0),
+    lambda: verify.check_pentagon(p=5, trials=-1),
+    lambda: verify.check_cluster_char0("A2", 2, 3, trials=0),
+    lambda: verify.check_cluster_charp("A2", 5, trials=0),
+    lambda: verify.check_named_identity("elementary", 5, trials=0),
+    lambda: verify.check_mutation_involution("A2", trials=0),
+    lambda: verify.check_periodicity_report("A2", trials=0),
+    lambda: cluster.check_periodicity(*cluster.builtin_pattern("A2"), trials=0),
+    lambda: verify.check_welldef(2, 3, perturbations=-5),
+    lambda: verify.check_li2p_lift(3, perturbations=-1),
+], ids=["pentagon-q", "pentagon-p", "cluster0", "clusterp", "named", "involution",
+        "periodicity-report", "check-periodicity", "welldef", "li2p-lift"])
+def test_counts_that_would_make_a_vacuous_verdict_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_corrupted_dilogarithm_is_caught(monkeypatch):
