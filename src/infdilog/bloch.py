@@ -6,7 +6,8 @@ objects: formal integer combinations of ordered pairs of units, with no
 rewriting applied on insertion.  Consumers are linear: the antisymmetric
 functional pairs (ell_i ^ ell_j) and the rationalized zero test.  A ledger
 computes each distinct side's log_circ once, as the series' raw coefficient
-tuple; the pairs and all three zero-test components share it.  The pairs and
+tuple, and resolves each term to (coeff, log left, log right) once; the pairs
+and the mixed zero-test component read those tuples.  The pairs and
 the mixed component sum raw coefficients with plain + and * and reduce the
 total once, so a FieldElement is made only for the value handed back.
 
@@ -71,7 +72,7 @@ class WedgeLedger:
     construction, and zero membership is decided by zero_test_rational.
     """
 
-    __slots__ = ("terms", "_logs")
+    __slots__ = ("terms", "_logs", "_logged")
 
     def __init__(self, terms: Iterable[tuple[int, TruncatedSeries, TruncatedSeries]] = ()) -> None:
         checked: list[tuple[int, TruncatedSeries, TruncatedSeries]] = []
@@ -90,6 +91,7 @@ class WedgeLedger:
                 checked.append((coeff, left, right))
         self.terms = tuple(checked)
         self._logs: dict[TruncatedSeries, tuple[Raw, ...]] = {}
+        self._logged: tuple | None = None
 
     def log(self, side: TruncatedSeries) -> tuple[Raw, ...]:
         """The raw coefficients of log_circ(side), computed once per distinct side."""
@@ -97,6 +99,12 @@ class WedgeLedger:
         if coeffs is None:
             coeffs = self._logs[side] = log_circ(side).coeffs
         return coeffs
+
+    def logged(self) -> tuple[tuple[int, tuple[Raw, ...], tuple[Raw, ...]], ...]:
+        """(coeff, log(left), log(right)) for each term, resolved once on first use."""
+        if self._logged is None:
+            self._logged = tuple((c, self.log(l), self.log(r)) for c, l, r in self.terms)
+        return self._logged
 
     def __add__(self, other: "WedgeLedger") -> "WedgeLedger":
         return WedgeLedger(self.terms + other.terms)
@@ -157,8 +165,7 @@ def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> Fi
         if not 1 <= index < precision:
             raise PrecisionError(f"functional index {index} out of range for precision {precision}")
     total = field.zero.value
-    for coeff, left, right in ledger.terms:
-        lo, ro = ledger.log(left), ledger.log(right)
+    for coeff, lo, ro in ledger.logged():
         total += coeff * (lo[f_index] * ro[g_index] - lo[g_index] * ro[f_index])
     return FieldElement(field, field.reduce(total))
 
@@ -256,12 +263,11 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
     # (ii) mixed component: one series-valued accumulator per support prime
     for q in support:
         acc = [field.zero.value] * precision
-        for coeff, left, right in ledger.terms:
+        for (coeff, left, right), (_, lo, ro) in zip(ledger.terms, ledger.logged()):
             eq_l = coeff * exponents[left.coeffs[0]].get(q, 0)
             eq_r = coeff * exponents[right.coeffs[0]].get(q, 0)
             if not eq_l and not eq_r:
                 continue
-            lo, ro = ledger.log(left), ledger.log(right)
             for d in range(1, precision):
                 acc[d] += eq_l * ro[d] - eq_r * lo[d]
         acc = [field.reduce(x) for x in acc]

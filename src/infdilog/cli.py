@@ -158,29 +158,19 @@ def _load_pattern(args, parser):
         parser.error("give exactly one of --pattern or --pattern-file")
     try:
         if name is not None:
-            matrix, schedule = cluster.builtin_pattern(name)
-            return matrix, schedule, name
+            return cluster.builtin_pattern(name)
         with open(path) as handle:
             config = json.load(handle)
-        matrix, schedule = cluster.pattern_from_dict(config)
-        return matrix, schedule, config.get("name", path)
+        if isinstance(config, dict):
+            config.setdefault("name", path)
+        return cluster.pattern_from_dict(config)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         parser.error(f"invalid pattern: {exc}")
-
-
-def _load_periodic_pattern(args, parser):
-    matrix, schedule, name = _load_pattern(args, parser)
-    if not cluster.matrix_returns(matrix, schedule):
-        parser.error(f"invalid pattern: {name} does not return to nu of itself"
-                     " at the matrix level")
-    return matrix, schedule, name
 
 
 def _validate_mw(args, parser) -> tuple[int, int]:
     if args.m is None or args.w is None:
         parser.error("this check requires --m and --w")
-    if not 1 < args.m < args.w < 2 * args.m:
-        parser.error(f"modulus/weight must satisfy 1 < m < w < 2m, got m={args.m}, w={args.w}")
     return args.m, args.w
 
 
@@ -188,6 +178,8 @@ def _parse_point(text: str, field: Field, precision: int, parser) -> tuple[Trunc
     try:
         if text.lstrip().startswith("["):
             rows = json.loads(text)
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ValueError("a JSON point is a list of coefficient lists")
             coords = [[Fraction(str(c)) for c in row] for row in rows]
         else:
             coords = [[Fraction(token.strip())] for token in text.split(",")]
@@ -238,28 +230,27 @@ def main(argv: list[str] | None = None) -> int:
         return _emit(report.config, report.checks, args)
 
     if args.command == "theta":
-        matrix, _, _ = _load_pattern(args, parser)
+        matrix, _ = _load_pattern(args, parser)
         theta = cluster.skew_symmetrizer(matrix)
         print("(" + ", ".join(str(t) for t in theta) + ")")
         return 0
 
     if args.command == "periodicity":
-        matrix, schedule, name = _load_pattern(args, parser)
+        pattern = _load_pattern(args, parser)
         field = _resolve_field(args, parser)
         report = verify.check_periodicity_report(
-            (matrix, schedule), trials=args.trials, height=args.height, seed=args.seed,
+            pattern, trials=args.trials, height=args.height, seed=args.seed,
             field=field, precision=2 if args.precision is None else args.precision,
-            pattern_name=name,
         )
         return _emit(_resolved_config(args), [report], args)
 
     if args.command == "mutate":
-        matrix, schedule, name = _load_pattern(args, parser)
+        matrix, schedule = _load_pattern(args, parser)
         field = _resolve_field(args, parser)
         precision = 2 if args.precision is None else args.precision
         point = _parse_point(args.point, field, precision, parser)
         if len(point) != matrix.n:
-            parser.error(f"pattern {name} has rank {matrix.n}, point has {len(point)} coordinates")
+            parser.error(f"{schedule.name} has rank {matrix.n}, point has {len(point)} coordinates")
         try:
             trajectory = cluster.run_schedule(matrix, point, schedule)
         except cluster.InvalidPointError as exc:
@@ -272,64 +263,49 @@ def main(argv: list[str] | None = None) -> int:
             print(f"final y_{i + 1}: {y}")
         return 0
 
-    # single checks
+    # single checks; each refuses a configuration it cannot evaluate with ValueError
+    # (a bad modulus/weight, an aperiodic pattern, a point space too large to
+    # enumerate without --trials, a lemma precision above p)
     kind = args.check_command
-    if kind == "pentagon":
-        field = _resolve_field(args, parser)
-        if field.characteristic == 0:
+    try:
+        if kind == "pentagon":
+            field = _resolve_field(args, parser)
+            if field.characteristic == 0:
+                m, w = _validate_mw(args, parser)
+                report = verify.check_pentagon(m=m, w=w, trials=args.trials,
+                                               height=args.height, seed=args.seed)
+            else:
+                report = verify.check_pentagon(p=field.characteristic, trials=args.trials,
+                                               height=args.height, seed=args.seed)
+        elif kind == "cluster":
+            pattern = _load_pattern(args, parser)
             m, w = _validate_mw(args, parser)
-            report = verify.check_pentagon(m=m, w=w, trials=args.trials,
-                                           height=args.height, seed=args.seed)
-        else:
-            report = verify.check_pentagon(p=field.characteristic, trials=args.trials,
-                                           height=args.height, seed=args.seed)
-    elif kind == "cluster":
-        matrix, schedule, name = _load_periodic_pattern(args, parser)
-        m, w = _validate_mw(args, parser)
-        report = verify.check_cluster_char0(
-            (matrix, schedule), m, w, trials=args.trials, height=args.height,
-            seed=args.seed, pattern_name=name,
-        )
-    elif kind == "cluster-p":
-        matrix, schedule, name = _load_periodic_pattern(args, parser)
-        field = _prime_field(args, parser, "cluster-p requires --p")
-        try:
-            report = verify.check_cluster_charp(
-                (matrix, schedule), field.characteristic, trials=args.trials, seed=args.seed,
-                pattern_name=name,
-            )
-        except ValueError as exc:  # a point space too large to enumerate
-            parser.error(f"{exc} with --trials")
-    elif kind == "named":
-        field = _prime_field(args, parser, "named identities require --p")
-        try:
+            report = verify.check_cluster_char0(pattern, m, w, trials=args.trials,
+                                                height=args.height, seed=args.seed)
+        elif kind == "cluster-p":
+            pattern = _load_pattern(args, parser)
+            field = _prime_field(args, parser, "cluster-p requires --p")
+            report = verify.check_cluster_charp(pattern, field.characteristic,
+                                                trials=args.trials, seed=args.seed)
+        elif kind == "named":
+            field = _prime_field(args, parser, "named identities require --p")
             report = verify.check_named_identity(args.identity, field.characteristic,
                                                  trials=args.trials, seed=args.seed)
-        except ValueError as exc:  # a point space too large to enumerate
-            parser.error(f"{exc} with --trials")
-    elif kind == "lemma":
-        matrix, schedule, name = _load_periodic_pattern(args, parser)
-        field = _resolve_field(args, parser)
-        if args.exhaustive and field.characteristic == 0:
-            parser.error("--exhaustive requires --field fp")
-        precision = 6 if args.precision is None else args.precision
-        if field.characteristic and precision > field.characteristic:
-            # log_circ divides by 1 .. N-1, which must stay invertible mod p
-            parser.error(f"--precision {precision} exceeds p = {field.characteristic};"
-                         " the zero test needs N <= p")
-        report = verify.check_lemma_wedge(
-            (matrix, schedule), field=field, precision=precision,
-            trials=args.trials, height=args.height, seed=args.seed,
-            factor_bound=args.factor_bound, exhaustive_constants=args.exhaustive,
-            pattern_name=name,
-        )
-    elif kind == "welldef":
-        m, w = _validate_mw(args, parser)
-        report = verify.check_welldef(m, w, trials=args.trials,
-                                      perturbations=args.perturbations,
-                                      height=args.height, seed=args.seed)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown check {kind!r}")
+        elif kind == "lemma":
+            pattern = _load_pattern(args, parser)
+            field = _resolve_field(args, parser)
+            report = verify.check_lemma_wedge(
+                pattern, field=field, precision=6 if args.precision is None else args.precision,
+                trials=args.trials, height=args.height, seed=args.seed,
+                factor_bound=args.factor_bound, exhaustive_constants=args.exhaustive,
+            )
+        else:  # welldef; argparse enforces the choices
+            m, w = _validate_mw(args, parser)
+            report = verify.check_welldef(m, w, trials=args.trials,
+                                          perturbations=args.perturbations,
+                                          height=args.height, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     return _emit(_resolved_config(args, check=kind), [report], args)
 

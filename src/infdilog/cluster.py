@@ -152,8 +152,9 @@ class ExchangeMatrix:
 def skew_symmetrizer(matrix: ExchangeMatrix) -> tuple[int, ...]:
     """Componentwise-minimal positive integers theta with theta_j b_ij = -theta_i b_ji.
 
-    Ratios propagate along the graph of nonzero entries; each connected
-    component is normalized by clearing denominators and dividing by the gcd.
+    Ratios propagate along nonzero entries, each checked on the way (zeros pair
+    up in a sign-skew-symmetric matrix); each connected component is normalized
+    by clearing denominators and dividing by the gcd.
     """
     n = matrix.n
     ratios: list[Fraction | None] = [None] * n
@@ -188,33 +189,29 @@ def skew_symmetrizer(matrix: ExchangeMatrix) -> tuple[int, ...]:
         common = math.gcd(*scaled.values())
         for i in component:
             ratios[i] = Fraction(scaled[i] // common)
-    theta = tuple(int(r) for r in ratios)
-    for i in range(n):
-        for j in range(n):
-            if theta[j] * matrix.entry(i, j) != -theta[i] * matrix.entry(j, i):
-                raise NotSkewSymmetrizableError(
-                    f"no positive integer skew-symmetrizer: condition fails at ({i},{j})"
-                )
-    return theta
+    return tuple(int(r) for r in ratios)
 
 
 @dataclass(frozen=True)
 class MutationSchedule:
-    """Directions (0-indexed), the closing permutation nu, optional weights theta."""
+    """A pattern's keys besides B: directions (`sequence`), nu, optional theta, name."""
 
     directions: tuple[int, ...]
     nu: tuple[int, ...]
     theta: tuple[int, ...] | None = None
+    name: str = "custom"
 
     def validate(self, matrix: ExchangeMatrix) -> None:
         n = matrix.n
+        if not all(type(v) is int for v in (*self.directions, *self.nu, *(self.theta or ()))):
+            raise ValueError("sequence, nu and theta must hold integers")
         for r in self.directions:
-            if not isinstance(r, int) or not 0 <= r < n:
+            if not 0 <= r < n:
                 raise ValueError(f"direction {r} out of range for rank {n}")
         if sorted(self.nu) != list(range(n)):
             raise ValueError(f"nu {list(self.nu)} is not a permutation of 0..{n - 1}")
         if self.theta is not None:
-            if len(self.theta) != n or any(t < 1 or not isinstance(t, int) for t in self.theta):
+            if len(self.theta) != n or any(t < 1 for t in self.theta):
                 raise ValueError("theta must be an n-tuple of positive integers")
             for i in range(n):
                 for j in range(n):
@@ -262,12 +259,6 @@ class YSeed:
             new_ys[i] = new_ys[i] * factor
         return YSeed(self.matrix.mutate(k), tuple(new_ys))
 
-    def permuted(self, nu: tuple[int, ...]) -> "YSeed":
-        new_ys: list[TruncatedSeries | None] = [None] * len(self.ys)
-        for i, y in enumerate(self.ys):
-            new_ys[nu[i]] = y
-        return YSeed(self.matrix.permuted(nu), tuple(new_ys))
-
 
 @dataclass(frozen=True)
 class TrajectoryStep:
@@ -286,8 +277,7 @@ def run_schedule(
     point: tuple[TruncatedSeries, ...],
     schedule: MutationSchedule,
 ) -> Trajectory:
-    """Mutate along the schedule, recording each y_{r_j} before its step."""
-    schedule.validate(matrix)
+    """Mutate along a validated schedule, recording each y_{r_j} before its step."""
     seed = YSeed(matrix, tuple(point))
     steps = []
     for j, r in enumerate(schedule.directions):
@@ -325,17 +315,19 @@ def check_periodicity(
     """Test nu-periodicity: exact matrix return plus y-agreement at points.
 
     Returns (points_checked, refutation).  The matrix condition is exact.  The
-    y-condition is polynomial identity testing: exact equality at `trials`
-    valid points, drawn from random.Random(seed) in at most 100 * trials
-    attempts.  refutation describes the first condition that fails, or is
-    None; fewer than `trials` points and no refutation means too few valid
-    points were found, which neither certifies nor refutes.
+    y-condition is polynomial identity testing: at `trials` valid points, drawn
+    from random.Random(seed) in at most 100 * trials attempts, the final
+    y-values equal the point permuted by nu (y_i in place nu[i]) as a tuple.
+    refutation describes the first condition that fails, or is None; fewer
+    than `trials` points and no refutation means too few valid points were
+    found, which neither certifies nor refutes.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     schedule.validate(matrix)
     if not matrix_returns(matrix, schedule):
         return 0, "matrix does not return to nu of itself"
+    source = sorted(range(matrix.n), key=schedule.nu.__getitem__)  # source[nu[i]] = i
     rng = random.Random(seed)
     checked = 0
     for _ in range(trials * 100):
@@ -346,7 +338,7 @@ def check_periodicity(
             trajectory = run_schedule(matrix, point, schedule)
         except InvalidPointError:
             continue
-        if trajectory.final.ys != YSeed(matrix, point).permuted(schedule.nu).ys:
+        if trajectory.final.ys != tuple(point[i] for i in source):
             return checked, f"y-values disagree at point {[str(y) for y in point]}"
         checked += 1
     return checked, None
@@ -362,16 +354,27 @@ BUILTIN_PATTERNS: dict[str, dict] = {
 
 
 def pattern_from_dict(config: dict) -> tuple[ExchangeMatrix, MutationSchedule]:
-    """Validate a pattern config with keys B, sequence, nu, optional theta."""
+    """Validate a pattern config: lists B, sequence, nu, optional theta; optional name.
+
+    A nameless config is named "custom"; a malformed one raises ValueError.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"pattern config must be an object, got {config!r}")
     for key in ("B", "sequence", "nu"):
-        if key not in config:
+        if config.get(key) is None:
             raise ValueError(f"pattern config is missing the key {key!r}")
+    for key in ("B", "sequence", "nu", "theta"):
+        if config.get(key) is not None and not isinstance(config[key], list):
+            raise ValueError(f"{key} must be a list, got {config[key]!r}")
+    if not all(isinstance(row, list) for row in config["B"]):
+        raise ValueError(f"B must be a list of lists, got {config['B']!r}")
     matrix = ExchangeMatrix(config["B"])
     theta = config.get("theta")
     schedule = MutationSchedule(
         directions=tuple(config["sequence"]),
         nu=tuple(config["nu"]),
         theta=tuple(theta) if theta is not None else None,
+        name=config.get("name", "custom"),
     )
     schedule.validate(matrix)
     skew_symmetrizer(matrix)  # reject non-symmetrizable matrices outright

@@ -185,17 +185,16 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
                      lambda rng: judge(tuple(rng.randrange(p) for _ in range(dimension))))
 
 
-def _resolve_pattern(pattern, pattern_name: str | None = None):
-    if isinstance(pattern, str):
-        matrix, schedule = cluster.builtin_pattern(pattern)
-        return matrix, schedule, pattern_name or pattern
-    matrix, schedule = pattern
-    return matrix, schedule, pattern_name or "custom"
+def _resolve_pattern(pattern):
+    """A built-in name or a (matrix, schedule) pair, validated once, and its name."""
+    matrix, schedule = cluster.builtin_pattern(pattern) if isinstance(pattern, str) else pattern
+    schedule.validate(matrix)
+    return matrix, schedule, schedule.name
 
 
-def _periodic_pattern(pattern, pattern_name: str | None = None):
+def _periodic_pattern(pattern):
     """Resolve a pattern whose matrix returns to nu of itself; add its weights."""
-    matrix, schedule, name = _resolve_pattern(pattern, pattern_name)
+    matrix, schedule, name = _resolve_pattern(pattern)
     if not cluster.matrix_returns(matrix, schedule):
         raise ValueError(f"pattern {name} is not nu-periodic at the matrix level")
     return matrix, schedule, name, schedule.resolved_theta(matrix)
@@ -447,11 +446,10 @@ def check_cluster_char0(
     trials: int = 100,
     height: int = 10,
     seed: int = 0,
-    pattern_name: str | None = None,
 ) -> CheckReport:
     """The weighted cluster sum of li_{m,w} along a periodic mutation sequence."""
     dilog.validate_modulus_weight(m, w)
-    matrix, schedule, name, weights = _periodic_pattern(pattern, pattern_name)
+    matrix, schedule, name, weights = _periodic_pattern(pattern)
     report = CheckReport(
         name=f"cluster0[{name},m={m},w={w}]",
         params={"pattern": name, "m": m, "w": w, "theta": list(weights),
@@ -480,7 +478,6 @@ def check_cluster_charp(
     p: int,
     trials: int | None = None,
     seed: int = 0,
-    pattern_name: str | None = None,
 ) -> CheckReport:
     """The weighted cluster sum of li2p over GF(p) dual numbers vanishes.
 
@@ -489,7 +486,7 @@ def check_cluster_charp(
     trial count is then required.
     """
     field = GF(p)
-    matrix, schedule, name, weights = _periodic_pattern(pattern, pattern_name)
+    matrix, schedule, name, weights = _periodic_pattern(pattern)
 
     def judge(coords):
         point = tuple(
@@ -613,7 +610,6 @@ def check_lemma_wedge(
     seed: int = 0,
     factor_bound: int = 10**6,
     exhaustive_constants: bool = False,
-    pattern_name: str | None = None,
 ) -> CheckReport:
     """The weighted wedge sum along a trajectory rationally zero-tests to zero.
 
@@ -621,10 +617,18 @@ def check_lemma_wedge(
     infinitesimal zero-test component evaluates every functional pair
     (ell_i ^ ell_j), i < j < N.  Over a prime field, exhaustive_constants
     enumerates all constant terms and randomizes the higher coefficients; it
-    needs at least one valid point to pass.
+    needs at least one valid point to pass.  A configuration the zero test
+    cannot evaluate (N > p over GF(p), factor_bound < 2) is refused up front.
     """
-    matrix, schedule, name, weights = _periodic_pattern(pattern, pattern_name)
-    field_tag = "q" if field.characteristic == 0 else f"fp{field.characteristic}"
+    p = field.characteristic
+    if p and precision > p:
+        raise ValueError(f"precision {precision} exceeds p = {p}; the zero test needs N <= p")
+    if factor_bound < 2:
+        raise ValueError(f"factor_bound must be at least 2, got {factor_bound}")
+    if exhaustive_constants and not p:
+        raise ValueError("exhaustive constants require a prime field")
+    matrix, schedule, name, weights = _periodic_pattern(pattern)
+    field_tag = f"fp{p}" if p else "q"
     mode = "exhaustive-constants" if exhaustive_constants else f"random[{trials}]"
     report = CheckReport(
         name=f"lemma[{name},{field_tag},N={precision},{mode}]",
@@ -649,9 +653,6 @@ def check_lemma_wedge(
     if not exhaustive_constants:
         return _resample(report, trials, seed, lambda rng: judge(
             tuple(random_series(field, precision, rng, height) for _ in range(matrix.n))))
-    if field.characteristic == 0:
-        raise ValueError("exhaustive constants require a prime field")
-    p = field.characteristic
 
     def judge_constants(item):
         index, constants = item
@@ -668,9 +669,9 @@ def check_lemma_wedge(
 # -- structural cluster checks --------------------------------------------------
 
 
-def check_theta_invariance(pattern, pattern_name: str | None = None) -> CheckReport:
+def check_theta_invariance(pattern) -> CheckReport:
     """The skew-symmetrizer is unchanged by every mutation along the schedule."""
-    matrix, schedule, name = _resolve_pattern(pattern, pattern_name)
+    matrix, schedule, name = _resolve_pattern(pattern)
     theta = cluster.skew_symmetrizer(matrix)
     report = CheckReport(
         name=f"theta-invariance[{name}]",
@@ -691,10 +692,9 @@ def check_mutation_involution(
     trials: int = 1000,
     height: int = 10,
     seed: int = 0,
-    pattern_name: str | None = None,
 ) -> CheckReport:
     """Mutating twice in the same direction restores the seed exactly, at precision 2."""
-    matrix, schedule, name = _resolve_pattern(pattern, pattern_name)
+    matrix, schedule, name = _resolve_pattern(pattern)
     report = CheckReport(
         name=f"involution[{name}]",
         params={"pattern": name, "trials": trials, "height": height,
@@ -726,10 +726,9 @@ def check_periodicity_report(
     seed: int = 0,
     field: Field = QQ,
     precision: int = 2,
-    pattern_name: str | None = None,
 ) -> CheckReport:
     """The periodicity certificate as a report: a refuted pattern fails, a starved one is insufficient."""
-    matrix, schedule, name = _resolve_pattern(pattern, pattern_name)
+    matrix, schedule, name = _resolve_pattern(pattern)
     checked, refutation = cluster.check_periodicity(
         matrix, schedule, field=field, trials=trials, height_bound=height,
         seed=seed, precision=precision,

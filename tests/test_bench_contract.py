@@ -4,10 +4,13 @@ bench/tracer.py wraps public functions and methods of `src/` from outside.  A
 refactor that deletes or renames one of them would break a traced benchmark
 run, so these tests load the tracer from its file and check that every span
 owner still holds its attribute and that a tracer installs and removes itself
-cleanly on this tree.
+cleanly on this tree.  The layer micro-run calls the program directly, so
+one quick run checks that it still reports every micro metric BENCHMARK.json
+declares.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -56,3 +59,20 @@ def test_tracer_counts_spans_and_restores_the_originals():
     assert layers["verify.periodicity.points"] == 3
     assert layers["cluster.YSeed.mutate.calls"] >= 15
     assert layers["cli.main.self_s"] > 0
+
+
+MICRO_PATH = TRACER_PATH.parent / "micro.py"
+BENCHMARK_PATH = TRACER_PATH.parent.parent / "BENCHMARK.json"
+
+
+def test_micro_run_reports_every_declared_micro_metric(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_micro", MICRO_PATH)
+    micro = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(micro)
+    monkeypatch.setattr(micro, "BATCHES", 1)
+    monkeypatch.setattr(micro, "MIN_BATCH_S", 0)
+    declared = {metric["name"] for metric in json.loads(BENCHMARK_PATH.read_text())["per_layer"]
+                if metric["name"].startswith("micro.")}
+    numbers = micro.run()
+    assert set(numbers) == declared
+    assert all(value > 0 for value in numbers.values())

@@ -200,3 +200,26 @@ def test_ledger_computes_each_log_once(monkeypatch):
         apply_functional_pair(0, 1, ledger)
     with pytest.raises(PrecisionError):
         apply_functional_pair(1, 5, ledger)
+
+
+def test_ledger_resolves_each_term_once(monkeypatch):
+    rng = random.Random(41)
+    while True:
+        a = random_series(QQ, 6, rng, 6)
+        b = random_series(QQ, 6, rng, 6)
+        if a.is_flat and b.is_flat and a.constant_term() != b.constant_term():
+            break
+    ledger = WedgeLedger()
+    for sign, arg in pentagon_terms(a, b):
+        ledger = ledger + delta(arg).scaled(sign)
+    hashes = []
+    original = TruncatedSeries.__hash__
+    monkeypatch.setattr(TruncatedSeries, "__hash__", lambda s: hashes.append(s) or original(s))
+    assert zero_test_rational(ledger).is_zero
+    # each side of each term is looked up (and on a miss stored) once, when
+    # the terms are resolved; the 10 functional pairs and the mixed component
+    # reuse the resolved tuples instead of 2 lookups per term each
+    assert len(hashes) <= 4 * len(ledger)
+    hashes.clear()
+    apply_functional_pair(1, 5, ledger)
+    assert hashes == []

@@ -9,6 +9,17 @@ from infdilog import cli
 
 # A2's matrix after three mutations is -B, which is not nu(B) for nu = identity
 APERIODIC = {"B": [[0, -1], [1, 0]], "sequence": [0, 1, 0], "nu": [0, 1]}
+A2 = {"B": [[0, -1], [1, 0]], "sequence": [0, 1, 0, 1, 0], "nu": [1, 0]}
+# malformed pattern files, each written to a file named after its key
+BAD_PATTERNS = {
+    "NOT_OBJECT": 5,
+    "B_NOT_LISTS": {**A2, "B": 5},
+    "NU_NOT_LIST": {**A2, "nu": 5},
+    "SEQUENCE_NOT_LIST": {**A2, "sequence": 0},
+    "THETA_NOT_LIST": {**A2, "theta": 3},
+    "BOOL_SEQUENCE": {**A2, "sequence": [True, 1, 0, 1, 0]},
+    "BOOL_NU": {**A2, "nu": [True, False]},
+}
 
 
 def run(argv):
@@ -57,12 +68,18 @@ def test_fp_requires_prime():
     ["check", "cluster-p", "--pattern", "A2", "--p", "37"],
     ["check", "named", "four_term", "--p", "1009"],
     ["check", "welldef", "--m", "2", "--w", "3", "--perturbations", "-4"],
+    *(["theta", "--pattern-file", key] for key in BAD_PATTERNS),
+    ["check", "cluster", "--pattern-file", "BOOL_NU", "--m", "2", "--w", "3"],
+    ["mutate", "--pattern", "A2", "--point", "[1, 2]"],
+    ["mutate", "--pattern", "A2", "--point", "[[1], 2]"],
+    ["check", "lemma", "--pattern", "A2", "--exhaustive"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path):
-    aperiodic = tmp_path / "aperiodic.json"
-    aperiodic.write_text(json.dumps(APERIODIC))
+    files = {"APERIODIC": APERIODIC, **BAD_PATTERNS}
+    for key, config in files.items():
+        (tmp_path / key).write_text(json.dumps(config))
     with pytest.raises(SystemExit) as err:
-        run([str(aperiodic) if arg == "APERIODIC" else arg for arg in argv])
+        run([str(tmp_path / arg) if arg in files else arg for arg in argv])
     assert err.value.code == 2
 
 
@@ -109,6 +126,21 @@ def test_pattern_file_validation(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["periodicity", "--pattern-file", str(bad_nu)])
     assert err.value.code == 2
+
+
+def test_pattern_file_names_the_report(tmp_path, capsys):
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({"name": "mirror", **A2}))
+    nameless = tmp_path / "nameless.json"
+    nameless.write_text(json.dumps(A2))
+    for path, name in ((named, "mirror"), (nameless, str(nameless))):
+        assert run(["periodicity", "--pattern-file", str(path), "--trials", "3"]) == 0
+        assert f"[PASS] periodicity[{name}]: valid=3" in capsys.readouterr().out
+        assert run(["check", "cluster", "--pattern-file", str(path), "--m", "2", "--w", "3",
+                    "--trials", "2", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["checks"][0]
+        assert report["name"] == f"cluster0[{name},m=2,w=3]"
+        assert report["params"]["pattern"] == name
 
 
 def test_pentagon_check_runs(capsys):

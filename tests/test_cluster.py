@@ -66,6 +66,26 @@ def test_skew_symmetrizer_examples():
         skew_symmetrizer(ExchangeMatrix([[0, 1, -1], [-2, 0, 1], [1, -2, 0]]))
 
 
+def test_skew_symmetrizer_satisfies_the_condition_at_every_entry():
+    rng = random.Random(11)
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.6:
+                    sign = rng.choice((1, -1))
+                    rows[i][j], rows[j][i] = sign * rng.randint(1, 4), -sign * rng.randint(1, 4)
+        matrix = ExchangeMatrix(rows)
+        try:
+            theta = skew_symmetrizer(matrix)
+        except NotSkewSymmetrizableError:
+            continue
+        assert all(t > 0 for t in theta)
+        assert all(theta[j] * rows[i][j] == -theta[i] * rows[j][i]
+                   for i in range(n) for j in range(n))
+
+
 def test_seed_mutation_pins_the_convention():
     matrix = ExchangeMatrix([[0, -1], [1, 0]])
     seed = YSeed(matrix, q_point(2, 3))
@@ -234,6 +254,16 @@ def test_periodicity_failures():
         assert report.witnesses[0]["value"] == "matrix does not return to nu of itself"
 
 
+def test_periodicity_moves_y_i_to_place_nu_i():
+    # an A3 period whose nu is a 3-cycle, so nu and its inverse differ
+    matrix = ExchangeMatrix([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
+    schedule = MutationSchedule((0, 1, 0, 1, 2, 0, 2, 0), nu=(1, 2, 0))
+    assert check_periodicity(matrix, schedule, trials=20) == (20, None)
+    point = q_point(2, 3, 5)
+    final = run_schedule(matrix, point, schedule).final.ys
+    assert [final[nu_i] for nu_i in schedule.nu] == list(point)
+
+
 def test_periodicity_over_prime_field():
     report = check_periodicity_report("A2", field=GF(11), trials=25)
     assert report.passed and report.valid == 25
@@ -271,8 +301,18 @@ def test_pattern_config_errors():
         pattern_from_dict({"B": [[0]], "sequence": [0], "nu": [0, 0]})
     with pytest.raises(ValueError):
         builtin_pattern("E8")
+    a2 = {"B": [[0, -1], [1, 0]], "sequence": [0, 1, 0, 1, 0], "nu": [1, 0]}
+    for bad in (5, [a2], {**a2, "B": 5}, {**a2, "B": [5, 6]}, {**a2, "nu": 5},
+                {**a2, "sequence": 0}, {**a2, "theta": 3}, {**a2, "sequence": None},
+                {**a2, "sequence": [True, 1, 0, 1, 0]}, {**a2, "nu": [True, False]},
+                {**a2, "nu": [1.0, 0.0]}, {**a2, "theta": [True, True]}, {**a2, "theta": ["a", 1]}):
+        with pytest.raises(ValueError):
+            pattern_from_dict(bad)
+    assert pattern_from_dict(a2)[1].name == "custom"
+    assert pattern_from_dict({**a2, "name": "mirror"})[1].name == "mirror"
+    assert pattern_from_dict({**a2, "theta": None})[1].theta is None
     for name in BUILTIN_PATTERNS:
-        builtin_pattern(name)
+        assert builtin_pattern(name)[1].name == name
 
 
 def test_seed_rank_mismatch():

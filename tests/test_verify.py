@@ -79,6 +79,63 @@ def test_cluster_charp_builds_the_matrix_path_once(monkeypatch):
     assert counts == {5: 7, 7: 7}
 
 
+def test_a_pattern_is_validated_once_per_check(monkeypatch):
+    calls = []
+    original = cluster.MutationSchedule.validate
+
+    def counting(self, matrix):
+        calls.append(self)
+        original(self, matrix)
+
+    monkeypatch.setattr(cluster.MutationSchedule, "validate", counting)
+    counts = {}
+    for p in (5, 7):
+        calls.clear()
+        assert verify.check_cluster_charp("A2", p).valid > 0
+        counts[p] = len(calls)
+    # once when the built-in is made and once when the check resolves it,
+    # however many of the p^4 points walk the schedule
+    assert counts == {5: 2, 7: 2}
+
+
+def test_periodicity_builds_no_matrix_per_point(monkeypatch):
+    built = []
+    original = cluster.ExchangeMatrix.__init__
+    monkeypatch.setattr(cluster.ExchangeMatrix, "__init__",
+                        lambda self, rows: built.append(rows) or original(self, rows))
+    counts = {}
+    for trials in (5, 50):
+        built.clear()
+        assert verify.check_periodicity_report("B2", trials=trials).valid == trials
+        counts[trials] = len(built)
+    # the parsed matrix, the six steps of the schedule's path and nu of the matrix
+    assert counts == {5: 8, 50: 8}
+
+
+def test_a_pattern_reports_under_its_schedule_name():
+    matrix, schedule = cluster.builtin_pattern("A2")
+    bare = cluster.MutationSchedule(schedule.directions, schedule.nu)
+    named = cluster.MutationSchedule(schedule.directions, schedule.nu, name="mirror")
+    assert verify.check_periodicity_report((matrix, bare), trials=3).name == "periodicity[custom]"
+    report = verify.check_cluster_char0((matrix, named), 2, 3, trials=3)
+    assert report.name == "cluster0[mirror,m=2,w=3]" and report.params["pattern"] == "mirror"
+    assert verify.check_theta_invariance("A2").params["pattern"] == "A2"
+
+
+@pytest.mark.parametrize("call", [
+    lambda pattern: verify.check_cluster_char0(pattern, 2, 3, trials=5),
+    lambda pattern: verify.check_cluster_charp(pattern, 5),
+    lambda pattern: verify.check_lemma_wedge(pattern, trials=2),
+    lambda pattern: verify.check_theta_invariance(pattern),
+    lambda pattern: verify.check_mutation_involution(pattern, trials=5),
+    lambda pattern: verify.check_periodicity_report(pattern, trials=5),
+], ids=["cluster0", "clusterp", "lemma", "theta-invariance", "involution", "periodicity"])
+def test_a_hand_built_pattern_is_validated(call):
+    matrix, _ = cluster.builtin_pattern("A2")
+    with pytest.raises(ValueError, match="direction 2 out of range"):
+        call((matrix, cluster.MutationSchedule((0, 2), (0, 1))))
+
+
 def test_named_identity_checks():
     for name in sorted(verify.NAMED_IDENTITIES):
         report = verify.check_named_identity(name, 5)
@@ -162,8 +219,15 @@ def test_periodicity_report_verdicts():
     lambda: cluster.check_periodicity(*cluster.builtin_pattern("A2"), trials=0),
     lambda: verify.check_welldef(2, 3, perturbations=-5),
     lambda: verify.check_li2p_lift(3, perturbations=-1),
+    lambda: verify.check_lemma_wedge("B2", field=GF(5), precision=6, trials=3),
+    lambda: verify.check_lemma_wedge("B2", field=GF(3), precision=6, trials=3),
+    lambda: verify.check_lemma_wedge("B2", field=GF(7), trials=3, factor_bound=1),
+    lambda: verify.check_lemma_wedge("A2", trials=3, factor_bound=1),
+    lambda: verify.check_lemma_wedge("A2", exhaustive_constants=True),
 ], ids=["pentagon-q", "pentagon-p", "cluster0", "clusterp", "named", "involution",
-        "periodicity-report", "check-periodicity", "welldef", "li2p-lift"])
+        "periodicity-report", "check-periodicity", "welldef", "li2p-lift",
+        "lemma-precision-gf5", "lemma-precision-gf3", "lemma-factor-bound-gf7",
+        "lemma-factor-bound-q", "lemma-exhaustive-q"])
 def test_counts_that_would_make_a_vacuous_verdict_are_refused(call):
     with pytest.raises(ValueError):
         call()
