@@ -72,7 +72,7 @@ class WedgeLedger:
     construction, and zero membership is decided by zero_test_rational.
     """
 
-    __slots__ = ("terms", "_logs", "_logged")
+    __slots__ = ("terms", "_logged")
 
     def __init__(self, terms: Iterable[tuple[int, TruncatedSeries, TruncatedSeries]] = ()) -> None:
         checked: list[tuple[int, TruncatedSeries, TruncatedSeries]] = []
@@ -90,20 +90,24 @@ class WedgeLedger:
             if coeff:
                 checked.append((coeff, left, right))
         self.terms = tuple(checked)
-        self._logs: dict[TruncatedSeries, tuple[Raw, ...]] = {}
         self._logged: tuple | None = None
 
-    def log(self, side: TruncatedSeries) -> tuple[Raw, ...]:
-        """The raw coefficients of log_circ(side), computed once per distinct side."""
-        coeffs = self._logs.get(side)
-        if coeffs is None:
-            coeffs = self._logs[side] = log_circ(side).coeffs
-        return coeffs
-
     def logged(self) -> tuple[tuple[int, tuple[Raw, ...], tuple[Raw, ...]], ...]:
-        """(coeff, log(left), log(right)) for each term, resolved once on first use."""
+        """(coeff, log(left), log(right)) for each term, resolved once on first use.
+
+        A log is the raw coefficient tuple of log_circ(side), computed once per
+        distinct side.
+        """
         if self._logged is None:
-            self._logged = tuple((c, self.log(l), self.log(r)) for c, l, r in self.terms)
+            logs: dict[TruncatedSeries, tuple[Raw, ...]] = {}
+
+            def log(side: TruncatedSeries) -> tuple[Raw, ...]:
+                coeffs = logs.get(side)
+                if coeffs is None:
+                    coeffs = logs[side] = log_circ(side).coeffs
+                return coeffs
+
+            self._logged = tuple((c, log(l), log(r)) for c, l, r in self.terms)
         return self._logged
 
     def __add__(self, other: "WedgeLedger") -> "WedgeLedger":

@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(suite, "seed", "out", "format")
 
     mutate = sub.add_parser("mutate", help="print a trajectory at a point")
-    _add_common(mutate, "pattern", "field", "p", "precision", "format", "out")
+    _add_common(mutate, "pattern", "field", "p", "precision")
     mutate.add_argument("--point", required=True,
                         help="comma-separated constants (e.g. '2,3' or '3/4,1/2'),"
                              " or a JSON list of coefficient lists")
@@ -183,10 +183,8 @@ def _parse_point(text: str, field: Field, precision: int, parser) -> tuple[Trunc
             coords = [[Fraction(str(c)) for c in row] for row in rows]
         else:
             coords = [[Fraction(token.strip())] for token in text.split(",")]
-        return tuple(
-            TruncatedSeries.from_coeffs(field, row, max(precision, len(row)))
-            for row in coords
-        )
+        precision = max([precision, *map(len, coords)])
+        return tuple(TruncatedSeries.from_coeffs(field, row, precision) for row in coords)
     except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
         parser.error(f"cannot parse --point: {exc}")
 
@@ -270,13 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if kind == "pentagon":
             field = _resolve_field(args, parser)
-            if field.characteristic == 0:
-                m, w = _validate_mw(args, parser)
-                report = verify.check_pentagon(m=m, w=w, trials=args.trials,
-                                               height=args.height, seed=args.seed)
-            else:
-                report = verify.check_pentagon(p=field.characteristic, trials=args.trials,
-                                               height=args.height, seed=args.seed)
+            # over GF(p), --m/--w reach check_pentagon, which refuses them
+            m, w = _validate_mw(args, parser) if field is QQ else (args.m, args.w)
+            report = verify.check_pentagon(m=m, w=w, p=field.characteristic or None,
+                                           trials=args.trials, height=args.height, seed=args.seed)
         elif kind == "cluster":
             pattern = _load_pattern(args, parser)
             m, w = _validate_mw(args, parser)

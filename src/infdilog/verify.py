@@ -3,7 +3,9 @@
 Every check asserts exact equality with zero; there are no tolerances.  All
 checks share one driver: a judge maps a point to None when a validity filter
 (a failed inversion, a non-flat value) rejects it, or else to a witness dict,
-and `_tally` keeps the counts.  A point source is either an exhaustive
+and `_tally` keeps the counts.  Every identity stated as a weighted sum of one
+dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
+from its (weight, argument) terms.  A point source is either an exhaustive
 enumeration (`_exhaust`) or seeded sampling (`_resample`).  Random trials draw
 their randomness as a pure function of (master seed, check id, trial index),
 so reports are deterministic and independent of execution order; rejected
@@ -219,6 +221,29 @@ def _weighted_flat_values(matrix, schedule, weights, point):
     return values
 
 
+def _vanishing(field: Field, value_of, terms, inputs: dict, label: str = "") -> dict:
+    """The witness that sum weight * value_of(arg) over (weight, arg) terms is zero."""
+    total = field.zero
+    for weight, arg in terms:
+        total = total + field.element(weight) * value_of(arg)
+    return {"ok": not total, "inputs": inputs, "value": f"{label}{total}"}
+
+
+def _cluster_judge(field: Field, pattern, value_of, label: str = ""):
+    """(matrix, name, weights, judge) of a periodic pattern, where judge(point) is
+    None for an invalid point, or else the witness of its weighted cluster sum."""
+    matrix, schedule, name, weights = _periodic_pattern(pattern)
+
+    def judge(point):
+        values = _weighted_flat_values(matrix, schedule, weights, point)
+        if values is None:
+            return None
+        return _vanishing(field, value_of, values,
+                          {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)}, label)
+
+    return matrix, name, weights, judge
+
+
 def _sample_flat(field: Field, precision: int, rng: random.Random, height: int) -> TruncatedSeries | None:
     s = random_series(field, precision, rng, height)
     return s if s.is_flat else None
@@ -288,14 +313,7 @@ def check_pentagon(
         b = random_series(field, precision, rng, height)
         if not (a.is_flat and b.is_flat) or a.constant_term() == b.constant_term():
             return None
-        total = field.zero
-        for sign, arg in bloch.pentagon_terms(a, b):
-            total = total + field.element(sign) * value_of(arg)
-        return {
-            "ok": not total,
-            "inputs": {"a": str(a), "b": str(b)},
-            "value": str(total),
-        }
+        return _vanishing(field, value_of, bloch.pentagon_terms(a, b), {"a": str(a), "b": str(b)})
 
     return _resample(report, trials, seed, evaluate)
 
@@ -381,8 +399,7 @@ def check_vanish_constants(
         def judge(s: int):
             if s in (0, 1):
                 return None
-            value = dilog.li2p(TruncatedSeries.from_coeffs(field, [s, 0]))
-            return {"ok": not value, "inputs": {"s": str(s)}, "value": str(value)}
+            return _vanishing(field, dilog.li2p, [(1, TruncatedSeries(field, (s, 0)))], {"s": str(s)})
 
         return _exhaust(report, range(p), judge, min_valid=1)
 
@@ -396,8 +413,8 @@ def check_vanish_constants(
         c = QQ.random_element(rng, height)
         if not c or c == QQ.one:
             return None
-        value = dilog.li_direct(m, w, TruncatedSeries.constant(QQ, c, m))
-        return {"ok": not value, "inputs": {"c": str(c)}, "value": str(value)}
+        return _vanishing(QQ, lambda a: dilog.li_direct(m, w, a),
+                          [(1, TruncatedSeries.constant(QQ, c, m))], {"c": str(c)})
 
     return _resample(report, trials, seed, evaluate)
 
@@ -449,28 +466,14 @@ def check_cluster_char0(
 ) -> CheckReport:
     """The weighted cluster sum of li_{m,w} along a periodic mutation sequence."""
     dilog.validate_modulus_weight(m, w)
-    matrix, schedule, name, weights = _periodic_pattern(pattern)
+    matrix, name, weights, judge = _cluster_judge(QQ, pattern, lambda y: dilog.li_direct(m, w, y))
     report = CheckReport(
         name=f"cluster0[{name},m={m},w={w}]",
         params={"pattern": name, "m": m, "w": w, "theta": list(weights),
                 "trials": trials, "height": height, "seed": seed},
     )
-
-    def evaluate(rng: random.Random):
-        point = tuple(random_series(QQ, m, rng, height) for _ in range(matrix.n))
-        values = _weighted_flat_values(matrix, schedule, weights, point)
-        if values is None:
-            return None
-        total = QQ.zero
-        for weight, value in values:
-            total = total + QQ.element(weight) * dilog.li_direct(m, w, value)
-        return {
-            "ok": not total,
-            "inputs": {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)},
-            "value": str(total),
-        }
-
-    return _resample(report, trials, seed, evaluate)
+    return _resample(report, trials, seed, lambda rng: judge(
+        tuple(random_series(QQ, m, rng, height) for _ in range(matrix.n))))
 
 
 def check_cluster_charp(
@@ -486,26 +489,11 @@ def check_cluster_charp(
     trial count is then required.
     """
     field = GF(p)
-    matrix, schedule, name, weights = _periodic_pattern(pattern)
-
-    def judge(coords):
-        point = tuple(
-            TruncatedSeries.from_coeffs(field, coords[2 * i: 2 * i + 2]) for i in range(matrix.n)
-        )
-        values = _weighted_flat_values(matrix, schedule, weights, point)
-        if values is None:
-            return None
-        total = field.zero
-        for weight, beta in values:
-            total = total + field.element(weight) * dilog.li2p(beta)
-        return {
-            "ok": not total,
-            "inputs": {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)},
-            "value": f"li2p sum {total}",
-        }
-
+    matrix, name, weights, judge = _cluster_judge(field, pattern, dilog.li2p, "li2p sum ")
     return _check_coords("clusterp", name, {"pattern": name, "theta": list(weights)},
-                         p, 2 * matrix.n, trials, seed, judge)
+                         p, 2 * matrix.n, trials, seed, lambda coords: judge(
+                             tuple(TruncatedSeries(field, coords[2 * i: 2 * i + 2])
+                                   for i in range(matrix.n))))
 
 
 # -- named char-p identities --------------------------------------------------
@@ -517,39 +505,28 @@ def _four_term(field, coords):
     if r_ in (0, 1) or s_ in (0, 1) or r_ == s_:
         return None
     r, s = field.element(r_), field.element(s_)
-    value = (
-        dilog.pounds1(r)
-        - dilog.pounds1(s)
-        + r ** p * dilog.pounds1(s / r)
-        + (s - 1) ** p * dilog.pounds1((1 - r) / (1 - s))
-    )
-    return {"ok": not value, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(value)}
+    terms = [(1, r), (-1, s), (r ** p, s / r), ((s - 1) ** p, (1 - r) / (1 - s))]
+    return _vanishing(field, dilog.pounds1, terms, {"r": str(r_), "s": str(s_)})
 
 
 def _elementary(field, coords):
-    s_, a_ = coords
-    if s_ in (0, 1):
+    if coords[0] in (0, 1):
         return None
-    z = TruncatedSeries.from_coeffs(field, [s_, a_])
-    value = dilog.li2p(1 - z) + dilog.li2p(z)
-    return {"ok": not value, "inputs": {"z": str(z)}, "value": str(value)}
+    z = TruncatedSeries(field, coords)
+    return _vanishing(field, dilog.li2p, [(1, 1 - z), (1, z)], {"z": str(z)})
 
 
 def _involution(field, coords):
-    s_, a_ = coords
-    if s_ in (0, 1):
+    if coords[0] in (0, 1):
         return None
-    y = TruncatedSeries.from_coeffs(field, [s_, a_])
-    value = dilog.li2p(y.invert()) + dilog.li2p(y)
-    return {"ok": not value, "inputs": {"y": str(y)}, "value": str(value)}
+    y = TruncatedSeries(field, coords)
+    return _vanishing(field, dilog.li2p, [(1, y.invert()), (1, y)], {"y": str(y)})
 
 
 def _a2_five_term_charp(field, coords):
-    s1, a1, s2, a2 = coords
-    if s1 == 0 or s2 == 0:
+    if coords[0] == 0 or coords[2] == 0:
         return None
-    y1 = TruncatedSeries.from_coeffs(field, [s1, a1])
-    y2 = TruncatedSeries.from_coeffs(field, [s2, a2])
+    y1, y2 = TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:])
     args = [
         y1,
         y2 * (1 - y1),
@@ -559,10 +536,7 @@ def _a2_five_term_charp(field, coords):
     ]
     if not all(arg.is_flat for arg in args):
         return None
-    total = field.zero
-    for arg in args:
-        total = total + dilog.li2p(arg)
-    return {"ok": not total, "inputs": {"y1": str(y1), "y2": str(y2)}, "value": str(total)}
+    return _vanishing(field, dilog.li2p, [(1, arg) for arg in args], {"y1": str(y1), "y2": str(y2)})
 
 
 def _a2_pentagon_substitution(field, coords):
@@ -572,10 +546,7 @@ def _a2_pentagon_substitution(field, coords):
     r, s = field.element(r_), field.element(s_)
     x = TruncatedSeries.from_coeffs(field, [r, r * (1 - r)])
     y = TruncatedSeries.from_coeffs(field, [s, s * (1 - s)])
-    total = field.zero
-    for sign, arg in bloch.pentagon_terms(x, y):
-        total = total + field.element(sign) * dilog.li2p(arg)
-    return {"ok": not total, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)}
+    return _vanishing(field, dilog.li2p, bloch.pentagon_terms(x, y), {"r": str(r_), "s": str(s_)})
 
 
 NAMED_IDENTITIES = {

@@ -6,15 +6,17 @@ run, so these tests load the tracer from its file and check that every span
 owner still holds its attribute and that a tracer installs and removes itself
 cleanly on this tree.  The layer micro-run calls the program directly, so
 one quick run checks that it still reports every micro metric BENCHMARK.json
-declares.
+declares.  The benchmark's workloads pin report bytes; one seed-1 pass of each
+timed workload checks that a refactor keeps them.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
-from infdilog import cli, fields
+from infdilog import cli, fields, verify
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -76,3 +78,34 @@ def test_micro_run_reports_every_declared_micro_metric(monkeypatch):
     numbers = micro.run()
     assert set(numbers) == declared
     assert all(value > 0 for value in numbers.values())
+
+
+BENCH_DIR = TRACER_PATH.parent
+# sha256 of the joined per-unit report sha256s of one seed-1 pass, as the
+# benchmark child computes a pass digest; a deliberate report change re-pins these
+SEED1_PASS_DIGESTS = {
+    "charp-exhaustive": "96351e308b60ace6236f0907eb1faa6b684927c31de49ad1742d548efb8a2249",
+    "wedge-deep": "01300cff54ab3dd8fa732d1c5800e20fcda6fe434a2a1fe3509ed56cff51c2b8",
+}
+
+
+def _load_bench_module(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_timed_workloads_keep_their_report_bytes(monkeypatch):
+    # the child imports its sibling modules from bench/, as when run.py starts it
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    for name in ("reference", "workloads"):
+        _load_bench_module(monkeypatch, name)
+    child = _load_bench_module(monkeypatch, "child")
+    digests = {}
+    for workload in SEED1_PASS_DIGESTS:
+        units = child.workloads.WORKLOADS[workload](1)
+        shas = [hashlib.sha256(child._run_unit(unit, cli, verify)).hexdigest() for unit in units]
+        digests[workload] = hashlib.sha256("".join(shas).encode()).hexdigest()
+    assert digests == SEED1_PASS_DIGESTS

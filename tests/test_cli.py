@@ -73,6 +73,9 @@ def test_fp_requires_prime():
     ["mutate", "--pattern", "A2", "--point", "[1, 2]"],
     ["mutate", "--pattern", "A2", "--point", "[[1], 2]"],
     ["check", "lemma", "--pattern", "A2", "--exhaustive"],
+    ["mutate", "--pattern", "A2", "--point", "2,3", "--out", "trajectory.txt"],
+    ["mutate", "--pattern", "A2", "--point", "2,3", "--format", "json"],
+    ["check", "pentagon", "--field", "fp", "--p", "5", "--m", "2", "--w", "3"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path):
     files = {"APERIODIC": APERIODIC, **BAD_PATTERNS}
@@ -187,6 +190,14 @@ def test_mutate_prints_trajectory(capsys):
     # rationals and explicit coefficient lists parse too
     assert run(["mutate", "--pattern", "A2", "--point", "[[\"3/4\", 1], [2]]"]) == 0
     capsys.readouterr()
+
+
+def test_mutate_pads_every_row_to_one_precision(capsys):
+    # rows of different lengths share the longest row's precision
+    assert run(["mutate", "--pattern", "A2", "--point", "[[1, 2, 3], [4]]"]) == 0
+    out = capsys.readouterr().out
+    assert "step 0: direction 1, value 1 + 2*t + 3*t^2" in out
+    assert "final y_1: 4 + 0*t + 0*t^2" in out
 
 
 def test_mutate_invalid_point(capsys):

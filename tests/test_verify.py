@@ -233,8 +233,15 @@ def test_counts_that_would_make_a_vacuous_verdict_are_refused(call):
         call()
 
 
+def _assert_first_witness(report, name, witness):
+    assert report.name == name
+    assert report.verdict == "fail", name
+    assert report.witnesses[0] == witness, name
+
+
 def test_corrupted_dilogarithm_is_caught(monkeypatch):
-    # mutation-testing hook: a wrong dilogarithm must fail with witnesses
+    # mutation-testing hook: a wrong dilogarithm must fail with witnesses,
+    # and each first witness is pinned as the report writes it
     original = dilog.li_direct
 
     def corrupted(m, w, a):
@@ -243,17 +250,29 @@ def test_corrupted_dilogarithm_is_caught(monkeypatch):
 
     monkeypatch.setattr(dilog, "li_direct", corrupted)
     report = verify.check_pentagon(m=2, w=3, trials=5)
-    assert report.verdict == "fail"
     assert report.failed == 5
-    assert report.witnesses and "a" in report.witnesses[0]["inputs"]
-    report = verify.check_cluster_char0("A2", 2, 3, trials=5)
-    assert report.verdict == "fail" and report.witnesses
+    _assert_first_witness(report, "pentagon[q,m=2,w=3]",
+                          {"inputs": {"a": "9/4 + -3/2*t", "b": "-3/2 + -9/4*t"}, "value": "1"})
+    _assert_first_witness(verify.check_cluster_char0("A2", 2, 3, trials=5), "cluster0[A2,m=2,w=3]",
+                          {"inputs": {"alpha_1": "2/3 + 1/2*t", "alpha_2": "-1/5 + 2*t"},
+                           "value": "5"})
+    _assert_first_witness(verify.check_vanish_constants(m=2, w=3, trials=5),
+                          "vanish-constants[m=2,w=3]", {"inputs": {"c": "1/3"}, "value": "1"})
+    # pounds1 + 1 leaves r^p + (s - 1)^p = r + s - 1 in the four-term sum,
+    # which vanishes only on the line r + s = 1
+    original_pounds1 = dilog.pounds1
+    monkeypatch.setattr(dilog, "pounds1", lambda x: original_pounds1(x) + 1)
+    report = verify.check_named_identity("four_term", 7)
+    assert (report.valid, report.failed) == (20, 16)
+    _assert_first_witness(report, "named[four_term,p=7,exhaustive]",
+                          {"inputs": {"r": "2", "s": "3"}, "value": "4"})
 
 
 def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
     # a constant error of 1 per li2p value cannot cancel in these sums: B2's
-    # weights (1, 2, 1, 2, 1, 2) add to 9, which is not 0 mod 5, and the
-    # pentagon signs add to 1 (A2's five unit weights would cancel mod 5)
+    # weights (1, 2, 1, 2, 1, 2) add to 9, which is not 0 mod 5, the pentagon
+    # signs add to 1, and A2's five unit weights add to 5, which is not 0 mod 7
+    # (they would cancel mod 5)
     original = dilog.li2p
     monkeypatch.setattr(dilog, "li2p", lambda y: original(y) + 1)
     cluster_report = verify.check_cluster_charp("B2", 5)
@@ -264,6 +283,24 @@ def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
     for report in (cluster_report, named, verify.check_li2p_lift(5)):
         assert report.verdict == "fail", report.name
         assert report.failed == report.valid > 0 and report.witnesses, report.name
+    pinned = [
+        (cluster_report, "clusterp[B2,p=5,exhaustive]",
+         {"inputs": {"alpha_1": "2 + 0*t", "alpha_2": "1 + 0*t"}, "value": "li2p sum 4"}),
+        (verify.check_pentagon(p=7, trials=5), "pentagon[p=7]",
+         {"inputs": {"a": "4 + 6*t", "b": "3 + 6*t"}, "value": "1"}),
+        (verify.check_vanish_constants(p=7), "vanish-constants[p=7]",
+         {"inputs": {"s": "2"}, "value": "1"}),
+        (verify.check_named_identity("elementary", 7), "named[elementary,p=7,exhaustive]",
+         {"inputs": {"z": "2 + 0*t"}, "value": "2"}),
+        (verify.check_named_identity("involution", 7), "named[involution,p=7,exhaustive]",
+         {"inputs": {"y": "2 + 0*t"}, "value": "2"}),
+        (verify.check_named_identity("a2_five_term_charp", 7),
+         "named[a2_five_term_charp,p=7,exhaustive]",
+         {"inputs": {"y1": "2 + 0*t", "y2": "2 + 0*t"}, "value": "5"}),
+    ]
+    for report, name, witness in pinned:
+        assert report.failed == report.valid > 0, name
+        _assert_first_witness(report, name, witness)
 
 
 def test_corrupted_zero_test_is_caught_exhaustively(monkeypatch):
