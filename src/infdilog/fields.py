@@ -149,8 +149,6 @@ class PrimeField(Field):
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or p < 3:
             raise ValueError(f"prime field characteristic must be an odd prime >= 3, got {p}")
-        if p % 2 == 0:
-            raise ValueError("characteristic 2 is not supported")
         if p >= _WORD_SIZE_LIMIT:
             raise ValueError(f"characteristic must fit in a machine word, got {p}")
         if not _is_prime(p):

@@ -17,6 +17,19 @@ above the limit a trial count is required.  An exhaustive cluster-p or named
 check passes when no valid point fails, even if no point was valid: at p = 3
 the A2 and B2 cluster sums and three of the named identities pass that way,
 with valid = 0 in their reports.
+
+An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
+elementary, involution and a2_five_term_charp) first tries to certify a pass
+from its p^n constant points.  li2p(s + a t) = (a / (s(1 - s)))^p pounds1(s)
+is linear in a over GF(p), and precision-2 arithmetic is k[t]/(t^2), so each
+weighted sum is linear in the tangent (a_1, ..., a_n) and validity reads only
+constant terms.  Once per check, li2p(s + b t) = b li2p(s + t) is checked at
+every flat s and every b; then each constant point is judged at the zero
+tangent, the n basis tangents and a guard tangent from its per-point rng, and
+counts as p^n points when all n + 2 are rejected or all are ok.  Anything else
+redoes the check by enumerating every point, so only passes are certified this
+way, every failing report is the enumeration's, and the counts always cover
+every point.
 """
 
 from __future__ import annotations
@@ -90,8 +103,8 @@ class CheckReport:
     def passed(self) -> bool:
         return self.verdict == VERDICT_PASS
 
-    def record_failure(self, witness: dict) -> None:
-        self.failed += 1
+    def record_failure(self, witness: dict, count: int = 1) -> None:
+        self.failed += count
         if len(self.witnesses) < self.MAX_WITNESSES:
             self.witnesses.append(witness)
 
@@ -123,22 +136,22 @@ class CheckReport:
 # -- the check driver ------------------------------------------------------------
 
 
-def _tally(report: CheckReport, outcome: dict | None) -> bool:
-    """Count one attempted point and return whether it was valid.
+def _tally(report: CheckReport, outcome: dict | None, count: int = 1) -> bool:
+    """Count `count` attempted points that share one outcome; return whether they were valid.
 
     outcome is None for a rejected point, otherwise a witness dict with an
     "ok" key; a valid point whose zero test could not decide carries
     "inconclusive" True instead.  A valid point that is not ok is a failure.
     """
-    report.attempted += 1
+    report.attempted += count
     if outcome is None:
-        report.rejected += 1
+        report.rejected += count
         return False
-    report.valid += 1
+    report.valid += count
     if outcome.pop("inconclusive", False):
-        report.inconclusive += 1
+        report.inconclusive += count
     elif not outcome.pop("ok"):
-        report.record_failure(outcome)
+        report.record_failure(outcome, count)
     return True
 
 
@@ -166,25 +179,74 @@ def _exhaust(report: CheckReport, points, judge, min_valid: int = 0) -> CheckRep
     return report.finish(min_valid=min_valid)
 
 
+def _li2p_is_tangent_linear(field: Field) -> bool:
+    """Whether li2p(s + b t) = b li2p(s + t) for every flat s and every b in GF(p)."""
+    p = field.characteristic
+    for s in range(2, p):
+        unit = dilog.li2p(TruncatedSeries(field, (s, 1)))
+        if any(dilog.li2p(TruncatedSeries(field, (s, b))) != b * unit for b in range(p) if b != 1):
+            return False
+    return True
+
+
+def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int,
+                                  judge) -> CheckReport | None:
+    """Certify a pass over GF(p)^(2n) from its p^n constant points, or return None.
+
+    judge takes the coordinates (s_1, a_1, ..., s_n, a_n) of n dual numbers;
+    the guard tangent of constant point k comes from the rng of (seed,
+    report.name, k).  None (li2p is not tangent-linear, or some constant
+    point's n + 2 outcomes are mixed or not all ok) leaves the verdict to
+    enumerating every point.
+    """
+    if not _li2p_is_tangent_linear(GF(p)):
+        return None
+    zero = (0,) * n
+    tangents = [zero] + [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
+    for index, constants in enumerate(itertools.product(range(p), repeat=n)):
+        guard = tuple(_derive_rng(seed, report.name, index).randrange(p) for _ in range(n))
+        outcomes = [judge(tuple(itertools.chain.from_iterable(zip(constants, tangent))))
+                    for tangent in (*tangents, guard)]
+        if all(outcome is None for outcome in outcomes):
+            _tally(report, None, p ** n)
+        elif all(outcome is not None and outcome["ok"] and not outcome.get("inconclusive")
+                 for outcome in outcomes):
+            _tally(report, outcomes[0], p ** n)
+        else:
+            return None
+    return report.finish(min_valid=0)
+
+
 def _check_coords(family: str, subject: str, params: dict, p: int, dimension: int,
-                  trials: int | None, seed: int, judge) -> CheckReport:
+                  trials: int | None, seed: int, judge, dual: bool = False) -> CheckReport:
     """Judge points of GF(p)^dimension, given to judge as tuples of least residues.
 
     The whole space is enumerated when it stays within EXHAUSTIVE_LIMIT and no
     trial count is forced; otherwise `trials` valid points are sampled.  A space
-    above the limit with no trial count is refused with ValueError.
+    above the limit with no trial count is refused with ValueError.  dual says
+    the coordinates are dimension / 2 dual numbers (s_1, a_1, s_2, a_2, ...)
+    judged by a weighted li2p sum at precision 2: an exhaustive pass is then
+    first sought from the constant points by `_exhaust_by_tangent_linearity`,
+    and any other outcome comes from enumerating every point on a fresh report.
     """
     if trials is None and p ** dimension > EXHAUSTIVE_LIMIT:
         raise ValueError(f"GF({p})^{dimension} has {p ** dimension} points, more than the"
                          f" exhaustive limit {EXHAUSTIVE_LIMIT}; give a trial count")
     exhaustive = trials is None
     mode = "exhaustive" if exhaustive else f"random[{trials}]"
-    report = CheckReport(name=f"{family}[{subject},p={p},{mode}]",
-                         params={**params, "p": p, "mode": mode, "seed": seed})
-    if exhaustive:
-        return _exhaust(report, itertools.product(range(p), repeat=dimension), judge)
-    return _resample(report, trials, seed,
-                     lambda rng: judge(tuple(rng.randrange(p) for _ in range(dimension))))
+
+    def new_report() -> CheckReport:
+        return CheckReport(name=f"{family}[{subject},p={p},{mode}]",
+                           params={**params, "p": p, "mode": mode, "seed": seed})
+
+    if not exhaustive:
+        return _resample(new_report(), trials, seed,
+                         lambda rng: judge(tuple(rng.randrange(p) for _ in range(dimension))))
+    if dual:
+        report = _exhaust_by_tangent_linearity(new_report(), p, dimension // 2, seed, judge)
+        if report is not None:
+            return report
+    return _exhaust(new_report(), itertools.product(range(p), repeat=dimension), judge)
 
 
 def _resolve_pattern(pattern):
@@ -225,7 +287,11 @@ def _vanishing(field: Field, value_of, terms, inputs: dict, label: str = "") -> 
     """The witness that sum weight * value_of(arg) over (weight, arg) terms is zero."""
     total = field.zero
     for weight, arg in terms:
-        total = total + field.element(weight) * value_of(arg)
+        value = value_of(arg)
+        # a FieldElement weight is never compared with 1: that would build an element
+        if not (type(weight) is int and weight == 1):
+            value = field.element(weight) * value
+        total = total + value
     return {"ok": not total, "inputs": inputs, "value": f"{label}{total}"}
 
 
@@ -485,15 +551,16 @@ def check_cluster_charp(
     """The weighted cluster sum of li2p over GF(p) dual numbers vanishes.
 
     Enumerates GF(p)^(2n) exhaustively when that stays within
-    EXHAUSTIVE_LIMIT and no trial count is forced; otherwise samples, and a
-    trial count is then required.
+    EXHAUSTIVE_LIMIT and no trial count is forced, certifying a pass by
+    tangent linearity where it can; otherwise samples, and a trial count is
+    then required.
     """
     field = GF(p)
     matrix, name, weights, judge = _cluster_judge(field, pattern, dilog.li2p, "li2p sum ")
     return _check_coords("clusterp", name, {"pattern": name, "theta": list(weights)},
                          p, 2 * matrix.n, trials, seed, lambda coords: judge(
                              tuple(TruncatedSeries(field, coords[2 * i: 2 * i + 2])
-                                   for i in range(matrix.n))))
+                                   for i in range(matrix.n))), dual=True)
 
 
 # -- named char-p identities --------------------------------------------------
@@ -549,12 +616,13 @@ def _a2_pentagon_substitution(field, coords):
     return _vanishing(field, dilog.li2p, bloch.pentagon_terms(x, y), {"r": str(r_), "s": str(s_)})
 
 
+# name: (judge, dimension, whether the coordinates are dual numbers s_i, a_i)
 NAMED_IDENTITIES = {
-    "four_term": (_four_term, 2),
-    "elementary": (_elementary, 2),
-    "involution": (_involution, 2),
-    "a2_five_term_charp": (_a2_five_term_charp, 4),
-    "a2_pentagon_substitution": (_a2_pentagon_substitution, 2),
+    "four_term": (_four_term, 2, False),
+    "elementary": (_elementary, 2, True),
+    "involution": (_involution, 2, True),
+    "a2_five_term_charp": (_a2_five_term_charp, 4, True),
+    "a2_pentagon_substitution": (_a2_pentagon_substitution, 2, False),
 }
 
 
@@ -563,10 +631,10 @@ def check_named_identity(name: str, p: int, trials: int | None = None, seed: int
     if name not in NAMED_IDENTITIES:
         known = ", ".join(sorted(NAMED_IDENTITIES))
         raise ValueError(f"unknown identity {name!r}; known: {known}")
-    judge, dimension = NAMED_IDENTITIES[name]
+    judge, dimension, dual = NAMED_IDENTITIES[name]
     field = GF(p)
     return _check_coords("named", name, {"identity": name}, p, dimension, trials, seed,
-                         lambda coords: judge(field, coords))
+                         lambda coords: judge(field, coords), dual)
 
 
 # -- wedge lemma ---------------------------------------------------------------

@@ -43,13 +43,18 @@ def test_invalid_modulus_weight_is_config_error():
     assert err.value.code == 2
 
 
-def test_fp_requires_prime():
+def test_fp_requires_prime(capsys):
     with pytest.raises(SystemExit) as err:
         run(["check", "pentagon", "--field", "fp"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run(["check", "pentagon", "--field", "fp", "--p", "4"])
-    assert err.value.code == 2
+    for argv in (["check", "pentagon", "--field", "fp", "--p", "4"],
+                 ["check", "cluster-p", "--pattern", "A2", "--p", "4"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        # an even p above 2 is composite, not characteristic 2
+        assert "4 is not prime" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         run(["check", "pentagon", "--p", "5", "--m", "2", "--w", "3"])
     assert err.value.code == 2
@@ -76,6 +81,7 @@ def test_fp_requires_prime():
     ["mutate", "--pattern", "A2", "--point", "2,3", "--out", "trajectory.txt"],
     ["mutate", "--pattern", "A2", "--point", "2,3", "--format", "json"],
     ["check", "pentagon", "--field", "fp", "--p", "5", "--m", "2", "--w", "3"],
+    ["check", "cluster-p", "--pattern", "A2", "--p", "4"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path):
     files = {"APERIODIC": APERIODIC, **BAD_PATTERNS}

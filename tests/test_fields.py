@@ -59,6 +59,8 @@ def test_prime_validation():
             PrimeField(bad)
     with pytest.raises(ValueError):
         PrimeField(1 << 64)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        PrimeField(4)
     assert GF(3).p == 3
     assert GF(13) is GF(13)
 

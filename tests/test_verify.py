@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from infdilog import bloch, cluster, dilog, verify
-from infdilog.fields import GF, QQ
+from infdilog.fields import GF, QQ, Field
 from infdilog.series import TruncatedSeries
 
 
@@ -301,6 +302,99 @@ def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
     for report, name, witness in pinned:
         assert report.failed == report.valid > 0, name
         _assert_first_witness(report, name, witness)
+
+
+def _squared_li2p(y):
+    s, a = y.coeff(0), y.coeff(1)
+    return (a / (s * (1 - s))) ** 2 * dilog.pounds1(s)
+
+
+# each mutant of li2p, built from the original; the last one breaks tangent
+# linearity at one tangent only, which a random guard tangent can miss
+LI2P_MUTANTS = {
+    "li2p": lambda original: original,
+    "plus-one": lambda original: lambda y: original(y) + 1,
+    "ybar-squared": lambda original: _squared_li2p,
+    "plus-one-at-tangent-3": lambda original: lambda y: original(y) + (1 if y.coeffs[1] == 3 else 0),
+}
+
+DUAL_CHECKS = {
+    "clusterp[A2]": lambda p, seed: verify.check_cluster_charp("A2", p, seed=seed),
+    "clusterp[B2]": lambda p, seed: verify.check_cluster_charp("B2", p, seed=seed),
+    **{f"named[{name}]": (lambda p, seed, name=name: verify.check_named_identity(name, p, seed=seed))
+       for name in ("elementary", "involution", "a2_five_term_charp")},
+}
+
+
+def _enumerate_every_point(report, p, dimension, judge):
+    """The reference: the same judge over all of GF(p)^dimension, on a fresh report."""
+    fresh = verify.CheckReport(name=report.name, params=dict(report.params))
+    return verify._exhaust(fresh, itertools.product(range(p), repeat=dimension), judge)
+
+
+@pytest.mark.parametrize("mutant", sorted(LI2P_MUTANTS))
+def test_dual_checks_match_enumeration_of_every_point(monkeypatch, mutant):
+    monkeypatch.setattr(dilog, "li2p", LI2P_MUTANTS[mutant](dilog.li2p))
+    original = verify._check_coords
+    seen = {}
+
+    def capturing(family, subject, params, p, dimension, trials, seed, judge, dual=False):
+        def counted(coords):
+            seen["calls"] += 1
+            return judge(coords)
+
+        seen.update(dimension=dimension, judge=judge, calls=0)
+        return original(family, subject, params, p, dimension, trials, seed, counted, dual)
+
+    monkeypatch.setattr(verify, "_check_coords", capturing)
+    verdicts = set()
+    for (label, check), p, seed in itertools.product(DUAL_CHECKS.items(), (3, 5, 7), (0, 1)):
+        report = check(p, seed)
+        dimension = seen["dimension"]
+        reference = _enumerate_every_point(report, p, dimension, seen["judge"])
+        assert report.to_dict() == reference.to_dict(), (label, p, seed)
+        verdicts.add(report.verdict)
+        if report.verdict != "pass":
+            assert seen["calls"] >= p ** dimension, (label, p, seed)
+        elif mutant == "li2p":
+            # the shortcut alone: n + 2 tangents at each of p^n constant points
+            n = dimension // 2
+            assert seen["calls"] == p ** n * (n + 2), (label, p, seed)
+    assert verdicts == ({"pass"} if mutant == "li2p" else {"pass", "fail"})
+
+
+@pytest.mark.parametrize("judge", [
+    lambda coords: None if 3 in coords[1::2] else {"ok": True, "inputs": {}, "value": "0"},
+    lambda coords: {"ok": not all(coords[1::2]), "inputs": {"coords": str(coords)}, "value": "1"},
+], ids=["rejects-at-tangent-3", "fails-off-the-basis"])
+def test_a_tangent_dependent_judge_is_enumerated(judge):
+    report = verify._check_coords("synthetic", "judge", {}, 7, 4, None, 0, judge, dual=True)
+    reference = _enumerate_every_point(report, 7, 4, judge)
+    assert report.to_dict() == reference.to_dict()
+    assert reference.rejected or reference.failed
+
+
+def test_exhaustive_cluster_sum_walks_constant_points_only(monkeypatch):
+    walks = []
+    original = cluster.run_schedule
+    monkeypatch.setattr(cluster, "run_schedule",
+                        lambda *args, **kwargs: walks.append(1) or original(*args, **kwargs))
+    report = verify.check_cluster_charp("A2", 17)
+    assert (report.attempted, report.valid, report.verdict) == (83521, 60690, "pass")
+    # 17^2 constant points at the zero, two basis and one guard tangent, where
+    # enumerating every point walks the schedule 17^4 times
+    assert len(walks) <= 17 ** 2 * 4
+
+
+def test_unit_weights_take_no_field_product(monkeypatch):
+    field = GF(7)
+    args = [field.element(3), field.element(5)]
+    made = []
+    original = Field.element
+    monkeypatch.setattr(Field, "element", lambda self, value: made.append(value) or original(self, value))
+    witness = verify._vanishing(field, lambda x: x, [(1, arg) for arg in args], {"x": "3, 5"}, "sum ")
+    assert made == []
+    assert witness == {"ok": False, "inputs": {"x": "3, 5"}, "value": "sum 1"}
 
 
 def test_corrupted_zero_test_is_caught_exhaustively(monkeypatch):
