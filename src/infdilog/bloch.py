@@ -5,11 +5,11 @@ the second exterior power of the unit group.  Wedges are kept as WedgeLedger
 objects: formal integer combinations of ordered pairs of units, with no
 rewriting applied on insertion.  Consumers are linear: the antisymmetric
 functional pairs (ell_i ^ ell_j) and the rationalized zero test.  A ledger
-computes each distinct side's log_circ once, as the series' raw coefficient
-tuple, and resolves each term to (coeff, log left, log right) once; the pairs
-and the mixed zero-test component read those tuples.  The pairs and
-the mixed component sum raw coefficients with plain + and * and reduce the
-total once, so a FieldElement is made only for the value handed back.
+computes each distinct side's log_circ once, brings every log onto one
+ledger-wide common denominator and resolves each term to (coeff, log left,
+log right) as int numerator tuples, once.  The pairs and the mixed zero-test
+component sum plain ints over that denominator and make one field value at
+the end (one Fraction over QQ, one residue over GF(p)).
 
 Zero testing works through the splitting of a unit a into its constant a(0)
 and the principal part exp(log_circ(a)).  Rationally (torsion discarded) a
@@ -35,11 +35,12 @@ verdict `inconclusive` rather than risking a wrong answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .fields import FieldElement, Raw
+from .fields import FieldElement
 from .series import NonUnitError, NotFlatError, PrecisionError, TruncatedSeries, log_circ
 
 __all__ = [
@@ -92,22 +93,20 @@ class WedgeLedger:
         self.terms = tuple(checked)
         self._logged: tuple | None = None
 
-    def logged(self) -> tuple[tuple[int, tuple[Raw, ...], tuple[Raw, ...]], ...]:
-        """(coeff, log(left), log(right)) for each term, resolved once on first use.
+    def logged(self) -> tuple[int, tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]:
+        """(den, ((coeff, log(left), log(right)), ...)), resolved once on first use.
 
-        A log is the raw coefficient tuple of log_circ(side), computed once per
-        distinct side.
+        A log is the numerator tuple of log_circ(side), computed once per
+        distinct side and scaled to the common denominator den of all logs.
         """
         if self._logged is None:
-            logs: dict[TruncatedSeries, tuple[Raw, ...]] = {}
-
-            def log(side: TruncatedSeries) -> tuple[Raw, ...]:
-                coeffs = logs.get(side)
-                if coeffs is None:
-                    coeffs = logs[side] = log_circ(side).coeffs
-                return coeffs
-
-            self._logged = tuple((c, log(l), log(r)) for c, l, r in self.terms)
+            index: dict[TruncatedSeries, int] = {}  # side -> position of its log
+            resolved = [(c, index.setdefault(l, len(index)), index.setdefault(r, len(index)))
+                        for c, l, r in self.terms]
+            logs = [log_circ(side) for side in index]
+            den = math.lcm(*(log.den for log in logs))
+            nums = [tuple(x * (den // log.den) for x in log.nums) for log in logs]
+            self._logged = den, tuple((c, nums[i], nums[j]) for c, i, j in resolved)
         return self._logged
 
     def __add__(self, other: "WedgeLedger") -> "WedgeLedger":
@@ -168,10 +167,11 @@ def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> Fi
     for index in (f_index, g_index):
         if not 1 <= index < precision:
             raise PrecisionError(f"functional index {index} out of range for precision {precision}")
-    total = field.zero.value
-    for coeff, lo, ro in ledger.logged():
+    den, logged = ledger.logged()
+    total = 0
+    for coeff, lo, ro in logged:
         total += coeff * (lo[f_index] * ro[g_index] - lo[g_index] * ro[f_index])
-    return FieldElement(field, field.reduce(total))
+    return FieldElement(field, field.quotient(total, den * den))
 
 
 @dataclass(frozen=True)
@@ -248,10 +248,12 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
         # constant components are torsion and vanish after rationalization.
         return ZeroTestResult("zero")
 
+    # each term's two constants, read once from the numerators over den
+    constants = [(left.constant_term().value, right.constant_term().value)
+                 for _, left, right in ledger.terms]
     exponents: dict[Fraction, dict[int, int]] = {}
-    for _, left, right in ledger.terms:
-        for side in (left, right):
-            c = side.coeffs[0]
+    for pair in constants:
+        for c in pair:
             if c not in exponents:
                 vec = _rational_exponents(c, factor_bound)
                 if vec is None:
@@ -264,31 +266,32 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
 
     support = sorted({q for vec in exponents.values() for q in vec})
 
-    # (ii) mixed component: one series-valued accumulator per support prime
+    # (ii) mixed component: one series-valued accumulator per support prime,
+    # summed as numerators over the ledger's log denominator
+    den, logged = ledger.logged()
     for q in support:
-        acc = [field.zero.value] * precision
-        for (coeff, left, right), (_, lo, ro) in zip(ledger.terms, ledger.logged()):
-            eq_l = coeff * exponents[left.coeffs[0]].get(q, 0)
-            eq_r = coeff * exponents[right.coeffs[0]].get(q, 0)
+        acc = [0] * precision
+        for (coeff, lo, ro), (cl, cr) in zip(logged, constants):
+            eq_l = coeff * exponents[cl].get(q, 0)
+            eq_r = coeff * exponents[cr].get(q, 0)
             if not eq_l and not eq_r:
                 continue
             for d in range(1, precision):
                 acc[d] += eq_l * ro[d] - eq_r * lo[d]
-        acc = [field.reduce(x) for x in acc]
         if any(acc):
             bad = next(d for d in range(1, precision) if acc[d])
             return ZeroTestResult(
                 "nonzero",
                 "mixed",
-                f"prime {q} accumulator has t^{bad} coefficient {acc[bad]}",
+                f"prime {q} accumulator has t^{bad} coefficient {field.quotient(acc[bad], den)}",
             )
 
     # (iii) constant component: antisymmetric integer form on exponent vectors
     for a_pos, q in enumerate(support):
         for r in support[a_pos + 1:]:
             entry = 0
-            for coeff, left, right in ledger.terms:
-                el, er = exponents[left.coeffs[0]], exponents[right.coeffs[0]]
+            for (coeff, _, _), (cl, cr) in zip(ledger.terms, constants):
+                el, er = exponents[cl], exponents[cr]
                 entry += coeff * (el.get(q, 0) * er.get(r, 0) - el.get(r, 0) * er.get(q, 0))
             if entry:
                 return ZeroTestResult(

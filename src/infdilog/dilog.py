@@ -81,7 +81,7 @@ def li_direct(m: int, w: int, a: TruncatedSeries) -> FieldElement:
         raise PrecisionError(f"argument needs at least {m} coefficients, has {a.precision}")
     _require_flat(a, "li_direct")
 
-    rep = TruncatedSeries.from_coeffs(a.field, a.coeffs[:m], w)
+    rep = a.with_precision(m).with_precision(w)
     s = rep.constant_term()
     u = log_circ(rep)
     inner = 1 - s * exp_t(u.truncate_below(m))

@@ -1,14 +1,19 @@
 """Exact coefficient fields: arbitrary-precision rationals and odd prime fields.
 
-A value has a raw canonical form: a fractions.Fraction over QQ (always reduced,
-denominator positive) and a least residue int in [0, p) over GF(p).  Each
-field has one pair of raw operations, and they are the one place where a field
-turns into arithmetic: reduce(raw) brings a sum or product of canonical values
-back to canonical form (the identity over QQ, raw % p over GF(p)), and
-inv(raw) inverts a nonzero canonical value (Fraction(1) / raw over QQ,
-pow(raw, p - 2, p) over GF(p)).  Series keep raw coefficients and call these
-two directly.  Only FieldElement powers bypass them, with a three-argument pow
-over GF(p), so that exponents as large as p stay cheap.
+A scalar has a raw canonical form: a fractions.Fraction over QQ (always
+reduced, denominator positive) and a least residue int in [0, p) over GF(p).
+Each field has one pair of raw scalar operations: reduce(raw) brings a sum or
+product of canonical values back to canonical form (the identity over QQ,
+raw % p over GF(p)), and inv(raw) inverts a nonzero canonical value.  Only
+FieldElement powers bypass them, with a three-argument pow over GF(p), so that
+exponents as large as p stay cheap.
+
+A series' coefficients are a vector: int numerators over one positive common
+denominator, normalised by the field (gcd(den, *nums) = 1 over QQ, so the form
+is unique; least residues over den = 1 over GF(p)).  The field is the one place
+that turns a vector into arithmetic: mul and add are shared integer loops that
+normalise once per result; invert, integral and exp_t are per field,
+fraction-free integer recurrences over QQ and residue loops over GF(p).
 
 At the public boundary a scalar is a FieldElement: a raw value tagged with its
 field.  Field.element takes exact scalars only (an int, a Fraction or an
@@ -20,6 +25,7 @@ they can be shared freely.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Union
@@ -37,6 +43,8 @@ __all__ = [
 Scalar = Union["FieldElement", int, Fraction]
 # A canonical raw value: a Fraction over QQ, a least residue in [0, p) over GF(p).
 Raw = Union[int, Fraction]
+# A coefficient vector: int numerators over one positive common denominator.
+Vector = tuple[tuple[int, ...], int]
 
 _ONE = Fraction(1)
 
@@ -71,12 +79,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _recurrence(first: int, weights: list[tuple[int, int]], n: int, step) -> list[int]:
+    """out_0 = first, out_k = step(k, sum of w * out_(k-j) over (j, w) in weights, j <= k)."""
+    out = [first]
+    for k in range(1, n):
+        acc = 0
+        for j, w in weights:
+            if j > k:
+                break
+            acc += w * out[k - j]
+        out.append(step(k, acc))
+    return out
+
+
 class FieldMismatchError(ValueError):
     """An operation mixed elements of two distinct fields."""
 
 
 class Field:
-    """Common interface of the two coefficient fields."""
+    """Common interface of the two coefficient fields.
+
+    Each field implements _canonical, reduce and inv on raw scalars and the
+    vector side on int numerator tuples `a` over a denominator `da`:
+
+      vector(raws)          the normalised vector of canonical raw values
+      quotient(num, den)    the canonical raw value of num / den
+      normalize(nums, den)  the normalised vector of any ints over den != 0
+      invert(a, da)         the inverse of a unit, truncated at len(a)
+      integral(a, da)       (0, a_0/1, ..., a_(N-2)/(N-1)), truncated at len(a)
+      exp_t(u, du)          exp of u with u_0 = 0, from k E_k = sum_j j u_j E_(k-j)
+
+    mul and add are shared: plain integer loops, normalised once.
+    """
 
     characteristic: int
 
@@ -90,16 +124,25 @@ class Field:
             raise TypeError(f"{self!r} takes an int, a Fraction or a FieldElement, got {value!r}")
         return FieldElement(self, self._canonical(value))
 
-    def _canonical(self, value: int | Fraction) -> Raw:
-        raise NotImplementedError
+    def mul(self, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> Vector:
+        """The product truncated at len(a): an integer convolution over da * db."""
+        n = len(a)
+        out = [0] * n
+        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            for j, y in nonzero_b:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
+        return self.normalize(out, da * db)
 
-    def reduce(self, raw: Raw) -> Raw:
-        """The canonical form of a sum, difference or product of canonical values."""
-        raise NotImplementedError
-
-    def inv(self, raw: Raw) -> Raw:
-        """The canonical inverse of a nonzero canonical value."""
-        raise NotImplementedError
+    def add(self, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int, sign: int = 1) -> Vector:
+        """a/da + sign * b/db over the least common denominator."""
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return self.normalize([x * fa + y * fb for x, y in zip(a, b)], da * (db // g))
 
     @property
     def zero(self) -> FieldElement:
@@ -130,6 +173,42 @@ class RationalField(Field):
 
     def inv(self, raw: Raw) -> Raw:
         return _ONE / raw
+
+    def vector(self, raws) -> Vector:
+        den = math.lcm(*(c.denominator for c in raws))
+        return tuple([c.numerator * (den // c.denominator) for c in raws]), den
+
+    def quotient(self, num: int, den: int) -> Raw:
+        return Fraction(num, den)
+
+    def normalize(self, nums, den: int) -> Vector:
+        """Divide out gcd(den, *nums) and make den positive; the zero vector gets den 1."""
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        g = math.gcd(den, *nums)
+        if g == 1:
+            return tuple(nums), den
+        return tuple([x // g for x in nums]), den // g
+
+    def integral(self, a: tuple[int, ...], da: int) -> Vector:
+        m = math.lcm(*range(1, len(a)))
+        return self.normalize([0] + [x * (m // k) for k, x in enumerate(a[:-1], 1)], da * m)
+
+    def invert(self, a: tuple[int, ...], da: int) -> Vector:
+        """Fraction-free: 1/a = da * (e_k a0^(N-1-k))_k / a0^N, e_k = -sum_j a_j a0^(j-1) e_(k-j)."""
+        n, a0 = len(a), a[0]
+        weights = [(j, x * a0 ** (j - 1)) for j, x in enumerate(a) if j and x]
+        e = _recurrence(1, weights, n, lambda k, acc: -acc)
+        return self.normalize([da * x * a0 ** (n - 1 - k) for k, x in enumerate(e)], a0 ** n)
+
+    def exp_t(self, u: tuple[int, ...], du: int) -> Vector:
+        """Fraction-free: E_k = F_k / c^k with c = du * lcm(1..N-1), so every F_k is an int."""
+        n = len(u)
+        m = math.lcm(*range(1, n))
+        c = du * m
+        weights = [(j, j * x * c ** (j - 1)) for j, x in enumerate(u) if x]
+        f = _recurrence(1, weights, n, lambda k, acc: acc * (m // k))
+        return self.normalize([x * c ** (n - 1 - k) for k, x in enumerate(f)], c ** (n - 1))
 
     def random_element(self, rng: random.Random, height_bound: int = 10) -> FieldElement:
         """Numerator uniform in [-height_bound, height_bound], denominator in [1, height_bound]."""
@@ -171,6 +250,34 @@ class PrimeField(Field):
 
     def inv(self, raw: Raw) -> Raw:
         return pow(raw, self.p - 2, self.p)
+
+    # Every vector over GF(p) has den 1 (no kernel makes another), so den is ignored.
+
+    def vector(self, raws) -> Vector:
+        return tuple(raws), 1
+
+    def quotient(self, num: int, den: int) -> Raw:
+        return num % self.p
+
+    def normalize(self, nums, den: int) -> Vector:
+        p = self.p
+        return tuple([x % p for x in nums]), 1
+
+    def integral(self, a: tuple[int, ...], da: int) -> Vector:
+        p = self.p
+        return tuple([0] + [x * self.inv(k) % p for k, x in enumerate(a[:-1], 1)]), 1
+
+    def invert(self, a: tuple[int, ...], da: int) -> Vector:
+        p = self.p
+        inv0 = self.inv(a[0])
+        neg_inv0 = p - inv0
+        weights = [(j, x) for j, x in enumerate(a) if j and x]
+        return tuple(_recurrence(inv0, weights, len(a), lambda k, acc: neg_inv0 * acc % p)), 1
+
+    def exp_t(self, u: tuple[int, ...], du: int) -> Vector:
+        p = self.p
+        weights = [(j, j * x) for j, x in enumerate(u) if x]
+        return tuple(_recurrence(1, weights, len(u), lambda k, acc: acc * self.inv(k) % p)), 1
 
     def random_element(self, rng: random.Random, height_bound: int = 10) -> FieldElement:
         """Uniform least residue; height_bound is accepted for interface parity."""

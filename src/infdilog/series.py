@@ -6,11 +6,15 @@ requires equal field and precision; change precision explicitly with
 with_precision, which zero-pads when growing (the canonical lift) and drops
 coefficients when shrinking (the canonical projection).
 
-Coefficients are stored raw, as the field's canonical values: Fractions over
-QQ, least residue ints in [0, p) over GF(p).  Every operation accumulates with
-plain + and * and brings each output coefficient back to canonical form once,
-through the field's reduce; division goes through the field's inv.  coeff and
-constant_term hand out FieldElements, and from_coeffs is the validating
+Coefficients are stored as one vector: int numerators over a positive common
+denominator, normalised by the field (gcd 1 with the denominator over QQ,
+least residues over denominator 1 over GF(p)), so equal series have equal
+vectors.  The field's vector kernels (fields.py) hold the arithmetic loops:
+mul, add, invert, integral and exp_t.  TruncatedSeries checks shapes and
+preconditions and only rescales numerators itself (derivative, scale, neg),
+normalising through the field.  A scalar added to or subtracted from a series
+touches coefficient 0 only.  coeff and constant_term hand out FieldElements,
+coeffs is the raw-value view for boundaries, and from_coeffs is the validating
 constructor for arbitrary scalars.
 
 The two composition patterns the identities need are provided as module
@@ -32,7 +36,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .fields import Field, FieldElement, FieldMismatchError, Raw
+from .fields import Field, FieldElement, FieldMismatchError, Raw, Vector
 
 __all__ = [
     "NonUnitError",
@@ -60,19 +64,22 @@ class NotFlatError(ValueError):
 
 
 class TruncatedSeries:
-    """An element of k[t]/(t^N): immutable raw coefficient vector plus precision.
+    """An element of k[t]/(t^N): an immutable coefficient vector plus precision.
 
-    The constructor trusts its coefficients to be canonical raw values of
-    `field`; use from_coeffs to convert and validate arbitrary scalars.
+    `nums` holds one int numerator per coefficient (N = len(nums)) over the
+    common denominator `den`, in the field's normalised form.  The constructor
+    takes canonical raw values of `field` and trusts them; use from_coeffs to
+    convert and validate arbitrary scalars.  `coeffs` is the raw-value view,
+    for boundaries only: no series operation reads it.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: Field, coeffs: tuple[Raw, ...]) -> None:
         if not coeffs:
             raise PrecisionError("precision must be at least 1")
         self.field = field
-        self.coeffs = coeffs
+        self.nums, self.den = field.vector(coeffs)
 
     # -- construction --------------------------------------------------------
 
@@ -105,68 +112,65 @@ class TruncatedSeries:
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
+
+    @property
+    def coeffs(self) -> tuple[Raw, ...]:
+        """The coefficients as canonical raw values (Fractions over QQ)."""
+        quotient, den = self.field.quotient, self.den
+        return tuple(quotient(x, den) for x in self.nums)
 
     def coeff(self, a: int) -> FieldElement:
         """The coefficient of t^a."""
-        if not 0 <= a < self.precision:
+        if not 0 <= a < len(self.nums):
             raise PrecisionError(f"coefficient index {a} out of range for precision {self.precision}")
-        return FieldElement(self.field, self.coeffs[a])
+        return FieldElement(self.field, self.field.quotient(self.nums[a], self.den))
 
     def constant_term(self) -> FieldElement:
-        return FieldElement(self.field, self.coeffs[0])
+        return FieldElement(self.field, self.field.quotient(self.nums[0], self.den))
 
     def truncate_below(self, a: int) -> "TruncatedSeries":
         """Zero every coefficient of t^a and above, keeping the precision."""
         if not 0 <= a <= self.precision:
             raise PrecisionError(f"truncation index {a} out of range for precision {self.precision}")
-        zero = self.field.zero.value
-        return TruncatedSeries(self.field, self.coeffs[:a] + (zero,) * (self.precision - a))
+        return _series(self.field, self.field.normalize(self.nums[:a] + (0,) * (self.precision - a), self.den))
 
     def with_precision(self, precision: int) -> "TruncatedSeries":
         """Zero-pad (the canonical lift) or drop coefficients (the projection)."""
         if precision < 1:
             raise PrecisionError("precision must be at least 1")
         if precision <= self.precision:
-            return TruncatedSeries(self.field, self.coeffs[:precision])
-        pad = (self.field.zero.value,) * (precision - self.precision)
-        return TruncatedSeries(self.field, self.coeffs + pad)
+            return _series(self.field, self.field.normalize(self.nums[:precision], self.den))
+        return _series(self.field, (self.nums + (0,) * (precision - self.precision), self.den))
 
     def derivative(self) -> "TruncatedSeries":
         """Formal d/dt; the result is exact through degree N - 2."""
         if self.precision == 1:
             return TruncatedSeries.zero(self.field, 1)
-        reduce = self.field.reduce
-        coeffs = self.coeffs
-        return TruncatedSeries(
-            self.field, tuple(reduce(coeffs[i] * i) for i in range(1, len(coeffs)))
-        )
+        nums = [i * x for i, x in enumerate(self.nums[1:], 1)]
+        return _series(self.field, self.field.normalize(nums, self.den))
 
     def scale(self, lam: Scalar) -> "TruncatedSeries":
         """The scaling action f(t) -> f(lam * t): multiplies coeff i by lam^i."""
-        lam = self.field.element(lam).value
-        if not lam:
+        (ln,), ld = self.field.vector((self.field.element(lam).value,))
+        if not ln:
             raise ValueError("scaling by 0 is not invertible and is not allowed")
-        reduce = self.field.reduce
-        out = []
-        power = self.field.one.value
-        for c in self.coeffs:
-            out.append(reduce(power * c))
-            power = reduce(power * lam)
-        return TruncatedSeries(self.field, tuple(out))
+        top = self.precision - 1
+        nums = [x * ln ** i * ld ** (top - i) for i, x in enumerate(self.nums)]
+        return _series(self.field, self.field.normalize(nums, self.den * ld ** top))
 
     @property
     def is_unit(self) -> bool:
-        return bool(self.coeffs[0])
+        return bool(self.nums[0])
 
     @property
     def is_flat(self) -> bool:
         """Whether a(1 - a) is a unit, i.e. a(0) is neither 0 nor 1."""
-        c = self.coeffs[0]
-        return bool(c) and c != 1
+        c = self.nums[0]
+        return bool(c) and c != self.den
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     # -- ring arithmetic -----------------------------------------------------
 
@@ -174,66 +178,53 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             if other.field is not self.field:
                 raise FieldMismatchError("series over distinct fields cannot be combined")
-            if other.precision != self.precision:
+            if len(other.nums) != len(self.nums):
                 raise PrecisionError(
                     f"precision mismatch: {self.precision} vs {other.precision};"
                     " re-truncate explicitly with with_precision"
                 )
             return other
-        if isinstance(other, (int, Fraction, FieldElement)) and not isinstance(other, bool):
+        if _is_scalar(other):
             return TruncatedSeries.constant(self.field, other, self.precision)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other; a scalar other touches coefficient 0 only."""
+        field = self.field
+        if _is_scalar(other):
+            # an int is used as it is: normalize reduces the result mod p
+            (cn,), cd = field.vector((other if type(other) is int else field.element(other).value,))
+            nums = [cd * x for x in self.nums]
+            nums[0] += sign * cn * self.den
+            return _series(field, field.normalize(nums, self.den * cd))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        reduce = self.field.reduce
-        return TruncatedSeries(
-            self.field, tuple(reduce(a + b) for a, b in zip(self.coeffs, rhs.coeffs))
-        )
+        return _series(field, field.add(self.nums, self.den, rhs.nums, rhs.den, sign))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        reduce = self.field.reduce
-        return TruncatedSeries(
-            self.field, tuple(reduce(a - b) for a, b in zip(self.coeffs, rhs.coeffs))
-        )
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
+        return -self + other if _is_scalar(other) else NotImplemented
 
     def __neg__(self):
-        reduce = self.field.reduce
-        return TruncatedSeries(self.field, tuple(reduce(-a) for a in self.coeffs))
+        return _series(self.field, self.field.normalize([-x for x in self.nums], self.den))
 
     def __mul__(self, other):
         field = self.field
-        reduce = field.reduce
-        if isinstance(other, (int, Fraction, FieldElement)) and not isinstance(other, bool):
-            lam = field.element(other).value
-            return TruncatedSeries(field, tuple(reduce(lam * c) for c in self.coeffs))
+        if _is_scalar(other):
+            (cn,), cd = field.vector((other if type(other) is int else field.element(other).value,))
+            return _series(field, field.normalize([cn * x for x in self.nums], self.den * cd))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        n = self.precision
-        out = [field.zero.value] * n
-        nonzero_b = [(j, b) for j, b in enumerate(rhs.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in nonzero_b:
-                if i + j >= n:
-                    break
-                out[i + j] += a * b
-        return TruncatedSeries(field, tuple(map(reduce, out)))
+        return _series(field, field.mul(self.nums, self.den, rhs.nums, rhs.den))
 
     __rmul__ = __mul__
 
@@ -244,31 +235,13 @@ class TruncatedSeries:
         return self * rhs.invert()
 
     def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.invert()
+        return self.invert() * other if _is_scalar(other) else NotImplemented
 
     def invert(self) -> "TruncatedSeries":
         """The two-sided inverse; requires a unit (nonzero constant term)."""
-        a0 = self.coeffs[0]
-        if not a0:
+        if not self.nums[0]:
             raise NonUnitError("series with zero constant term has no inverse")
-        field = self.field
-        reduce = field.reduce
-        zero = field.zero.value
-        inv0 = field.inv(a0)
-        neg_inv0 = reduce(-inv0)
-        nonzero = [(j, a) for j, a in enumerate(self.coeffs) if j and a]
-        out = [inv0]
-        for k in range(1, self.precision):
-            acc = zero
-            for j, a in nonzero:
-                if j > k:
-                    break
-                acc += a * out[k - j]
-            out.append(reduce(neg_inv0 * acc))
-        return TruncatedSeries(field, tuple(out))
+        return _series(self.field, self.field.invert(self.nums, self.den))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -290,14 +263,10 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.field is other.field
-            and self.precision == other.precision
-            and self.coeffs == other.coeffs
-        )
+        return self.field is other.field and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.field.characteristic, self.coeffs))
+        return hash((self.field.characteristic, self.nums, self.den))
 
     def __str__(self) -> str:
         """Textual form `c0 + c1*t + c2*t^2 + ...` with all N coefficients."""
@@ -313,6 +282,18 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"<{self} | {self.field!r}, N={self.precision}>"
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, (int, Fraction, FieldElement)) and not isinstance(value, bool)
+
+
+def _series(field: Field, vector: Vector) -> TruncatedSeries:
+    """A series from a normalised vector, without the constructor's conversion."""
+    series = object.__new__(TruncatedSeries)
+    series.field = field
+    series.nums, series.den = vector
+    return series
 
 
 def _require_charp_precision(series: TruncatedSeries, op: str) -> None:
@@ -333,14 +314,9 @@ def log_circ(a: TruncatedSeries) -> TruncatedSeries:
     _require_charp_precision(a, "log_circ")
     if not a.is_unit:
         raise NonUnitError("log_circ requires a unit (nonzero constant term)")
-    field = a.field
-    reduce, inv = field.reduce, field.inv
     # a' is exact through degree N - 2, which is all the integral reads
-    ratio = (a.derivative().with_precision(a.precision) * a.invert()).coeffs
-    return TruncatedSeries(
-        field,
-        (field.zero.value,) + tuple(reduce(ratio[k - 1] * inv(k)) for k in range(1, a.precision)),
-    )
+    ratio = a.derivative().with_precision(a.precision) * a.invert()
+    return _series(a.field, a.field.integral(ratio.nums, ratio.den))
 
 
 def exp_t(u: TruncatedSeries) -> TruncatedSeries:
@@ -349,22 +325,9 @@ def exp_t(u: TruncatedSeries) -> TruncatedSeries:
     exp_t(log_circ(a)) * a(0) = a and log_circ(c * exp_t(u)) = u exactly.
     """
     _require_charp_precision(u, "exp_t")
-    if u.coeffs[0]:
+    if u.nums[0]:
         raise ValueError("exp_t requires zero constant term")
-    field = u.field
-    reduce, inv = field.reduce, field.inv
-    zero = field.zero.value
-    # (j, j * u_j) for the nonzero terms of u'
-    nonzero = [(j, d) for j, d in enumerate(u.derivative().coeffs, 1) if d]
-    out = [field.one.value]
-    for k in range(1, u.precision):
-        acc = zero
-        for j, d in nonzero:
-            if j > k:
-                break
-            acc += d * out[k - j]
-        out.append(reduce(acc * inv(k)))
-    return TruncatedSeries(field, tuple(out))
+    return _series(u.field, u.field.exp_t(u.nums, u.den))
 
 
 def random_series(

@@ -1,18 +1,106 @@
-"""The two coefficient backends: canonical raw storage, and reduction mod p as an oracle.
+"""The two coefficient backends: normalised vectors, a Fraction oracle, and reduction mod p.
 
-Series over QQ hold Fractions and series over GF(p) hold least residues.
-Reducing p-integral rational inputs mod p must commute with every series
-operation and with seed mutation, which ties the prime-field fast path to the
-rational one through an independent residue map.
+Series over QQ hold int numerators over one positive common denominator with
+gcd 1; series over GF(p) hold least residues over the denominator 1.  The
+vector kernels are checked three ways: against the coefficient-by-coefficient
+Fraction loops below (the reference, kept only here), for the normalised form
+after every operation, and by reducing p-integral rational inputs mod p, which
+must commute with every series operation and with seed mutation.
 """
 
+import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from infdilog.bloch import WedgeLedger
 from infdilog.cluster import InvalidPointError, YSeed, builtin_pattern
 from infdilog.fields import GF, QQ
 from infdilog.series import TruncatedSeries, exp_t, log_circ, random_series
+
+
+# -- reference: one raw value per coefficient, reduced by the field ----------
+
+def ref_mul(field, a, b):
+    n = len(a)
+    out = [field.zero.value] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: n - i]):
+            out[i + j] += x * y
+    return tuple(map(field.reduce, out))
+
+
+def ref_invert(field, a):
+    inv0 = field.inv(a[0])
+    out = [inv0]
+    for k in range(1, len(a)):
+        acc = sum((a[j] * out[k - j] for j in range(1, k + 1)), field.zero.value)
+        out.append(field.reduce(-inv0 * acc))
+    return tuple(out)
+
+
+def ref_log_circ(field, a):
+    n = len(a)
+    derivative = tuple(field.reduce(a[i] * i) for i in range(1, n)) + (field.zero.value,)
+    ratio = ref_mul(field, derivative, ref_invert(field, a))
+    return (field.zero.value,) + tuple(field.reduce(ratio[k - 1] * field.inv(k)) for k in range(1, n))
+
+
+def ref_exp_t(field, u):
+    out = [field.one.value]
+    for k in range(1, len(u)):
+        acc = sum((field.reduce(j * u[j]) * out[k - j] for j in range(1, k + 1)), field.zero.value)
+        out.append(field.reduce(acc * field.inv(k)))
+    return tuple(out)
+
+
+def oracle_inputs(field, rng):
+    """(precision, a, b, u): a a unit, u(0) = 0, at N = 1..11 and heights 1..10^6.
+
+    Sparse vectors, negative constants, one and zero are among them.
+    """
+    dens = (lambda h: rng.randint(1, h)) if field.characteristic == 0 else (lambda h: 1)
+    for n in range(1, 12):
+        one, zero = TruncatedSeries.one(field, n), TruncatedSeries.zero(field, n)
+        yield n, one, zero, zero
+        yield n, one, one, zero
+        for height in (1, 10, 1000, 10**6):
+            for shape in ("dense", "sparse", "negative"):
+                def draw(constant=None):
+                    coeffs = []
+                    for i in range(n):
+                        if shape == "sparse" and i and rng.random() < 0.6:
+                            coeffs.append(0)
+                        else:
+                            coeffs.append(Fraction(rng.randint(-height, height), dens(height)))
+                    if constant is not None:
+                        coeffs[0] = constant
+                    return TruncatedSeries.from_coeffs(field, coeffs)
+
+                a = TruncatedSeries.zero(field, n)
+                while not a.is_unit:  # a negative constant may still vanish mod p
+                    a = draw(-Fraction(rng.randint(1, height), dens(height)) if shape == "negative" else None)
+                yield n, a, draw(), draw(0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(13)], ids=["QQ", "GF13"])
+def test_kernels_match_the_fraction_loops(field):
+    rng = random.Random(11)
+    compared = 0
+    for n, a, b, u in oracle_inputs(field, rng):
+        for result, expected in (
+            (a * b, ref_mul(field, a.coeffs, b.coeffs)),
+            (b * a, ref_mul(field, b.coeffs, a.coeffs)),
+            (a.invert(), ref_invert(field, a.coeffs)),
+            (log_circ(a), ref_log_circ(field, a.coeffs)),
+            (exp_t(u), ref_exp_t(field, u.coeffs)),
+        ):
+            assert_canonical(result)
+            assert result.coeffs == expected, (n, a, b, u)
+            assert result == TruncatedSeries(field, expected)
+            compared += 1
+    assert compared >= 5 * 11 * 12
 
 
 def residue(x: Fraction, p: int) -> int:
@@ -73,12 +161,20 @@ def test_reduction_mod_p_commutes_with_mutation():
 
 
 def assert_canonical(s: TruncatedSeries) -> None:
+    """The normalised vector, and agreement with the same series built through from_coeffs."""
     p = s.field.characteristic
-    for c in s.coeffs:
-        if p == 0:
-            assert type(c) is Fraction, (s, c)
-        else:
-            assert type(c) is int and 0 <= c < p, (s, c)
+    assert type(s.nums) is tuple and all(type(x) is int for x in s.nums), s
+    assert type(s.den) is int and s.den > 0, s
+    if p == 0:
+        assert math.gcd(s.den, *s.nums) == 1, (s, s.nums, s.den)
+        assert all(type(c) is Fraction for c in s.coeffs), s
+    else:
+        assert s.den == 1 and all(0 <= x < p for x in s.nums), (s, s.nums)
+    if s.is_zero():
+        assert s.den == 1, s
+    rebuilt = TruncatedSeries.from_coeffs(s.field, s.coeffs)
+    assert (rebuilt.nums, rebuilt.den) == (s.nums, s.den)
+    assert rebuilt == s and hash(rebuilt) == hash(s) and str(rebuilt) == str(s)
 
 
 def test_coefficients_stay_canonical_after_every_op():
@@ -93,7 +189,7 @@ def test_coefficients_stay_canonical_after_every_op():
         zero = TruncatedSeries.zero(field, n)
         one = TruncatedSeries.one(field, n)
         u = log_circ(a)
-        ledger = WedgeLedger([(1, a, one + b)])
+        ledger = WedgeLedger([(1, a, one + b), (2, b, a)])
         results = [
             a, b, zero, one, TruncatedSeries.constant(field, scalar, n),
             a + b, a - b, -a, -zero, 2 + a, 1 - a, a * b, b * a, zero * zero,
@@ -101,7 +197,39 @@ def test_coefficients_stay_canonical_after_every_op():
             a ** 0, a ** 3, a ** -2, a.derivative(), one.derivative(), a.scale(scalar),
             log_circ(a), log_circ(one), log_circ(TruncatedSeries.constant(field, 2, n)),
             exp_t(u), exp_t(zero), a.truncate_below(2), a.with_precision(n + 2),
-            a.with_precision(2), *(TruncatedSeries(field, log) for log in ledger.logged()[0][1:]),
+            a.with_precision(2), a - a, a + scalar, a - scalar, scalar - a, one - 1,
+            TruncatedSeries.from_coeffs(field, [Fraction(1, 2), Fraction(3, 2)]) * 2,
+            TruncatedSeries.from_coeffs(field, [Fraction(2, 3), 1]).with_precision(1),
         ]
+        for s in results:
+            assert_canonical(s)
+        # the ledger's logs: numerators over one denominator, gcd 1 across the ledger
+        den, logged = ledger.logged()
+        assert den > 0 and math.gcd(den, *(x for _, lo, ro in logged for x in lo + ro)) == 1
+        for (_, left, right), (_, lo, ro) in zip(ledger.terms, logged):
+            for side, log in ((left, lo), (right, ro)):
+                assert TruncatedSeries(field, tuple(field.quotient(x, den) for x in log)) == log_circ(side)
+
+
+SCALARS = {
+    "int": lambda field: -3,
+    "Fraction": lambda field: Fraction(5, 4),
+    "FieldElement": lambda field: field.element(Fraction(-2, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_scalar_sums_build_no_constant_series(field, kind, monkeypatch):
+    rng = random.Random(8)
+    c = SCALARS[kind](field)
+    for n in (1, 2, 5):
+        a = random_series(field, n, rng, 10)
+        const = TruncatedSeries.constant(field, c, n)
+        expected = [a + const, const + a, a - const, const - a]
+        with monkeypatch.context() as patched:
+            patched.setattr(TruncatedSeries, "from_coeffs", None)  # no constant series is built
+            results = [a + c, c + a, a - c, c - a]
+        assert results == expected
         for s in results:
             assert_canonical(s)
