@@ -138,21 +138,17 @@ def pentagon_terms(a: TruncatedSeries, b: TruncatedSeries) -> list[tuple[int, Tr
     """The five-term combination [a] - [b] + [b/a] - [(1-1/a)/(1-1/b)] + [(1-a)/(1-b)].
 
     Returns (sign, argument) pairs.  Defined when a(1-a)b(1-b)(b-a) is a unit,
-    which makes every argument flat.
+    which makes every argument flat.  Two inversions suffice, as
+    (1-1/a)/(1-1/b) = ((1-a)/(1-b)) * (b/a) needs the same units.
     """
     for name, s in (("a", a), ("b", b)):
         if not s.is_flat:
             raise NotFlatError(f"pentagon argument {name} must be flat")
-    if a.constant_term() == b.constant_term():
+    if a.nums[0] * b.den == b.nums[0] * a.den:
         raise NotFlatError("pentagon requires b - a to be a unit")
-    one = TruncatedSeries.one(a.field, a.precision)
-    return [
-        (1, a),
-        (-1, b),
-        (1, b / a),
-        (-1, (one - a.invert()) / (one - b.invert())),
-        (1, (one - a) / (one - b)),
-    ]
+    ratio = b / a
+    rest = (1 - a) / (1 - b)
+    return [(1, a), (-1, b), (1, ratio), (-1, rest * ratio), (1, rest)]
 
 
 def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> FieldElement:

@@ -19,7 +19,7 @@ equals (1 - s^p - (1-s)^p) / p mod p on an integer lift of s (Kontsevich, "The
 1 1/2-logarithm", appendix to Elbaz-Vincent and Gangl, "On poly(ana)logs I",
 Compositio Math. 130, 2002); the closed form is the one evaluated, in O(log p).
 The weight-two map on dual numbers is li2p(s + at) = (a / (s(1-s)))^p *
-pounds1(s), with the lift expression
+pounds1(s); both work on least residues, with the lift expression
 (1/2) * sum_{1<=i<p} i * (ell_{p-i} ^ ell_i) applied to delta of a lift at
 precision exactly p.
 """
@@ -103,12 +103,10 @@ def li_via_lift(m: int, w: int, lift: TruncatedSeries) -> FieldElement:
 
 
 def _lift_sum(lift: TruncatedSeries, top: int, count: int) -> FieldElement:
-    """sum_{1 <= i <= count} i * (ell_{top-i} ^ ell_i)(delta(lift)), on one ledger."""
-    led = delta(lift)
-    total = lift.field.zero
-    for i in range(1, count + 1):
-        total = total + lift.field.element(i) * apply_functional_pair(top - i, i, led)
-    return total
+    """sum_{1 <= i <= count} i * (ell_{top-i} ^ ell_i)(delta(lift)), on one ledger, reduced once."""
+    led, field = delta(lift), lift.field
+    total = sum(i * apply_functional_pair(top - i, i, led).value for i in range(1, count + 1))
+    return FieldElement(field, field.reduce(total))
 
 
 def li_closed_form(m: int, w: int, s: FieldElement, u1, u2=None) -> FieldElement:
@@ -141,25 +139,29 @@ def li_closed_form(m: int, w: int, s: FieldElement, u1, u2=None) -> FieldElement
     )
 
 
-def pounds1(s: FieldElement) -> FieldElement:
-    """The 1 1/2 logarithm over GF(p): sum of s^i / i for 1 <= i < p.
+def _pounds1(x: int, p: int) -> int:
+    """Kontsevich's (1 - x^p - (1-x)^p) / p mod p, as a least residue.
 
-    Computed as Kontsevich's (1 - x^p - (1-x)^p) / p on the least residue x,
-    with two powers mod p^2 and no field inversion: exact since x^p + (1-x)^p
-    = 1 mod p, and the same on any lift since (x + kp)^p = x^p mod p^2.
+    Two powers mod p^2 and no inversion: exact since x^p + (1-x)^p = 1 mod p,
+    and the same on any lift since (x + kp)^p = x^p mod p^2.
     """
+    pp = p * p
+    return (1 - pow(x, p, pp) - pow(1 - x, p, pp)) % pp // p
+
+
+def pounds1(s: FieldElement) -> FieldElement:
+    """The 1 1/2 logarithm over GF(p): sum of s^i / i for 1 <= i < p."""
     p = s.field.characteristic
     if p == 0:
         raise ValueError("pounds1 is defined over prime fields only")
-    x, pp = s.value, p * p
-    return s.field.element((1 - pow(x, p, pp) - pow(1 - x, p, pp)) % pp // p)
+    return FieldElement(s.field, _pounds1(s.value, p))
 
 
 def li2p(y: TruncatedSeries) -> FieldElement:
     """The char-p weight-two dilogarithm on dual numbers s + a*t.
 
     li2p(y) = ybar^p * pounds1(s) with ybar = a / (s(1 - s)).  The argument is
-    read modulo t^2.
+    read modulo t^2, as the least residues s and a.
     """
     p = y.field.characteristic
     if p == 0:
@@ -167,10 +169,9 @@ def li2p(y: TruncatedSeries) -> FieldElement:
     if y.precision < 2:
         raise PrecisionError("li2p needs the t coefficient; provide precision >= 2")
     _require_flat(y, "li2p")
-    s = y.coeff(0)
-    alpha = y.coeff(1)
-    ybar = alpha / (s * (1 - s))
-    return ybar ** p * pounds1(s)
+    s, a = y.nums[0], y.nums[1]
+    ybar = a * pow(s * (1 - s), p - 2, p) % p
+    return FieldElement(y.field, pow(ybar, p, p) * _pounds1(s, p) % p)
 
 
 def li2p_via_lift(lift: TruncatedSeries) -> FieldElement:

@@ -188,13 +188,13 @@ class TruncatedSeries:
             return TruncatedSeries.constant(self.field, other, self.precision)
         return None
 
-    def _plus(self, other, sign: int):
-        """self + sign * other; a scalar other touches coefficient 0 only."""
+    def _plus(self, other, sign: int, own: int = 1):
+        """own * self + sign * other (own = -1 for a scalar other only); a scalar touches coeff 0 only."""
         field = self.field
         if _is_scalar(other):
             # an int is used as it is: normalize reduces the result mod p
             (cn,), cd = field.vector((other if type(other) is int else field.element(other).value,))
-            nums = [cd * x for x in self.nums]
+            nums = [own * cd * x for x in self.nums]
             nums[0] += sign * cn * self.den
             return _series(field, field.normalize(nums, self.den * cd))
         rhs = self._coerce(other)
@@ -211,7 +211,7 @@ class TruncatedSeries:
         return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return -self + other if _is_scalar(other) else NotImplemented
+        return self._plus(other, 1, -1) if _is_scalar(other) else NotImplemented
 
     def __neg__(self):
         return _series(self.field, self.field.normalize([-x for x in self.nums], self.den))

@@ -5,18 +5,19 @@ checks share one driver: a judge maps a point to None when a validity filter
 (a failed inversion, a non-flat value) rejects it, or else to a witness dict,
 and `_tally` keeps the counts.  Every identity stated as a weighted sum of one
 dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
-from its (weight, argument) terms.  A point source is either an exhaustive
-enumeration (`_exhaust`) or seeded sampling (`_resample`).  Random trials draw
-their randomness as a pure function of (master seed, check id, trial index),
-so reports are deterministic and independent of execution order; rejected
-samples are resampled, up to RESAMPLE_FACTOR attempts per requested trial, and
-a sampled check that cannot gather enough valid samples reports that instead
-of passing.  Prime-field point spaces are enumerated exhaustively whenever
-p^dimension stays within EXHAUSTIVE_LIMIT and a trial count is not forced;
-above the limit a trial count is required.  An exhaustive cluster-p or named
-check passes when no valid point fails, even if no point was valid: at p = 3
-the A2 and B2 cluster sums and three of the named identities pass that way,
-with valid = 0 in their reports.
+from its (weight, argument) terms, as a raw sum reduced once.  A point source
+is either an exhaustive enumeration (`_exhaust`) or seeded sampling
+(`_resample`).  Random trials draw their randomness as a pure function of
+(master seed, check id, trial index), so reports are deterministic and
+independent of execution order; rejected samples are resampled, up to
+RESAMPLE_FACTOR attempts per requested trial, and a sampled check that cannot
+gather enough valid samples reports that instead of passing.  Prime-field
+point spaces are enumerated exhaustively whenever p^dimension stays within
+EXHAUSTIVE_LIMIT and a trial count is not forced; above the limit a trial
+count is required.  An exhaustive cluster-p or named check passes when no
+valid point fails, even if no point was valid: at p = 3 the A2 and B2 cluster
+sums and three of the named identities pass that way, with valid = 0 in their
+reports.
 
 An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
 elementary, involution and a2_five_term_charp) first tries to certify a pass
@@ -41,7 +42,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 
 from . import bloch, cluster, dilog
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, FieldElement, FieldMismatchError
 from .series import TruncatedSeries, random_series
 
 __all__ = [
@@ -183,8 +184,8 @@ def _li2p_is_tangent_linear(field: Field) -> bool:
     """Whether li2p(s + b t) = b li2p(s + t) for every flat s and every b in GF(p)."""
     p = field.characteristic
     for s in range(2, p):
-        unit = dilog.li2p(TruncatedSeries(field, (s, 1)))
-        if any(dilog.li2p(TruncatedSeries(field, (s, b))) != b * unit for b in range(p) if b != 1):
+        unit = dilog.li2p(TruncatedSeries(field, (s, 1))).value
+        if any(dilog.li2p(TruncatedSeries(field, (s, b))).value != b * unit % p for b in range(p) if b != 1):
             return False
     return True
 
@@ -284,14 +285,17 @@ def _weighted_flat_values(matrix, schedule, weights, point):
 
 
 def _vanishing(field: Field, value_of, terms, inputs: dict, label: str = "") -> dict:
-    """The witness that sum weight * value_of(arg) over (weight, arg) terms is zero."""
-    total = field.zero
+    """The witness that sum weight * value_of(arg) over (weight, arg) terms is zero.
+
+    A raw sum of weight * value, reduced once; a non-int weight goes through
+    field.element, so a weight or a value of another field raises FieldMismatchError."""
+    total = 0
     for weight, arg in terms:
         value = value_of(arg)
-        # a FieldElement weight is never compared with 1: that would build an element
-        if not (type(weight) is int and weight == 1):
-            value = field.element(weight) * value
-        total = total + value
+        if value.field is not field:
+            raise FieldMismatchError(f"cannot combine element of {field!r} with element of {value.field!r}")
+        total += (weight if type(weight) is int else field.element(weight).value) * value.value
+    total = field.reduce(total)
     return {"ok": not total, "inputs": inputs, "value": f"{label}{total}"}
 
 
@@ -568,12 +572,13 @@ def check_cluster_charp(
 
 def _four_term(field, coords):
     p = field.characteristic
-    r_, s_ = coords
-    if r_ in (0, 1) or s_ in (0, 1) or r_ == s_:
+    r, s = coords
+    if r in (0, 1) or s in (0, 1) or r == s:
         return None
-    r, s = field.element(r_), field.element(s_)
-    terms = [(1, r), (-1, s), (r ** p, s / r), ((s - 1) ** p, (1 - r) / (1 - s))]
-    return _vanishing(field, dilog.pounds1, terms, {"r": str(r_), "s": str(s_)})
+    terms = [(1, r), (-1, s), (pow(r, p, p), s * pow(r, p - 2, p)),
+             (pow(s - 1, p, p), (1 - r) * pow(1 - s, p - 2, p))]
+    return _vanishing(field, dilog.pounds1, [(w, FieldElement(field, x % p)) for w, x in terms],
+                      {"r": str(r), "s": str(s)})
 
 
 def _elementary(field, coords):
@@ -607,13 +612,11 @@ def _a2_five_term_charp(field, coords):
 
 
 def _a2_pentagon_substitution(field, coords):
-    r_, s_ = coords
-    if r_ in (0, 1) or s_ in (0, 1) or r_ == s_:
+    r, s = coords
+    if r in (0, 1) or s in (0, 1) or r == s:
         return None
-    r, s = field.element(r_), field.element(s_)
-    x = TruncatedSeries.from_coeffs(field, [r, r * (1 - r)])
-    y = TruncatedSeries.from_coeffs(field, [s, s * (1 - s)])
-    return _vanishing(field, dilog.li2p, bloch.pentagon_terms(x, y), {"r": str(r_), "s": str(s_)})
+    x, y = (TruncatedSeries(field, (c, c * (1 - c) % field.characteristic)) for c in (r, s))
+    return _vanishing(field, dilog.li2p, bloch.pentagon_terms(x, y), {"r": str(r), "s": str(s)})
 
 
 # name: (judge, dimension, whether the coordinates are dual numbers s_i, a_i)

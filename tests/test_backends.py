@@ -227,9 +227,14 @@ def test_scalar_sums_build_no_constant_series(field, kind, monkeypatch):
         a = random_series(field, n, rng, 10)
         const = TruncatedSeries.constant(field, c, n)
         expected = [a + const, const + a, a - const, const - a]
+        calls = []
+        original = type(field).normalize
         with monkeypatch.context() as patched:
             patched.setattr(TruncatedSeries, "from_coeffs", None)  # no constant series is built
+            patched.setattr(type(field), "normalize",
+                            lambda self, nums, den: calls.append(den) or original(self, nums, den))
             results = [a + c, c + a, a - c, c - a]
         assert results == expected
+        assert len(calls) == 4  # one normalisation per sum, scalar - series included
         for s in results:
             assert_canonical(s)

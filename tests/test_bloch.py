@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -223,3 +224,34 @@ def test_ledger_resolves_each_term_once(monkeypatch):
     hashes.clear()
     apply_functional_pair(1, 5, ledger)
     assert hashes == []
+
+
+def _pentagon_terms_reference(a, b):
+    """Reference: the pentagon arguments as written, with five inversions."""
+    one = TruncatedSeries.one(a.field, a.precision)
+    return [(1, a), (-1, b), (1, b / a), (-1, (one - a.invert()) / (one - b.invert())),
+            (1, (one - a) / (one - b))]
+
+
+def test_pentagon_terms_match_the_five_inversion_form():
+    rng = random.Random(43)
+    for n in range(2, 8):
+        hits = 0
+        while hits < 20:
+            a, b = random_series(QQ, n, rng, 10), random_series(QQ, n, rng, 10)
+            if not (a.is_flat and b.is_flat) or a.constant_term() == b.constant_term():
+                continue
+            assert pentagon_terms(a, b) == _pentagon_terms_reference(a, b), (a, b)
+            hits += 1
+    field = GF(7)
+    duals = [TruncatedSeries(field, c) for c in itertools.product(range(7), repeat=2)]
+    valid = 0
+    for a, b in itertools.product(duals, repeat=2):
+        if not (a.is_flat and b.is_flat) or a.nums[0] == b.nums[0]:
+            with pytest.raises(NotFlatError):
+                pentagon_terms(a, b)
+            continue
+        assert pentagon_terms(a, b) == _pentagon_terms_reference(a, b), (a, b)
+        valid += 1
+    # a: 5 flat constants, b: the 4 others, each with 7 tangents
+    assert valid == 5 * 7 * 4 * 7

@@ -223,6 +223,26 @@ def test_li2p_hand_values():
         li2p(q_series(2, 1))
 
 
+def _li2p_reference(y):
+    """Reference: the element formula (a / (s(1 - s)))^p * pounds1(s)."""
+    s, a = y.coeff(0), y.coeff(1)
+    return (a / (s * (1 - s))) ** y.field.characteristic * pounds1(s)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 43))
+def test_li2p_matches_the_element_formula_everywhere(p):
+    field = GF(p)
+    for s, a in itertools.product(range(p), repeat=2):
+        y = TruncatedSeries(field, (s, a))
+        if s in (0, 1):
+            with pytest.raises(NotFlatError):
+                li2p(y)
+            continue
+        got = li2p(y)
+        assert got.field is field and 0 <= got.value < p, (p, s, a)
+        assert got == _li2p_reference(y), (p, s, a)
+
+
 def test_li2p_involution_witness():
     f5 = GF(5)
     y = TruncatedSeries.from_coeffs(f5, [2, 1])

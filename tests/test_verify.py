@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from infdilog import bloch, cluster, dilog, verify
-from infdilog.fields import GF, QQ, Field
+from infdilog.fields import GF, QQ, Field, FieldMismatchError
 from infdilog.series import TruncatedSeries
 
 
@@ -156,6 +156,69 @@ def test_four_term_hand_trace():
     ]
     assert [x.value for x in parts] == [4, 3, 3, 1]
     assert parts[0] - parts[1] + parts[2] + parts[3] == f5.zero
+
+
+def _four_term_reference(field, coords):
+    """Reference: the four-term judge on field elements."""
+    p = field.characteristic
+    r_, s_ = coords
+    if r_ in (0, 1) or s_ in (0, 1) or r_ == s_:
+        return None
+    r, s = field.element(r_), field.element(s_)
+    total = (dilog.pounds1(r) - dilog.pounds1(s) + r ** p * dilog.pounds1(s / r)
+             + (s - 1) ** p * dilog.pounds1((1 - r) / (1 - s)))
+    return {"ok": not total, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)}
+
+
+def _a2_pentagon_substitution_reference(field, coords):
+    """Reference: li2p summed over the five pentagon arguments as written, at
+    x = r + r(1 - r)t and y = s + s(1 - s)t, on field elements."""
+    r_, s_ = coords
+    if r_ in (0, 1) or s_ in (0, 1) or r_ == s_:
+        return None
+    r, s = field.element(r_), field.element(s_)
+    x = TruncatedSeries.from_coeffs(field, [r, r * (1 - r)])
+    y = TruncatedSeries.from_coeffs(field, [s, s * (1 - s)])
+    one = TruncatedSeries.one(field, 2)
+    terms = [(1, x), (-1, y), (1, y / x), (-1, (one - x.invert()) / (one - y.invert())),
+             (1, (one - x) / (one - y))]
+    total = field.zero
+    for sign, arg in terms:
+        total = total + sign * dilog.li2p(arg)
+    return {"ok": not total, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)}
+
+
+@pytest.mark.parametrize("name, reference, value_name", [
+    ("four_term", _four_term_reference, "pounds1"),
+    ("a2_pentagon_substitution", _a2_pentagon_substitution_reference, "li2p"),
+])
+def test_residue_judges_match_the_element_judges(monkeypatch, name, reference, value_name):
+    """Every point of GF(43)^2: the same witness, and the same dilogarithm arguments."""
+    field = GF(43)
+    judge = verify.NAMED_IDENTITIES[name][0]
+    seen = []
+    original = getattr(dilog, value_name)
+    monkeypatch.setattr(dilog, value_name, lambda arg: seen.append(arg) or original(arg))
+    valid = 0
+    for coords in itertools.product(range(43), repeat=2):
+        got, got_args = judge(field, coords), seen[:]
+        seen.clear()
+        assert got == reference(field, coords), coords
+        assert got_args == seen, coords
+        seen.clear()
+        valid += got is not None
+    assert valid == 41 * 40
+
+
+def test_vanishing_refuses_a_value_or_weight_of_another_field():
+    f5, f7 = GF(5), GF(7)
+    with pytest.raises(FieldMismatchError):
+        verify._vanishing(f7, f5.element, [(1, 2)], {})
+    with pytest.raises(FieldMismatchError):
+        verify._vanishing(f7, f7.element, [(f5.element(2), 3)], {})
+    # a weight of the same field, or an int or a Fraction, is accepted
+    witness = verify._vanishing(f7, f7.element, [(f7.element(2), 3), (Fraction(1, 2), 2), (-7, 4)], {})
+    assert witness == {"ok": True, "inputs": {}, "value": "0"}
 
 
 def test_lemma_wedge_check():
