@@ -170,7 +170,7 @@ def li2p(y: TruncatedSeries) -> FieldElement:
         raise PrecisionError("li2p needs the t coefficient; provide precision >= 2")
     _require_flat(y, "li2p")
     s, a = y.nums[0], y.nums[1]
-    ybar = a * pow(s * (1 - s), p - 2, p) % p
+    ybar = a * y.field.inv(s * (1 - s) % p) % p
     return FieldElement(y.field, pow(ybar, p, p) * _pounds1(s, p) % p)
 
 

@@ -16,11 +16,13 @@ normalise once per result; invert, integral and exp_t are per field,
 fraction-free integer recurrences over QQ and residue loops over GF(p).
 
 At the public boundary a scalar is a FieldElement: a raw value tagged with its
-field.  Field.element takes exact scalars only (an int, a Fraction or an
-element of the same field) and raises TypeError for a float or anything else.
-Elements of distinct fields never combine: any attempt raises
-FieldMismatchError.  All operations are pure and elements are immutable, so
-they can be shared freely.
+field.  Field.scalar is the one rule for operands: an exact scalar (an int
+that is not a bool, a Fraction, or an element of the same field) becomes its
+canonical raw value; anything else (a bool, a float, None, a series) is not a
+scalar, so Field.element raises TypeError and the FieldElement and series
+operators return NotImplemented.  Elements of distinct fields never combine:
+any attempt raises FieldMismatchError.  All operations are pure and elements
+are immutable, so they can be shared freely.
 """
 
 from __future__ import annotations
@@ -114,15 +116,23 @@ class Field:
 
     characteristic: int
 
-    def element(self, value: Scalar) -> FieldElement:
-        """The element an exact scalar names: an int, a Fraction or an element of this field."""
+    def scalar(self, value) -> Raw | None:
+        """The canonical raw value of an exact scalar (an int but not a bool, a Fraction,
+        an element of this field), else None; FieldMismatchError for another field's element."""
         if isinstance(value, FieldElement):
             if value.field is not self:
-                raise FieldMismatchError(f"cannot reinterpret {value!r} in {self!r}")
-            return value
-        if not isinstance(value, (int, Fraction)):
+                raise FieldMismatchError(f"cannot combine element of {value.field!r} with {self!r}")
+            return value.value
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return self._canonical(value)
+        return None
+
+    def element(self, value: Scalar) -> FieldElement:
+        """The element an exact scalar names; TypeError for anything that is not one."""
+        raw = self.scalar(value)
+        if raw is None:
             raise TypeError(f"{self!r} takes an int, a Fraction or a FieldElement, got {value!r}")
-        return FieldElement(self, self._canonical(value))
+        return FieldElement(self, raw)
 
     def mul(self, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> Vector:
         """The product truncated at len(a): an integer convolution over da * db."""
@@ -296,61 +306,35 @@ class FieldElement:
         self.field = field
         self.value = value
 
-    def _coerce(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatchError(
-                    f"cannot combine element of {self.field!r} with element of {other.field!r}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.field.element(other)
-        return None
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        field = self.field
-        return FieldElement(field, field.reduce(self.value + rhs.value))
+        raw = self.field.scalar(other)
+        return NotImplemented if raw is None else FieldElement(self.field, self.field.reduce(self.value + raw))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        field = self.field
-        return FieldElement(field, field.reduce(self.value - rhs.value))
+        raw = self.field.scalar(other)
+        return NotImplemented if raw is None else FieldElement(self.field, self.field.reduce(self.value - raw))
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
+        raw = self.field.scalar(other)
+        return NotImplemented if raw is None else FieldElement(self.field, self.field.reduce(raw - self.value))
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        field = self.field
-        return FieldElement(field, field.reduce(self.value * rhs.value))
+        raw = self.field.scalar(other)
+        return NotImplemented if raw is None else FieldElement(self.field, self.field.reduce(self.value * raw))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
+        raw = self.field.scalar(other)
+        return NotImplemented if raw is None else self * FieldElement(self.field, raw).inverse()
 
     def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
+        raw = self.field.scalar(other)
+        return NotImplemented if raw is None else self.inverse() * raw
 
     def __neg__(self):
         field = self.field
@@ -374,12 +358,12 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         try:
-            rhs = self._coerce(other)
+            raw = self.field.scalar(other)
         except FieldMismatchError:
             return False
-        if rhs is None:
+        if raw is None:
             return NotImplemented
-        return self.value == rhs.value
+        return self.value == raw
 
     def __hash__(self) -> int:
         return hash((self.field.characteristic, self.value))

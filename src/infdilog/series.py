@@ -12,8 +12,10 @@ least residues over denominator 1 over GF(p)), so equal series have equal
 vectors.  The field's vector kernels (fields.py) hold the arithmetic loops:
 mul, add, invert, integral and exp_t.  TruncatedSeries checks shapes and
 preconditions and only rescales numerators itself (derivative, scale, neg),
-normalising through the field.  A scalar added to or subtracted from a series
-touches coefficient 0 only.  coeff and constant_term hand out FieldElements,
+normalising through the field.  A scalar operand is what Field.scalar accepts
+(fields.py states the rule): added or subtracted it touches coefficient 0
+only, and dividing by it multiplies by its inverse, so 0 raises
+ZeroDivisionError.  coeff and constant_term hand out FieldElements,
 coeffs is the raw-value view for boundaries, and from_coeffs is the validating
 constructor for arbitrary scalars.
 
@@ -33,10 +35,9 @@ precision is refused loudly rather than silently reduced.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from .fields import Field, FieldElement, FieldMismatchError, Raw, Vector
+from .fields import Field, FieldElement, FieldMismatchError, Raw, Scalar, Vector
 
 __all__ = [
     "NonUnitError",
@@ -47,8 +48,6 @@ __all__ = [
     "log_circ",
     "random_series",
 ]
-
-Scalar = Union[FieldElement, int, Fraction]
 
 
 class PrecisionError(ValueError):
@@ -174,33 +173,35 @@ class TruncatedSeries:
 
     # -- ring arithmetic -----------------------------------------------------
 
-    def _coerce(self, other) -> "TruncatedSeries | None":
-        if isinstance(other, TruncatedSeries):
-            if other.field is not self.field:
-                raise FieldMismatchError("series over distinct fields cannot be combined")
-            if len(other.nums) != len(self.nums):
-                raise PrecisionError(
-                    f"precision mismatch: {self.precision} vs {other.precision};"
-                    " re-truncate explicitly with with_precision"
-                )
-            return other
-        if _is_scalar(other):
-            return TruncatedSeries.constant(self.field, other, self.precision)
-        return None
+    def _check(self, other: "TruncatedSeries") -> None:
+        """Refuse a series operand of another field or precision."""
+        if other.field is not self.field:
+            raise FieldMismatchError("series over distinct fields cannot be combined")
+        if len(other.nums) != len(self.nums):
+            raise PrecisionError(
+                f"precision mismatch: {self.precision} vs {other.precision};"
+                " re-truncate explicitly with with_precision"
+            )
+
+    def _scalar(self, other) -> Vector | None:
+        """The one-coefficient vector of a scalar operand, else None; an int is used
+        as it is (normalize reduces the result mod p)."""
+        raw = other if type(other) is int else self.field.scalar(other)
+        return None if raw is None else self.field.vector((raw,))
 
     def _plus(self, other, sign: int, own: int = 1):
-        """own * self + sign * other (own = -1 for a scalar other only); a scalar touches coeff 0 only."""
+        """own * self + sign * other; own = -1 only for scalar - series, and a scalar touches coeff 0 only."""
         field = self.field
-        if _is_scalar(other):
-            # an int is used as it is: normalize reduces the result mod p
-            (cn,), cd = field.vector((other if type(other) is int else field.element(other).value,))
-            nums = [own * cd * x for x in self.nums]
-            nums[0] += sign * cn * self.den
-            return _series(field, field.normalize(nums, self.den * cd))
-        rhs = self._coerce(other)
-        if rhs is None:
+        if own == 1 and isinstance(other, TruncatedSeries):
+            self._check(other)
+            return _series(field, field.add(self.nums, self.den, other.nums, other.den, sign))
+        scalar = self._scalar(other)
+        if scalar is None:
             return NotImplemented
-        return _series(field, field.add(self.nums, self.den, rhs.nums, rhs.den, sign))
+        (cn,), cd = scalar
+        nums = [own * cd * x for x in self.nums]
+        nums[0] += sign * cn * self.den
+        return _series(field, field.normalize(nums, self.den * cd))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -211,31 +212,37 @@ class TruncatedSeries:
         return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return self._plus(other, 1, -1) if _is_scalar(other) else NotImplemented
+        return self._plus(other, 1, -1)
 
     def __neg__(self):
         return _series(self.field, self.field.normalize([-x for x in self.nums], self.den))
 
     def __mul__(self, other):
         field = self.field
-        if _is_scalar(other):
-            (cn,), cd = field.vector((other if type(other) is int else field.element(other).value,))
-            return _series(field, field.normalize([cn * x for x in self.nums], self.den * cd))
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, TruncatedSeries):
+            self._check(other)
+            return _series(field, field.mul(self.nums, self.den, other.nums, other.den))
+        scalar = self._scalar(other)
+        if scalar is None:
             return NotImplemented
-        return _series(field, field.mul(self.nums, self.den, rhs.nums, rhs.den))
+        (cn,), cd = scalar
+        return _series(field, field.normalize([cn * x for x in self.nums], self.den * cd))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, TruncatedSeries):
+            return self * other.invert()
+        raw = self.field.scalar(other)
+        if raw is None:
             return NotImplemented
-        return self * rhs.invert()
+        if not raw:
+            raise ZeroDivisionError(f"division of a series by 0 in {self.field!r}")
+        return self * self.field.inv(raw)
 
     def __rtruediv__(self, other):
-        return self.invert() * other if _is_scalar(other) else NotImplemented
+        raw = self.field.scalar(other)
+        return NotImplemented if raw is None else self.invert() * raw
 
     def invert(self) -> "TruncatedSeries":
         """The two-sided inverse; requires a unit (nonzero constant term)."""
@@ -282,10 +289,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"<{self} | {self.field!r}, N={self.precision}>"
-
-
-def _is_scalar(value) -> bool:
-    return isinstance(value, (int, Fraction, FieldElement)) and not isinstance(value, bool)
 
 
 def _series(field: Field, vector: Vector) -> TruncatedSeries:

@@ -39,10 +39,10 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 from . import bloch, cluster, dilog
-from .fields import GF, QQ, Field, FieldElement, FieldMismatchError
+from .fields import GF, QQ, Field, FieldElement
 from .series import TruncatedSeries, random_series
 
 __all__ = [
@@ -121,17 +121,7 @@ class CheckReport:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "attempted": self.attempted,
-            "valid": self.valid,
-            "rejected": self.rejected,
-            "failed": self.failed,
-            "inconclusive": self.inconclusive,
-            "witnesses": self.witnesses,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 # -- the check driver ------------------------------------------------------------
@@ -288,13 +278,12 @@ def _vanishing(field: Field, value_of, terms, inputs: dict, label: str = "") -> 
     """The witness that sum weight * value_of(arg) over (weight, arg) terms is zero.
 
     A raw sum of weight * value, reduced once; a non-int weight goes through
-    field.element, so a weight or a value of another field raises FieldMismatchError."""
+    field.element and every value through field.scalar, so a weight or a value
+    of another field raises FieldMismatchError."""
     total = 0
     for weight, arg in terms:
-        value = value_of(arg)
-        if value.field is not field:
-            raise FieldMismatchError(f"cannot combine element of {field!r} with element of {value.field!r}")
-        total += (weight if type(weight) is int else field.element(weight).value) * value.value
+        weight = weight if type(weight) is int else field.element(weight).value
+        total += weight * field.scalar(value_of(arg))
     total = field.reduce(total)
     return {"ok": not total, "inputs": inputs, "value": f"{label}{total}"}
 
@@ -512,7 +501,7 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
         rng = _derive_rng(seed, report.name, index)
         lifts = [dual.with_precision(p)]
         for _ in range(perturbations):
-            tail = [rng.randrange(p) for _ in range(p - 2)]
+            tail = [rng.randrange(p) for _ in range(2, p)]
             lifts.append(TruncatedSeries.from_coeffs(field, [s, a] + tail))
         for lift in lifts:
             got = dilog.li2p_via_lift(lift)
@@ -575,8 +564,8 @@ def _four_term(field, coords):
     r, s = coords
     if r in (0, 1) or s in (0, 1) or r == s:
         return None
-    terms = [(1, r), (-1, s), (pow(r, p, p), s * pow(r, p - 2, p)),
-             (pow(s - 1, p, p), (1 - r) * pow(1 - s, p - 2, p))]
+    terms = [(1, r), (-1, s), (pow(r, p, p), s * field.inv(r)),
+             (pow(s - 1, p, p), (1 - r) * field.inv((1 - s) % p))]
     return _vanishing(field, dilog.pounds1, [(w, FieldElement(field, x % p)) for w, x in terms],
                       {"r": str(r), "s": str(s)})
 
@@ -615,7 +604,7 @@ def _a2_pentagon_substitution(field, coords):
     r, s = coords
     if r in (0, 1) or s in (0, 1) or r == s:
         return None
-    x, y = (TruncatedSeries(field, (c, c * (1 - c) % field.characteristic)) for c in (r, s))
+    x, y = (TruncatedSeries(field, (c, field.reduce(c * (1 - c)))) for c in (r, s))
     return _vanishing(field, dilog.li2p, bloch.pentagon_terms(x, y), {"r": str(r), "s": str(s)})
 
 
@@ -660,11 +649,14 @@ def check_lemma_wedge(
     (ell_i ^ ell_j), i < j < N.  Over a prime field, exhaustive_constants
     enumerates all constant terms and randomizes the higher coefficients; it
     needs at least one valid point to pass.  A configuration the zero test
-    cannot evaluate (N > p over GF(p), factor_bound < 2) is refused up front.
+    cannot evaluate (N > p over GF(p), factor_bound < 2) is refused up front,
+    and so is N < 3 over GF(p), where the zero test would test nothing: there
+    is no pair i < j < N, and the other components vanish over GF(p).
     """
     p = field.characteristic
-    if p and precision > p:
-        raise ValueError(f"precision {precision} exceeds p = {p}; the zero test needs N <= p")
+    if p and not 3 <= precision <= p:
+        raise ValueError(f"precision {precision} over GF({p}) must be between 3 and p:"
+                         " the zero test needs a pair i < j < N and N <= p")
     if factor_bound < 2:
         raise ValueError(f"factor_bound must be at least 2, got {factor_bound}")
     if exhaustive_constants and not p:

@@ -67,6 +67,7 @@ def test_fp_requires_prime(capsys):
     ["check", "lemma", "--pattern", "A2", "--factor-bound", "1"],
     ["check", "pentagon", "--m", "2", "--w", "3", "--height", "0"],
     ["check", "lemma", "--pattern", "A2", "--field", "fp", "--p", "7", "--precision", "8"],
+    ["check", "lemma", "--pattern", "A2", "--field", "fp", "--p", "7", "--precision", "2", "--exhaustive"],
     ["check", "lemma", "--pattern", "A2", "--precision", "0"],
     ["check", "cluster-p", "--pattern", "A2", "--p", "5", "--trials", "-3"],
     ["check", "pentagon", "--m", "2", "--w", "3", "--trials", "0"],

@@ -122,6 +122,64 @@ def test_int_coercion_in_operations():
     assert 1 / GF(7).element(2) == GF(7).element(4)
 
 
+# Every binary operator of FieldElement and TruncatedSeries, with x on one side and v on the other.
+BINARY = {
+    "x + v": lambda x, v: x + v,
+    "v + x": lambda x, v: v + x,
+    "x - v": lambda x, v: x - v,
+    "v - x": lambda x, v: v - x,
+    "x * v": lambda x, v: x * v,
+    "v * x": lambda x, v: v * x,
+    "x / v": lambda x, v: x / v,
+    "v / x": lambda x, v: v / x,
+}
+
+OPERAND_KINDS = ("int", "Fraction", "same-field element", "other-field element",
+                 "bool", "float", "str", "None")
+
+
+def _operand(field, kind):
+    """An operand of this kind in field: (operand, its rational value or the error it raises)."""
+    other = GF(5) if field is QQ else QQ
+    return {
+        "int": (-3, Fraction(-3)),
+        "Fraction": (Fraction(5, 4), Fraction(5, 4)),
+        "same-field element": (field.element(Fraction(2, 3)), Fraction(2, 3)),
+        "other-field element": (other.element(2), FieldMismatchError),
+        "bool": (True, TypeError),
+        "float": (2.0, TypeError),
+        "str": ("2", TypeError),
+        "None": (None, TypeError),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", OPERAND_KINDS)
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_one_operand_rule_for_elements_and_series(field, kind):
+    """Field.element, from_coeffs and every binary operator accept exactly the same operands."""
+    v, expected = _operand(field, kind)
+    x = field.element(Fraction(3, 2))
+    s = TruncatedSeries.from_coeffs(field, [Fraction(3, 2), 1, -2])
+    if isinstance(expected, Fraction):
+        assert field.element(v) == field.element(expected) == v
+        assert TruncatedSeries.from_coeffs(field, [1, v]) == TruncatedSeries.from_coeffs(field, [1, expected])
+        constant = TruncatedSeries.constant(field, expected, s.precision)
+        for name, op in BINARY.items():
+            # elements against rational arithmetic, series against the constant series
+            assert op(x, v) == field.element(op(Fraction(3, 2), expected)), name
+            assert op(s, v) == op(s, constant), name
+        return
+    with pytest.raises(expected):
+        field.element(v)
+    with pytest.raises(expected):
+        TruncatedSeries.from_coeffs(field, [1, v])
+    for op in BINARY.values():
+        for operand in (x, s):
+            with pytest.raises(expected):
+                op(operand, v)
+    assert x != v and v != x and s != v
+
+
 def test_str_forms():
     assert str(QQ.element(Fraction(-1, 4))) == "-1/4"
     assert str(GF(11).element(13)) == "2"

@@ -24,6 +24,7 @@ def test_ring_arithmetic_examples():
     assert q_series(1, 1, 0) * q_series(1, -1, 0) == q_series(1, 0, -1)
     a = q_series(3, -2, 5)
     assert (a - a).is_zero()
+    assert a.__rsub__(a) is NotImplemented  # only scalar - series reaches __rsub__
 
 
 def test_invert_examples():
@@ -173,6 +174,19 @@ def test_scale_action():
     assert s.scale(lam).scale(mu) == s.scale(lam * mu)
     with pytest.raises(ValueError):
         s.scale(0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_series_over_a_scalar_is_series_times_its_inverse(field, monkeypatch):
+    s = random_series(field, 4, random.Random(3), 10)
+    for c in (-3, Fraction(5, 4), field.element(Fraction(2, 3))):
+        expected = s * (1 / field.element(c))
+        with monkeypatch.context() as patched:
+            patched.setattr(TruncatedSeries, "invert", None)  # no constant series is inverted
+            assert s / c == expected
+    for zero in (0, Fraction(0), field.zero):
+        with pytest.raises(ZeroDivisionError):
+            s / zero
 
 
 def test_flatness():

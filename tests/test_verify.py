@@ -288,10 +288,13 @@ def test_periodicity_report_verdicts():
     lambda: verify.check_lemma_wedge("B2", field=GF(7), trials=3, factor_bound=1),
     lambda: verify.check_lemma_wedge("A2", trials=3, factor_bound=1),
     lambda: verify.check_lemma_wedge("A2", exhaustive_constants=True),
+    lambda: verify.check_lemma_wedge("A2", field=GF(7), precision=2, exhaustive_constants=True),
+    lambda: verify.check_lemma_wedge("B2", field=GF(5), precision=1, trials=3),
 ], ids=["pentagon-q", "pentagon-p", "cluster0", "clusterp", "named", "involution",
         "periodicity-report", "check-periodicity", "welldef", "li2p-lift",
         "lemma-precision-gf5", "lemma-precision-gf3", "lemma-factor-bound-gf7",
-        "lemma-factor-bound-q", "lemma-exhaustive-q"])
+        "lemma-factor-bound-q", "lemma-exhaustive-q", "lemma-precision-2-gf7",
+        "lemma-precision-1-gf5"])
 def test_counts_that_would_make_a_vacuous_verdict_are_refused(call):
     with pytest.raises(ValueError):
         call()
