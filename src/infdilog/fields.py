@@ -12,7 +12,7 @@ A series' coefficients are a vector: int numerators over one positive common
 denominator, normalised by the field (gcd(den, *nums) = 1 over QQ, so the form
 is unique; least residues over den = 1 over GF(p)).  The field is the one place
 that turns a vector into arithmetic: mul and add are shared integer loops that
-normalise once per result; invert, integral and exp_t are per field,
+normalise once per result; invert, log_circ and exp_t are per field,
 fraction-free integer recurrences over QQ and residue loops over GF(p).
 
 At the public boundary a scalar is a FieldElement: a raw value tagged with its
@@ -22,7 +22,9 @@ canonical raw value; anything else (a bool, a float, None, a series) is not a
 scalar, so Field.element raises TypeError and the FieldElement and series
 operators return NotImplemented.  Elements of distinct fields never combine:
 any attempt raises FieldMismatchError.  All operations are pure and elements
-are immutable, so they can be shared freely.
+are immutable, so they can be shared freely.  An element hashes as its raw
+value, as the int or Fraction it equals does, except an int outside [0, p):
+it equals its GF(p) residue (10 == GF(7).element(3)) but hashes apart.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ class Field:
       quotient(num, den)    the canonical raw value of num / den
       normalize(nums, den)  the normalised vector of any ints over den != 0
       invert(a, da)         the inverse of a unit, truncated at len(a)
-      integral(a, da)       (0, a_0/1, ..., a_(N-2)/(N-1)), truncated at len(a)
+      log_circ(a, da)       log(a / a_0) of a unit, from k a_0 L_k = k a_k - sum_{j<k} j L_j a_(k-j);
+                            da is ignored, since log_circ kills constants
       exp_t(u, du)          exp of u with u_0 = 0, from k E_k = sum_j j u_j E_(k-j)
 
     mul and add are shared: plain integer loops, normalised once.
@@ -200,16 +203,20 @@ class RationalField(Field):
             return tuple(nums), den
         return tuple([x // g for x in nums]), den // g
 
-    def integral(self, a: tuple[int, ...], da: int) -> Vector:
-        m = math.lcm(*range(1, len(a)))
-        return self.normalize([0] + [x * (m // k) for k, x in enumerate(a[:-1], 1)], da * m)
-
     def invert(self, a: tuple[int, ...], da: int) -> Vector:
         """Fraction-free: 1/a = da * (e_k a0^(N-1-k))_k / a0^N, e_k = -sum_j a_j a0^(j-1) e_(k-j)."""
         n, a0 = len(a), a[0]
         weights = [(j, x * a0 ** (j - 1)) for j, x in enumerate(a) if j and x]
         e = _recurrence(1, weights, n, lambda k, acc: -acc)
         return self.normalize([da * x * a0 ** (n - 1 - k) for k, x in enumerate(e)], a0 ** n)
+
+    def log_circ(self, a: tuple[int, ...], da: int) -> Vector:
+        """Fraction-free: L_k = H_k / (k a0^k), H_k = k a_k a0^(k-1) - sum_j a_j a0^(j-1) H_(k-j)."""
+        n, a0, m = len(a), a[0], math.lcm(*range(1, len(a)))
+        scaled = [x * a0 ** (j - 1) if j else 0 for j, x in enumerate(a)]
+        h = _recurrence(0, [(j, x) for j, x in enumerate(scaled) if x], n, lambda k, acc: k * scaled[k] - acc)
+        nums = [0] + [x * (m // k) * a0 ** (n - 1 - k) for k, x in enumerate(h[1:], 1)]
+        return self.normalize(nums, a0 ** (n - 1) * m)  # over a0^(N-1) lcm(1..N-1)
 
     def exp_t(self, u: tuple[int, ...], du: int) -> Vector:
         """Fraction-free: E_k = F_k / c^k with c = du * lcm(1..N-1), so every F_k is an int."""
@@ -246,6 +253,7 @@ class PrimeField(Field):
         self.characteristic = p
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
+        self._inverse_table = [0]
 
     def _canonical(self, value: int | Fraction) -> Raw:
         if isinstance(value, int):
@@ -273,10 +281,6 @@ class PrimeField(Field):
         p = self.p
         return tuple([x % p for x in nums]), 1
 
-    def integral(self, a: tuple[int, ...], da: int) -> Vector:
-        p = self.p
-        return tuple([0] + [x * self.inv(k) % p for k, x in enumerate(a[:-1], 1)]), 1
-
     def invert(self, a: tuple[int, ...], da: int) -> Vector:
         p = self.p
         inv0 = self.inv(a[0])
@@ -284,10 +288,25 @@ class PrimeField(Field):
         weights = [(j, x) for j, x in enumerate(a) if j and x]
         return tuple(_recurrence(inv0, weights, len(a), lambda k, acc: neg_inv0 * acc % p)), 1
 
+    def _inverses(self, n: int) -> list[int]:
+        """The cached table [0, 1/1, ..., 1/(n-1)] mod p (or longer), n <= p."""
+        table = self._inverse_table
+        table.extend(self.inv(k) for k in range(len(table), n))
+        return table
+
+    def log_circ(self, a: tuple[int, ...], da: int) -> Vector:
+        """L_k = M_k / k, a0 M_k = k a_k - sum_j a_j M_(k-j): the coefficients of t L' = t a'/a."""
+        p, n, inv = self.p, len(a), self._inverses(len(a))
+        neg_inv0 = p - self.inv(a[0])
+        weights = [(j, x) for j, x in enumerate(a) if j and x]
+        m = _recurrence(0, weights, n, lambda k, acc: neg_inv0 * (acc - k * a[k]) % p)
+        return tuple([x * inv[k] % p for k, x in enumerate(m)]), 1
+
     def exp_t(self, u: tuple[int, ...], du: int) -> Vector:
         p = self.p
+        inv = self._inverses(len(u))
         weights = [(j, j * x) for j, x in enumerate(u) if x]
-        return tuple(_recurrence(1, weights, len(u), lambda k, acc: acc * self.inv(k) % p)), 1
+        return tuple(_recurrence(1, weights, len(u), lambda k, acc: acc * inv[k] % p)), 1
 
     def random_element(self, rng: random.Random, height_bound: int = 10) -> FieldElement:
         """Uniform least residue; height_bound is accepted for interface parity."""
@@ -366,7 +385,7 @@ class FieldElement:
         return self.value == raw
 
     def __hash__(self) -> int:
-        return hash((self.field.characteristic, self.value))
+        return hash(self.value)
 
     def __bool__(self) -> bool:
         return self.value != 0

@@ -10,7 +10,7 @@ Coefficients are stored as one vector: int numerators over a positive common
 denominator, normalised by the field (gcd 1 with the denominator over QQ,
 least residues over denominator 1 over GF(p)), so equal series have equal
 vectors.  The field's vector kernels (fields.py) hold the arithmetic loops:
-mul, add, invert, integral and exp_t.  TruncatedSeries checks shapes and
+mul, add, invert, log_circ and exp_t.  TruncatedSeries checks shapes and
 preconditions and only rescales numerators itself (derivative, scale, neg),
 normalising through the field.  A scalar operand is what Field.scalar accepts
 (fields.py states the rule): added or subtracted it touches coefficient 0
@@ -22,7 +22,8 @@ constructor for arbitrary scalars.
 The two composition patterns the identities need are provided as module
 functions:
 
-  log_circ(a) = log(a / a(0)) = integral of a'/a
+  log_circ(a) = log(a / a(0)) = integral of a'/a, from a L' = a':
+                k a_0 L_k = k a_k - sum_{j<k} j L_j a_(k-j)
   exp_t(u)    = exp(u) for u(0) = 0, from E' = u'E: k E_k = sum_{j<=k} j u_j E_(k-j)
 
 Both cost O(N^2) coefficient operations, are group homomorphisms between units
@@ -313,13 +314,12 @@ def log_circ(a: TruncatedSeries) -> TruncatedSeries:
 
     log_circ(a) is the integral of a'/a with zero constant term, truncated at
     the precision of a.  Satisfies log_circ(ab) = log_circ(a) + log_circ(b).
+    One field kernel, one recurrence: no intermediate series, at most one normalisation.
     """
     _require_charp_precision(a, "log_circ")
     if not a.is_unit:
         raise NonUnitError("log_circ requires a unit (nonzero constant term)")
-    # a' is exact through degree N - 2, which is all the integral reads
-    ratio = a.derivative().with_precision(a.precision) * a.invert()
-    return _series(a.field, a.field.integral(ratio.nums, ratio.den))
+    return _series(a.field, a.field.log_circ(a.nums, a.den))
 
 
 def exp_t(u: TruncatedSeries) -> TruncatedSeries:

@@ -410,8 +410,8 @@ def check_welldef(
             return {"ok": False, "inputs": {"lift": str(lift)},
                     "value": f"lift {reference} vs direct {dilog.li_direct(m, w, base)}"}
         for _ in range(perturbations):
-            tail = [QQ.random_element(rng, height) for _ in range(w - m)]
-            perturbed = TruncatedSeries.from_coeffs(QQ, list(base.coeffs) + tail)
+            tail = tuple(QQ.random_element(rng, height).value for _ in range(w - m))
+            perturbed = TruncatedSeries(QQ, base.coeffs + tail)
             got = dilog.li_via_lift(m, w, perturbed)
             if got != reference:
                 return {"ok": False, "inputs": {"lift": str(perturbed)},
@@ -496,13 +496,12 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
         index, (s, a) = item
         if s in (0, 1):
             return None
-        dual = TruncatedSeries.from_coeffs(field, [s, a])
+        dual = TruncatedSeries(field, (s, a))
         expected = dilog.li2p(dual)
         rng = _derive_rng(seed, report.name, index)
         lifts = [dual.with_precision(p)]
         for _ in range(perturbations):
-            tail = [rng.randrange(p) for _ in range(2, p)]
-            lifts.append(TruncatedSeries.from_coeffs(field, [s, a] + tail))
+            lifts.append(TruncatedSeries(field, (s, a, *(rng.randrange(p) for _ in range(2, p)))))
         for lift in lifts:
             got = dilog.li2p_via_lift(lift)
             if got != expected:
@@ -692,7 +691,7 @@ def check_lemma_wedge(
         index, constants = item
         rng = _derive_rng(seed, report.name, index)
         return judge(tuple(
-            TruncatedSeries.from_coeffs(field, [c] + [rng.randrange(p) for _ in range(precision - 1)])
+            TruncatedSeries(field, (c, *(rng.randrange(p) for _ in range(precision - 1))))
             for c in constants
         ))
 

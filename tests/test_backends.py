@@ -55,13 +55,13 @@ def ref_exp_t(field, u):
     return tuple(out)
 
 
-def oracle_inputs(field, rng):
-    """(precision, a, b, u): a a unit, u(0) = 0, at N = 1..11 and heights 1..10^6.
+def oracle_inputs(field, rng, top):
+    """(precision, a, b, u): a a unit, u(0) = 0, at N = 1..top and heights 1..10^6.
 
     Sparse vectors, negative constants, one and zero are among them.
     """
     dens = (lambda h: rng.randint(1, h)) if field.characteristic == 0 else (lambda h: 1)
-    for n in range(1, 12):
+    for n in range(1, top + 1):
         one, zero = TruncatedSeries.one(field, n), TruncatedSeries.zero(field, n)
         yield n, one, zero, zero
         yield n, one, one, zero
@@ -84,11 +84,13 @@ def oracle_inputs(field, rng):
                 yield n, a, draw(), draw(0)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(13)], ids=["QQ", "GF13"])
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(11), GF(13)], ids=["QQ", "GF3", "GF11", "GF13"])
 def test_kernels_match_the_fraction_loops(field):
+    """Every kernel against the Fraction loops, at N = 1..11 over QQ and N = 1..p over GF(p)."""
     rng = random.Random(11)
+    top = field.characteristic or 11
     compared = 0
-    for n, a, b, u in oracle_inputs(field, rng):
+    for n, a, b, u in oracle_inputs(field, rng, top):
         for result, expected in (
             (a * b, ref_mul(field, a.coeffs, b.coeffs)),
             (b * a, ref_mul(field, b.coeffs, a.coeffs)),
@@ -100,7 +102,45 @@ def test_kernels_match_the_fraction_loops(field):
             assert result.coeffs == expected, (n, a, b, u)
             assert result == TruncatedSeries(field, expected)
             compared += 1
-    assert compared >= 5 * 11 * 12
+    assert compared >= 5 * top * 12
+
+
+def test_cached_inverse_table_serves_short_and_long_requests(monkeypatch):
+    """The shared GF(13) grows its table of 1/k on demand; a shorter request reuses it."""
+    field = GF(13)
+    monkeypatch.setattr(field, "_inverse_table", [0])
+    rng = random.Random(12)
+    for n in (3, 13, 5, 2, 13):  # long after short, short after long
+        a = random_series(field, n, rng) + 1
+        while not a.is_unit:
+            a = a + 1
+        u = log_circ(a)
+        assert u.coeffs == ref_log_circ(field, a.coeffs)
+        assert exp_t(u).coeffs == ref_exp_t(field, u.coeffs)
+        assert field._inverse_table[1:] == [pow(k, -1, 13) for k in range(1, len(field._inverse_table))]
+    assert len(field._inverse_table) == 13
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_log_circ_normalises_once_and_builds_no_series(field, monkeypatch):
+    """One recurrence: no inverse, product, derivative or re-truncation, and one normalisation over QQ."""
+    rng = random.Random(13)
+    for n in (1, 2, 5, 7):
+        a = random_series(field, n, rng, 10) + 1
+        while not a.is_unit:
+            a = a + 1
+        expected = ref_log_circ(field, a.coeffs)
+        calls = []
+        original = type(field).normalize
+        with monkeypatch.context() as patched:
+            for name in ("invert", "__mul__", "derivative", "with_precision"):
+                patched.setattr(TruncatedSeries, name, None)
+            patched.setattr(type(field), "normalize",
+                            lambda self, nums, den: calls.append(den) or original(self, nums, den))
+            result = log_circ(a)
+        assert result.coeffs == expected
+        assert len(calls) == (0 if field.characteristic else 1)
+        assert_canonical(result)
 
 
 def residue(x: Fraction, p: int) -> int:

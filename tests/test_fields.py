@@ -180,6 +180,15 @@ def test_one_operand_rule_for_elements_and_series(field, kind):
     assert x != v and v != x and s != v
 
 
+def test_equal_scalars_hash_equal():
+    assert 1 in {QQ.element(1)}
+    assert QQ.element(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert GF(7).element(3) in {3: 0}
+    assert hash(GF(7).element(10)) == hash(3)
+    # the one exception: an int outside [0, p) equals its residue but hashes apart
+    assert 10 == GF(7).element(3) and hash(10) != hash(GF(7).element(3))
+
+
 def test_str_forms():
     assert str(QQ.element(Fraction(-1, 4))) == "-1/4"
     assert str(GF(11).element(13)) == "2"
