@@ -19,9 +19,11 @@ equals (1 - s^p - (1-s)^p) / p mod p on an integer lift of s (Kontsevich, "The
 1 1/2-logarithm", appendix to Elbaz-Vincent and Gangl, "On poly(ana)logs I",
 Compositio Math. 130, 2002); the closed form is the one evaluated, in O(log p).
 The weight-two map on dual numbers is li2p(s + at) = (a / (s(1-s)))^p *
-pounds1(s); both work on least residues, with the lift expression
-(1/2) * sum_{1<=i<p} i * (ell_{p-i} ^ ell_i) applied to delta of a lift at
-precision exactly p.
+pounds1(s) = a * W_p(s) with W_p(s) = pounds1(s) / (s(1-s)), since x^p = x in
+GF(p), checked against the lift expression (1/2) * sum_{1<=i<p} i *
+(ell_{p-i} ^ ell_i) applied to delta of a lift at precision exactly p.  pounds1
+and W_p are read from per-field memos keyed by the least residue of s
+(fields.PrimeField.memos), each computed once per residue, at most p entries.
 """
 
 from __future__ import annotations
@@ -82,11 +84,11 @@ def li_direct(m: int, w: int, a: TruncatedSeries) -> FieldElement:
     _require_flat(a, "li_direct")
 
     rep = a.with_precision(m).with_precision(w)
-    s = rep.constant_term()
     u = log_circ(rep)
-    inner = 1 - s * exp_t(u.truncate_below(m))
-    du = u.derivative().truncate_below(w - m).with_precision(w)
-    return (log_circ(inner) * du).coeff(w - 1)
+    lg = log_circ(1 - rep.constant_term() * exp_t(u.truncate_below(m)))
+    # t_(w-1)(lg * du), du = (du/dt)|_(w-m) = sum_(j<w-m) (j+1) u_(j+1) t^j: an O(w) sum
+    num = sum((j + 1) * u.nums[j + 1] * lg.nums[w - 1 - j] for j in range(w - m))
+    return FieldElement(a.field, a.field.quotient(num, u.den * lg.den))
 
 
 def li_via_lift(m: int, w: int, lift: TruncatedSeries) -> FieldElement:
@@ -139,14 +141,19 @@ def li_closed_form(m: int, w: int, s: FieldElement, u1, u2=None) -> FieldElement
     )
 
 
-def _pounds1(x: int, p: int) -> int:
+def _pounds1(field, x: int) -> int:
     """Kontsevich's (1 - x^p - (1-x)^p) / p mod p, as a least residue.
 
     Two powers mod p^2 and no inversion: exact since x^p + (1-x)^p = 1 mod p,
     and the same on any lift since (x + kp)^p = x^p mod p^2.
     """
-    pp = p * p
+    p, pp = field.p, field.p ** 2
     return (1 - pow(x, p, pp) - pow(1 - x, p, pp)) % pp // p
+
+
+def _li2p_weight(field, s: int) -> int:
+    """W_p(s) = pounds1(s) / (s(1 - s)), so that li2p(s + a t) = a W_p(s)."""
+    return _pounds1(field, s) * field.inv(s * (1 - s) % field.p) % field.p
 
 
 def pounds1(s: FieldElement) -> FieldElement:
@@ -154,24 +161,23 @@ def pounds1(s: FieldElement) -> FieldElement:
     p = s.field.characteristic
     if p == 0:
         raise ValueError("pounds1 is defined over prime fields only")
-    return FieldElement(s.field, _pounds1(s.value, p))
+    return FieldElement(s.field, s.field.memos[_pounds1][s.value % p])
 
 
 def li2p(y: TruncatedSeries) -> FieldElement:
     """The char-p weight-two dilogarithm on dual numbers s + a*t.
 
-    li2p(y) = ybar^p * pounds1(s) with ybar = a / (s(1 - s)).  The argument is
-    read modulo t^2, as the least residues s and a.
+    li2p(y) = ybar^p * pounds1(s) with ybar = a / (s(1 - s)), which is
+    a * W_p(s) since ybar^p = ybar in GF(p).  The argument is read modulo t^2,
+    as the least residues s and a.
     """
-    p = y.field.characteristic
-    if p == 0:
+    field = y.field
+    if field.characteristic == 0:
         raise ValueError("li2p is defined over prime fields only")
     if y.precision < 2:
         raise PrecisionError("li2p needs the t coefficient; provide precision >= 2")
     _require_flat(y, "li2p")
-    s, a = y.nums[0], y.nums[1]
-    ybar = a * y.field.inv(s * (1 - s) % p) % p
-    return FieldElement(y.field, pow(ybar, p, p) * _pounds1(s, p) % p)
+    return FieldElement(field, y.nums[1] * field.memos[_li2p_weight][y.nums[0]] % field.p)
 
 
 def li2p_via_lift(lift: TruncatedSeries) -> FieldElement:

@@ -6,7 +6,10 @@ Each field has one pair of raw scalar operations: reduce(raw) brings a sum or
 product of canonical values back to canonical form (the identity over QQ,
 raw % p over GF(p)), and inv(raw) inverts a nonzero canonical value.  Only
 FieldElement powers bypass them, with a three-argument pow over GF(p), so that
-exponents as large as p stay cheap.
+exponents as large as p stay cheap.  Over GF(p), inv reads a per-field memo
+keyed by the least residue, so pow(x, p - 2, p) runs once per residue, and
+memos[fn] does the same for any scalar function fn(field, x) of a residue
+(dilog's pounds1 and li2p weight): at most min(p, lookups) entries each.
 
 A series' coefficients are a vector: int numerators over one positive common
 denominator, normalised by the field (gcd(den, *nums) = 1 over QQ, so the form
@@ -94,6 +97,17 @@ def _recurrence(first: int, weights: list[tuple[int, int]], n: int, step) -> lis
             acc += w * out[k - j]
         out.append(step(k, acc))
     return out
+
+
+class _Memo(dict):
+    """fn's value at each key, computed on the first lookup of that key."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class FieldMismatchError(ValueError):
@@ -254,6 +268,8 @@ class PrimeField(Field):
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
         self._inverse_table = [0]
+        self._inv = _Memo(lambda x: pow(x, p - 2, p))
+        self.memos = _Memo(lambda fn: _Memo(lambda x: fn(self, x)))
 
     def _canonical(self, value: int | Fraction) -> Raw:
         if isinstance(value, int):
@@ -267,7 +283,7 @@ class PrimeField(Field):
         return raw % self.p
 
     def inv(self, raw: Raw) -> Raw:
-        return pow(raw, self.p - 2, self.p)
+        return self._inv[raw]
 
     # Every vector over GF(p) has den 1 (no kernel makes another), so den is ignored.
 

@@ -171,7 +171,9 @@ def _exhaust(report: CheckReport, points, judge, min_valid: int = 0) -> CheckRep
 
 
 def _li2p_is_tangent_linear(field: Field) -> bool:
-    """Whether li2p(s + b t) = b li2p(s + t) for every flat s and every b in GF(p)."""
+    """Whether li2p(s + b t) = b li2p(s + t) for every flat s and every b in GF(p).
+
+    dilog.li2p is a * W_p(s) by construction: this guards against a replaced li2p only."""
     p = field.characteristic
     for s in range(2, p):
         unit = dilog.li2p(TruncatedSeries(field, (s, 1))).value
@@ -274,18 +276,19 @@ def _weighted_flat_values(matrix, schedule, weights, point):
     return values
 
 
-def _vanishing(field: Field, value_of, terms, inputs: dict, label: str = "") -> dict:
+def _vanishing(field: Field, value_of, terms, inputs, label: str = "") -> dict:
     """The witness that sum weight * value_of(arg) over (weight, arg) terms is zero.
 
     A raw sum of weight * value, reduced once; a non-int weight goes through
     field.element and every value through field.scalar, so a weight or a value
-    of another field raises FieldMismatchError."""
+    of another field raises FieldMismatchError.  A zero sum gives {"ok": True};
+    only a failure calls inputs() and renders the witness text."""
     total = 0
     for weight, arg in terms:
         weight = weight if type(weight) is int else field.element(weight).value
         total += weight * field.scalar(value_of(arg))
     total = field.reduce(total)
-    return {"ok": not total, "inputs": inputs, "value": f"{label}{total}"}
+    return {"ok": False, "inputs": inputs(), "value": f"{label}{total}"} if total else {"ok": True}
 
 
 def _cluster_judge(field: Field, pattern, value_of, label: str = ""):
@@ -298,7 +301,7 @@ def _cluster_judge(field: Field, pattern, value_of, label: str = ""):
         if values is None:
             return None
         return _vanishing(field, value_of, values,
-                          {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)}, label)
+                          lambda: {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)}, label)
 
     return matrix, name, weights, judge
 
@@ -327,11 +330,9 @@ def check_oracle_agreement(m: int, w: int, trials: int = 200, height: int = 10, 
             return None
         direct = dilog.li_direct(m, w, a)
         closed = dilog.li_closed_form(m, w, a.coeff(0), *a.coeffs[1:])
-        return {
-            "ok": direct == closed,
-            "inputs": {"a": str(a)},
-            "value": f"direct {direct} vs closed {closed}",
-        }
+        if direct == closed:
+            return {"ok": True}
+        return {"ok": False, "inputs": {"a": str(a)}, "value": f"direct {direct} vs closed {closed}"}
 
     return _resample(report, trials, seed, evaluate)
 
@@ -372,7 +373,7 @@ def check_pentagon(
         b = random_series(field, precision, rng, height)
         if not (a.is_flat and b.is_flat) or a.constant_term() == b.constant_term():
             return None
-        return _vanishing(field, value_of, bloch.pentagon_terms(a, b), {"a": str(a), "b": str(b)})
+        return _vanishing(field, value_of, bloch.pentagon_terms(a, b), lambda: {"a": str(a), "b": str(b)})
 
     return _resample(report, trials, seed, evaluate)
 
@@ -416,7 +417,7 @@ def check_welldef(
             if got != reference:
                 return {"ok": False, "inputs": {"lift": str(perturbed)},
                         "value": f"{got} != {reference}"}
-        return {"ok": True, "inputs": {"lift": str(lift)}, "value": "0"}
+        return {"ok": True}
 
     return _resample(report, trials, seed, evaluate)
 
@@ -436,8 +437,9 @@ def check_scale_weight(m: int, w: int, trials: int = 100, height: int = 10, seed
             return None
         lhs = dilog.li_direct(m, w, a.scale(lam))
         rhs = lam ** w * dilog.li_direct(m, w, a)
-        return {"ok": lhs == rhs, "inputs": {"a": str(a), "lam": str(lam)},
-                "value": f"{lhs} vs {rhs}"}
+        if lhs == rhs:
+            return {"ok": True}
+        return {"ok": False, "inputs": {"a": str(a), "lam": str(lam)}, "value": f"{lhs} vs {rhs}"}
 
     return _resample(report, trials, seed, evaluate)
 
@@ -458,7 +460,7 @@ def check_vanish_constants(
         def judge(s: int):
             if s in (0, 1):
                 return None
-            return _vanishing(field, dilog.li2p, [(1, TruncatedSeries(field, (s, 0)))], {"s": str(s)})
+            return _vanishing(field, dilog.li2p, [(1, TruncatedSeries(field, (s, 0)))], lambda: {"s": str(s)})
 
         return _exhaust(report, range(p), judge, min_valid=1)
 
@@ -473,7 +475,7 @@ def check_vanish_constants(
         if not c or c == QQ.one:
             return None
         return _vanishing(QQ, lambda a: dilog.li_direct(m, w, a),
-                          [(1, TruncatedSeries.constant(QQ, c, m))], {"c": str(c)})
+                          [(1, TruncatedSeries.constant(QQ, c, m))], lambda: {"c": str(c)})
 
     return _resample(report, trials, seed, evaluate)
 
@@ -563,24 +565,24 @@ def _four_term(field, coords):
     r, s = coords
     if r in (0, 1) or s in (0, 1) or r == s:
         return None
-    terms = [(1, r), (-1, s), (pow(r, p, p), s * field.inv(r)),
-             (pow(s - 1, p, p), (1 - r) * field.inv((1 - s) % p))]
+    # the weights r^p and (s - 1)^p are r and s - 1 in GF(p)
+    terms = [(1, r), (-1, s), (r, s * field.inv(r)), (s - 1, (1 - r) * field.inv((1 - s) % p))]
     return _vanishing(field, dilog.pounds1, [(w, FieldElement(field, x % p)) for w, x in terms],
-                      {"r": str(r), "s": str(s)})
+                      lambda: {"r": str(r), "s": str(s)})
 
 
 def _elementary(field, coords):
     if coords[0] in (0, 1):
         return None
     z = TruncatedSeries(field, coords)
-    return _vanishing(field, dilog.li2p, [(1, 1 - z), (1, z)], {"z": str(z)})
+    return _vanishing(field, dilog.li2p, [(1, 1 - z), (1, z)], lambda: {"z": str(z)})
 
 
 def _involution(field, coords):
     if coords[0] in (0, 1):
         return None
     y = TruncatedSeries(field, coords)
-    return _vanishing(field, dilog.li2p, [(1, y.invert()), (1, y)], {"y": str(y)})
+    return _vanishing(field, dilog.li2p, [(1, y.invert()), (1, y)], lambda: {"y": str(y)})
 
 
 def _a2_five_term_charp(field, coords):
@@ -596,7 +598,7 @@ def _a2_five_term_charp(field, coords):
     ]
     if not all(arg.is_flat for arg in args):
         return None
-    return _vanishing(field, dilog.li2p, [(1, arg) for arg in args], {"y1": str(y1), "y2": str(y2)})
+    return _vanishing(field, dilog.li2p, [(1, arg) for arg in args], lambda: {"y1": str(y1), "y2": str(y2)})
 
 
 def _a2_pentagon_substitution(field, coords):
@@ -604,7 +606,7 @@ def _a2_pentagon_substitution(field, coords):
     if r in (0, 1) or s in (0, 1) or r == s:
         return None
     x, y = (TruncatedSeries(field, (c, field.reduce(c * (1 - c)))) for c in (r, s))
-    return _vanishing(field, dilog.li2p, bloch.pentagon_terms(x, y), {"r": str(r), "s": str(s)})
+    return _vanishing(field, dilog.li2p, bloch.pentagon_terms(x, y), lambda: {"r": str(r), "s": str(s)})
 
 
 # name: (judge, dimension, whether the coordinates are dual numbers s_i, a_i)
@@ -676,12 +678,11 @@ def check_lemma_wedge(
             return None
         ledger = bloch.WedgeLedger([(weight, -beta, 1 - beta) for weight, beta in values])
         result = bloch.zero_test_rational(ledger, factor_bound)
-        return {
-            "ok": result.is_zero,
-            "inconclusive": result.verdict == "inconclusive",
-            "inputs": {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)},
-            "value": f"{result.failing_component}: {result.detail}",
-        }
+        if result.is_zero:
+            return {"ok": True}
+        return {"ok": False, "inconclusive": result.verdict == "inconclusive",
+                "inputs": {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)},
+                "value": f"{result.failing_component}: {result.detail}"}
 
     if not exhaustive_constants:
         return _resample(report, trials, seed, lambda rng: judge(
@@ -742,12 +743,11 @@ def check_mutation_involution(
             back = cluster.run_schedule(matrix, point, twice).final
         except cluster.InvalidPointError:
             return None
-        return {
-            "ok": back.ys == point and back.matrix == matrix,
-            "inputs": {"direction": str(direction + 1),
-                       **{f"y_{i + 1}": str(s) for i, s in enumerate(point)}},
-            "value": "seed not restored",
-        }
+        if back.ys == point and back.matrix == matrix:
+            return {"ok": True}
+        return {"ok": False, "inputs": {"direction": str(direction + 1),
+                                        **{f"y_{i + 1}": str(s) for i, s in enumerate(point)}},
+                "value": "seed not restored"}
 
     return _resample(report, trials, seed, evaluate)
 

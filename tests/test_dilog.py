@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from infdilog import dilog, verify
 from infdilog.bloch import pentagon_terms
 from infdilog.dilog import (
     CLOSED_FORM_PARAMS,
@@ -14,8 +15,8 @@ from infdilog.dilog import (
     li_via_lift,
     pounds1,
 )
-from infdilog.fields import GF, QQ, FieldElement
-from infdilog.series import NotFlatError, PrecisionError, TruncatedSeries, random_series
+from infdilog.fields import GF, QQ, FieldElement, PrimeField
+from infdilog.series import NotFlatError, PrecisionError, TruncatedSeries, exp_t, log_circ, random_series
 
 ALL_PARAMS = ((2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7))
 
@@ -78,6 +79,27 @@ def test_li_direct_reads_argument_mod_tm():
     padded = q_series(2, 5, 7, 9, 11)
     for w in (4, 5):
         assert li_direct(3, w, base) == li_direct(3, w, padded)
+
+
+def _li_direct_full_product(m, w, a):
+    """Reference: li_direct as written, reading one coefficient of the whole product."""
+    rep = a.with_precision(m).with_precision(w)
+    u = log_circ(rep)
+    inner = 1 - rep.constant_term() * exp_t(u.truncate_below(m))
+    du = u.derivative().truncate_below(w - m).with_precision(w)
+    return (log_circ(inner) * du).coeff(w - 1)
+
+
+@pytest.mark.parametrize("m, w", verify.PENTAGON_PARAMS)
+def test_li_direct_matches_the_full_product(m, w):
+    rng = random.Random(100 * m + w)
+    compared = 0
+    while compared < 40:
+        # arguments of precision m to w, read mod t^m; heights with non-unit denominators
+        a = random_series(QQ, rng.randint(m, w), rng, 12)
+        if a.is_flat:
+            assert li_direct(m, w, a) == _li_direct_full_product(m, w, a), (m, w, str(a))
+            compared += 1
 
 
 def test_li_via_lift_hand_values():
@@ -229,7 +251,7 @@ def _li2p_reference(y):
     return (a / (s * (1 - s))) ** y.field.characteristic * pounds1(s)
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 43))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 43, 101))
 def test_li2p_matches_the_element_formula_everywhere(p):
     field = GF(p)
     for s, a in itertools.product(range(p), repeat=2):
@@ -241,6 +263,64 @@ def test_li2p_matches_the_element_formula_everywhere(p):
         got = li2p(y)
         assert got.field is field and 0 <= got.value < p, (p, s, a)
         assert got == _li2p_reference(y), (p, s, a)
+
+
+def test_li2p_matches_the_element_formula_at_a_word_size_prime():
+    field = GF(2**61 - 1)
+    rng = random.Random(61)
+    for _ in range(20):
+        y = TruncatedSeries(field, (rng.randrange(2, field.p), rng.randrange(field.p)))
+        assert li2p(y) == _li2p_reference(y), y
+
+
+def test_cold_and_warm_memos_give_the_same_values():
+    """A field of its own starts with empty memos; its values equal the shared GF(101)'s."""
+    cold = PrimeField(101)
+    assert not cold._inv and not cold.memos
+    points = [(s, a) for s in range(2, 101) for a in range(101)]
+
+    def values(field):
+        return ([li2p(TruncatedSeries(field, point)).value for point in points]
+                + [pounds1(FieldElement(field, x)).value for x in range(101)]
+                + [field.inv(x) for x in range(1, 101)])
+
+    first = values(cold)
+    assert set(cold.memos) == {dilog._pounds1, dilog._li2p_weight}
+    assert first == values(cold) == values(GF(101))
+
+
+def _assert_memos_hold_their_residues(field):
+    """At most p keys per memo, each a least residue, each value recomputed without a memo."""
+    p = field.p
+    memos = {"inv": field._inv, **{fn.__name__: memo for fn, memo in field.memos.items()}}
+    assert set(memos) <= {"inv", "_pounds1", "_li2p_weight"}
+    for name, memo in memos.items():
+        assert len(memo) <= p and all(type(x) is int and 0 <= x < p for x in memo), (p, name)
+    for x, value in field._inv.items():
+        assert x * value % p == (x != 0), (p, x)
+    pounds = {x: sum(pow(x, i, p) * pow(i, -1, p) for i in range(1, p)) % p
+              for x in set(memos.get("_pounds1", ())) | set(memos.get("_li2p_weight", ()))}
+    for x, value in memos.get("_pounds1", {}).items():
+        assert value == pounds[x], (p, x)
+    for s, value in memos.get("_li2p_weight", {}).items():
+        assert value == pounds[s] * pow(s * (1 - s), -1, p) % p, (p, s)
+
+
+def test_memos_hold_at_most_p_least_residues_after_exhaustive_checks():
+    assert verify.check_cluster_charp("B2", 7).passed
+    assert verify.check_named_identity("four_term", 43).passed
+    assert verify.check_named_identity("a2_pentagon_substitution", 43).passed
+    assert verify.check_cluster_charp("A2", 101, trials=20).passed
+    for p in (7, 43, 101):
+        assert GF(p).memos, p
+        _assert_memos_hold_their_residues(GF(p))
+    # pounds1 reads a lift that is not the least residue under its least residue's key
+    field = GF(43)
+    for x in range(43):
+        for k in (-2, -1, 1, 3):
+            assert pounds1(FieldElement(field, x + k * 43)) == pounds1(field.element(x)), (x, k)
+    _assert_memos_hold_their_residues(field)
+    assert len(field.memos[dilog._pounds1]) == 43
 
 
 def test_li2p_involution_witness():

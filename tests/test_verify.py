@@ -167,7 +167,7 @@ def _four_term_reference(field, coords):
     r, s = field.element(r_), field.element(s_)
     total = (dilog.pounds1(r) - dilog.pounds1(s) + r ** p * dilog.pounds1(s / r)
              + (s - 1) ** p * dilog.pounds1((1 - r) / (1 - s)))
-    return {"ok": not total, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)}
+    return {"ok": False, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)} if total else {"ok": True}
 
 
 def _a2_pentagon_substitution_reference(field, coords):
@@ -185,7 +185,7 @@ def _a2_pentagon_substitution_reference(field, coords):
     total = field.zero
     for sign, arg in terms:
         total = total + sign * dilog.li2p(arg)
-    return {"ok": not total, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)}
+    return {"ok": False, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)} if total else {"ok": True}
 
 
 @pytest.mark.parametrize("name, reference, value_name", [
@@ -213,12 +213,31 @@ def test_residue_judges_match_the_element_judges(monkeypatch, name, reference, v
 def test_vanishing_refuses_a_value_or_weight_of_another_field():
     f5, f7 = GF(5), GF(7)
     with pytest.raises(FieldMismatchError):
-        verify._vanishing(f7, f5.element, [(1, 2)], {})
+        verify._vanishing(f7, f5.element, [(1, 2)], dict)
     with pytest.raises(FieldMismatchError):
-        verify._vanishing(f7, f7.element, [(f5.element(2), 3)], {})
+        verify._vanishing(f7, f7.element, [(f5.element(2), 3)], dict)
     # a weight of the same field, or an int or a Fraction, is accepted
-    witness = verify._vanishing(f7, f7.element, [(f7.element(2), 3), (Fraction(1, 2), 2), (-7, 4)], {})
-    assert witness == {"ok": True, "inputs": {}, "value": "0"}
+    witness = verify._vanishing(f7, f7.element, [(f7.element(2), 3), (Fraction(1, 2), 2), (-7, 4)], dict)
+    assert witness == {"ok": True}
+
+
+def test_passing_points_build_no_witness_text(monkeypatch):
+    """Only a non-zero sum calls the inputs thunk and renders a series."""
+    def refuse(*args):
+        raise AssertionError("witness text built for a passing point")
+
+    field = GF(7)
+    assert verify._vanishing(field, field.element, [(1, 3), (-1, 3)], refuse) == {"ok": True}
+    monkeypatch.setattr(TruncatedSeries, "__str__", refuse)
+    for report in (verify.check_cluster_charp("A2", 5), verify.check_cluster_charp("B2", 7, trials=20),
+                   verify.check_pentagon(p=7, trials=20), verify.check_vanish_constants(p=7),
+                   verify.check_cluster_char0("A2", 2, 3, trials=5), verify.check_welldef(2, 3, trials=5),
+                   verify.check_oracle_agreement(2, 3, trials=5), verify.check_scale_weight(3, 4, trials=5),
+                   verify.check_mutation_involution("B2", trials=5),
+                   verify.check_lemma_wedge("A2", trials=2), verify.check_lemma_wedge(
+                       "B2", field=GF(5), precision=4, exhaustive_constants=True),
+                   *(verify.check_named_identity(name, 7) for name in verify.NAMED_IDENTITIES)):
+        assert report.passed and report.valid > 0, report.name
 
 
 def test_lemma_wedge_check():
@@ -458,7 +477,7 @@ def test_unit_weights_take_no_field_product(monkeypatch):
     made = []
     original = Field.element
     monkeypatch.setattr(Field, "element", lambda self, value: made.append(value) or original(self, value))
-    witness = verify._vanishing(field, lambda x: x, [(1, arg) for arg in args], {"x": "3, 5"}, "sum ")
+    witness = verify._vanishing(field, lambda x: x, [(1, arg) for arg in args], lambda: {"x": "3, 5"}, "sum ")
     assert made == []
     assert witness == {"ok": False, "inputs": {"x": "3, 5"}, "value": "sum 1"}
 
