@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(lemma, "pattern", "field", "p", "trials", "height",
                 "precision", "seed", "factor-bound", "out", "format")
     lemma.add_argument("--exhaustive", action="store_true",
-                       help="enumerate all constant terms (prime fields only)")
+                       help="enumerate all constant terms (prime fields; refused above the exhaustive limit)")
 
     welldef = checks.add_parser("welldef", help="lift independence")
     _add_common(welldef, "m", "w", "trials", "height", "seed", "out", "format")

@@ -22,8 +22,8 @@ The weight-two map on dual numbers is li2p(s + at) = (a / (s(1-s)))^p *
 pounds1(s) = a * W_p(s) with W_p(s) = pounds1(s) / (s(1-s)), since x^p = x in
 GF(p), checked against the lift expression (1/2) * sum_{1<=i<p} i *
 (ell_{p-i} ^ ell_i) applied to delta of a lift at precision exactly p.  pounds1
-and W_p are read from per-field memos keyed by the least residue of s
-(fields.PrimeField.memos), each computed once per residue, at most p entries.
+and W_p (which reads pounds1's memo) are read from per-field memos keyed by the
+least residue of s (fields.PrimeField.memos), once per residue below _MEMO_CAP keys.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _pounds1(field, x: int) -> int:
 
 def _li2p_weight(field, s: int) -> int:
     """W_p(s) = pounds1(s) / (s(1 - s)), so that li2p(s + a t) = a W_p(s)."""
-    return _pounds1(field, s) * field.inv(s * (1 - s) % field.p) % field.p
+    return field.memos[_pounds1][s] * field.inv(s * (1 - s) % field.p) % field.p
 
 
 def pounds1(s: FieldElement) -> FieldElement:

@@ -2,14 +2,14 @@
 
 A scalar has a raw canonical form: a fractions.Fraction over QQ (always
 reduced, denominator positive) and a least residue int in [0, p) over GF(p).
-Each field has one pair of raw scalar operations: reduce(raw) brings a sum or
-product of canonical values back to canonical form (the identity over QQ,
-raw % p over GF(p)), and inv(raw) inverts a nonzero canonical value.  Only
-FieldElement powers bypass them, with a three-argument pow over GF(p), so that
-exponents as large as p stay cheap.  Over GF(p), inv reads a per-field memo
-keyed by the least residue, so pow(x, p - 2, p) runs once per residue, and
-memos[fn] does the same for any scalar function fn(field, x) of a residue
-(dilog's pounds1 and li2p weight): at most min(p, lookups) entries each.
+Each field has one pair of raw scalar operations: reduce(raw) brings an int, a
+Fraction or a raw sum or product to canonical form, and inv(raw) inverts a
+nonzero canonical value.  Only FieldElement powers bypass them, with a
+three-argument pow over GF(p), so that exponents as large as p stay cheap.
+Over GF(p), inv reads a per-field memo keyed by the least residue, so
+pow(x, p - 2, p) runs once per residue (log_circ and exp_t read 1/k there),
+and memos[fn] does the same for any scalar function fn(field, x) of a residue
+(dilog's pounds1 and li2p weight); a memo stores no key past _MEMO_CAP.
 
 A series' coefficients are a vector: int numerators over one positive common
 denominator, normalised by the field (gcd(den, *nums) = 1 over QQ, so the form
@@ -32,6 +32,7 @@ it equals its GF(p) residue (10 == GF(7).element(3)) but hashes apart.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -58,6 +59,9 @@ _ONE = Fraction(1)
 # p must fit in a machine word.  This bound only validates input: the char-p
 # series caps live at precision p, so huge primes are useless here.
 _WORD_SIZE_LIMIT = 1 << 63
+
+# The most keys a residue memo stores; every prime the checks enumerate is far below it.
+_MEMO_CAP = 1 << 16
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -100,13 +104,15 @@ def _recurrence(first: int, weights: list[tuple[int, int]], n: int, step) -> lis
 
 
 class _Memo(dict):
-    """fn's value at each key, computed on the first lookup of that key."""
+    """fn's value at each key, computed on its first lookup and stored below _MEMO_CAP keys."""
 
     def __init__(self, fn) -> None:
         self.fn = fn
 
     def __missing__(self, key):
-        value = self[key] = self.fn(key)
+        value = self.fn(key)
+        if len(self) < _MEMO_CAP:
+            self[key] = value
         return value
 
 
@@ -117,8 +123,8 @@ class FieldMismatchError(ValueError):
 class Field:
     """Common interface of the two coefficient fields.
 
-    Each field implements _canonical, reduce and inv on raw scalars and the
-    vector side on int numerator tuples `a` over a denominator `da`:
+    Each field implements reduce and inv on raw scalars and the vector side on
+    int numerator tuples `a` over a denominator `da`:
 
       vector(raws)          the normalised vector of canonical raw values
       quotient(num, den)    the canonical raw value of num / den
@@ -141,7 +147,7 @@ class Field:
                 raise FieldMismatchError(f"cannot combine element of {value.field!r} with {self!r}")
             return value.value
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return self._canonical(value)
+            return self.reduce(value)
         return None
 
     def element(self, value: Scalar) -> FieldElement:
@@ -171,17 +177,6 @@ class Field:
         fa, fb = db // g, sign * (da // g)
         return self.normalize([x * fa + y * fb for x, y in zip(a, b)], da * (db // g))
 
-    @property
-    def zero(self) -> FieldElement:
-        return self._zero
-
-    @property
-    def one(self) -> FieldElement:
-        return self._one
-
-    def random_element(self, rng: random.Random, height_bound: int = 10) -> FieldElement:
-        raise NotImplementedError
-
 
 class RationalField(Field):
     """The field of rational numbers; use the module-level singleton QQ."""
@@ -189,14 +184,11 @@ class RationalField(Field):
     characteristic = 0
 
     def __init__(self) -> None:
-        self._zero = FieldElement(self, Fraction(0))
-        self._one = FieldElement(self, Fraction(1))
-
-    def _canonical(self, value: int | Fraction) -> Raw:
-        return Fraction(value)
+        self.zero = FieldElement(self, Fraction(0))
+        self.one = FieldElement(self, Fraction(1))
 
     def reduce(self, raw: Raw) -> Raw:
-        return raw
+        return raw if isinstance(raw, Fraction) else Fraction(raw)
 
     def inv(self, raw: Raw) -> Raw:
         return _ONE / raw
@@ -265,22 +257,18 @@ class PrimeField(Field):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
-        self._zero = FieldElement(self, 0)
-        self._one = FieldElement(self, 1)
-        self._inverse_table = [0]
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
         self._inv = _Memo(lambda x: pow(x, p - 2, p))
         self.memos = _Memo(lambda fn: _Memo(lambda x: fn(self, x)))
 
-    def _canonical(self, value: int | Fraction) -> Raw:
-        if isinstance(value, int):
-            return value % self.p
-        den = value.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {value} vanishes in GF({self.p})")
-        return value.numerator * self.inv(den) % self.p
-
     def reduce(self, raw: Raw) -> Raw:
-        return raw % self.p
+        if isinstance(raw, int):
+            return raw % self.p
+        den = raw.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator of {raw} vanishes in GF({self.p})")
+        return raw.numerator * self.inv(den) % self.p
 
     def inv(self, raw: Raw) -> Raw:
         return self._inv[raw]
@@ -304,23 +292,16 @@ class PrimeField(Field):
         weights = [(j, x) for j, x in enumerate(a) if j and x]
         return tuple(_recurrence(inv0, weights, len(a), lambda k, acc: neg_inv0 * acc % p)), 1
 
-    def _inverses(self, n: int) -> list[int]:
-        """The cached table [0, 1/1, ..., 1/(n-1)] mod p (or longer), n <= p."""
-        table = self._inverse_table
-        table.extend(self.inv(k) for k in range(len(table), n))
-        return table
-
     def log_circ(self, a: tuple[int, ...], da: int) -> Vector:
         """L_k = M_k / k, a0 M_k = k a_k - sum_j a_j M_(k-j): the coefficients of t L' = t a'/a."""
-        p, n, inv = self.p, len(a), self._inverses(len(a))
-        neg_inv0 = p - self.inv(a[0])
+        p, n, inv = self.p, len(a), self._inv
+        neg_inv0 = p - inv[a[0]]
         weights = [(j, x) for j, x in enumerate(a) if j and x]
         m = _recurrence(0, weights, n, lambda k, acc: neg_inv0 * (acc - k * a[k]) % p)
-        return tuple([x * inv[k] % p for k, x in enumerate(m)]), 1
+        return (0, *[m[k] * inv[k] % p for k in range(1, n)]), 1
 
     def exp_t(self, u: tuple[int, ...], du: int) -> Vector:
-        p = self.p
-        inv = self._inverses(len(u))
+        p, inv = self.p, self._inv
         weights = [(j, j * x) for j, x in enumerate(u) if x]
         return tuple(_recurrence(1, weights, len(u), lambda k, acc: acc * inv[k] % p)), 1
 
@@ -415,13 +396,8 @@ class FieldElement:
 
 QQ = RationalField()
 
-_PRIME_FIELDS: dict[int, PrimeField] = {}
 
-
+@functools.cache
 def GF(p: int) -> PrimeField:
     """Return the (cached) prime field with p elements, p an odd prime."""
-    field = _PRIME_FIELDS.get(p)
-    if field is None:
-        field = PrimeField(p)
-        _PRIME_FIELDS[p] = field
-    return field
+    return PrimeField(p)

@@ -210,6 +210,13 @@ def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int
     return report.finish(min_valid=0)
 
 
+def _require_enumerable(p: int, dimension: int, remedy: str) -> None:
+    """Refuse, with ValueError, to enumerate GF(p)^dimension above EXHAUSTIVE_LIMIT."""
+    if p ** dimension > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"GF({p})^{dimension} has {p ** dimension} points, more than the"
+                         f" exhaustive limit {EXHAUSTIVE_LIMIT}; {remedy}")
+
+
 def _check_coords(family: str, subject: str, params: dict, p: int, dimension: int,
                   trials: int | None, seed: int, judge, dual: bool = False) -> CheckReport:
     """Judge points of GF(p)^dimension, given to judge as tuples of least residues.
@@ -222,10 +229,9 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
     first sought from the constant points by `_exhaust_by_tangent_linearity`,
     and any other outcome comes from enumerating every point on a fresh report.
     """
-    if trials is None and p ** dimension > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"GF({p})^{dimension} has {p ** dimension} points, more than the"
-                         f" exhaustive limit {EXHAUSTIVE_LIMIT}; give a trial count")
     exhaustive = trials is None
+    if exhaustive:
+        _require_enumerable(p, dimension, "give a trial count")
     mode = "exhaustive" if exhaustive else f"random[{trials}]"
 
     def new_report() -> CheckReport:
@@ -649,10 +655,10 @@ def check_lemma_wedge(
     infinitesimal zero-test component evaluates every functional pair
     (ell_i ^ ell_j), i < j < N.  Over a prime field, exhaustive_constants
     enumerates all constant terms and randomizes the higher coefficients; it
-    needs at least one valid point to pass.  A configuration the zero test
-    cannot evaluate (N > p over GF(p), factor_bound < 2) is refused up front,
-    and so is N < 3 over GF(p), where the zero test would test nothing: there
-    is no pair i < j < N, and the other components vanish over GF(p).
+    needs at least one valid point to pass.  Refused up front: p^n constant
+    points above EXHAUSTIVE_LIMIT, a configuration the zero test cannot evaluate
+    (N > p over GF(p), factor_bound < 2), and N < 3 over GF(p), where the zero
+    test would test nothing: no pair i < j < N, the rest vanishing over GF(p).
     """
     p = field.characteristic
     if p and not 3 <= precision <= p:
@@ -663,6 +669,8 @@ def check_lemma_wedge(
     if exhaustive_constants and not p:
         raise ValueError("exhaustive constants require a prime field")
     matrix, schedule, name, weights = _periodic_pattern(pattern)
+    if exhaustive_constants:
+        _require_enumerable(p, matrix.n, "sample the constants instead")
     field_tag = f"fp{p}" if p else "q"
     mode = "exhaustive-constants" if exhaustive_constants else f"random[{trials}]"
     report = CheckReport(

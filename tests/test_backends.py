@@ -16,7 +16,7 @@ import pytest
 
 from infdilog.bloch import WedgeLedger
 from infdilog.cluster import InvalidPointError, YSeed, builtin_pattern
-from infdilog.fields import GF, QQ
+from infdilog.fields import GF, QQ, PrimeField
 from infdilog.series import TruncatedSeries, exp_t, log_circ, random_series
 
 
@@ -105,20 +105,21 @@ def test_kernels_match_the_fraction_loops(field):
     assert compared >= 5 * top * 12
 
 
-def test_cached_inverse_table_serves_short_and_long_requests(monkeypatch):
-    """The shared GF(13) grows its table of 1/k on demand; a shorter request reuses it."""
-    field = GF(13)
-    monkeypatch.setattr(field, "_inverse_table", [0])
+def test_log_circ_and_exp_t_read_inverses_from_the_inv_memo():
+    """A fresh GF(13) serves every 1/k of log_circ and exp_t from its inv memo, long after short."""
+    field = PrimeField(13)
     rng = random.Random(12)
-    for n in (3, 13, 5, 2, 13):  # long after short, short after long
+    for n in (3, 13, 5):
         a = random_series(field, n, rng) + 1
         while not a.is_unit:
             a = a + 1
         u = log_circ(a)
+        e = exp_t(u)
+        # checked before the references, which fill the memo themselves
+        assert set(range(1, n)) <= set(field._inv) <= set(range(1, 13)), n
+        assert all(type(x) is int and x * y % 13 == 1 for x, y in field._inv.items()), n
         assert u.coeffs == ref_log_circ(field, a.coeffs)
-        assert exp_t(u).coeffs == ref_exp_t(field, u.coeffs)
-        assert field._inverse_table[1:] == [pow(k, -1, 13) for k in range(1, len(field._inverse_table))]
-    assert len(field._inverse_table) == 13
+        assert e.coeffs == ref_exp_t(field, u.coeffs)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])

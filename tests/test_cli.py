@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -102,6 +103,21 @@ def test_module_entry_point_runs():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "(1, 2)"
+
+
+def test_exhaustive_lemma_obeys_the_exhaustive_limit():
+    """--exhaustive over the GF(1000003)^2 constants is refused at once, as cluster-p refuses it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["lemma", "--pattern", "A2", "--field", "fp", "--p", "1000003",
+                  "--precision", "3", "--exhaustive"],
+                 ["cluster-p", "--pattern", "A2", "--p", "1000003"]):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "infdilog.cli", "check", *argv],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert time.perf_counter() - start < 10, argv  # 10^12 points would never finish
+        assert done.returncode == 2, done.stderr
+        assert "points, more than the exhaustive limit 1000000" in done.stderr, argv
 
 
 def test_unknown_pattern_is_config_error():

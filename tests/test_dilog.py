@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from infdilog import dilog, verify
+from infdilog import dilog, fields, verify
 from infdilog.bloch import pentagon_terms
 from infdilog.dilog import (
     CLOSED_FORM_PARAMS,
@@ -321,6 +321,25 @@ def test_memos_hold_at_most_p_least_residues_after_exhaustive_checks():
             assert pounds1(FieldElement(field, x + k * 43)) == pounds1(field.element(x)), (x, k)
     _assert_memos_hold_their_residues(field)
     assert len(field.memos[dilog._pounds1]) == 43
+
+
+def test_residue_memos_stop_growing_at_the_cap(monkeypatch):
+    """Past _MEMO_CAP keys a memo computes its value and stores nothing; every value stays right."""
+    monkeypatch.setattr(fields, "_MEMO_CAP", 8)
+    field = PrimeField(2**61 - 1)
+    p, rng = field.p, random.Random(33)
+    points = [(rng.randrange(2, p), rng.randrange(p)) for _ in range(100)]
+    assert len({s for s, _ in points}) == 100
+    for _ in range(2):  # the second pass reads the stored keys back
+        for s, a in points:
+            assert field.inv(s) == pow(s, -1, p)
+            weight = dilog._pounds1(field, s) * pow(s * (1 - s), -1, p) % p
+            assert li2p(TruncatedSeries(field, (s, a))).value == a * weight % p
+    assert set(field.memos) == {dilog._pounds1, dilog._li2p_weight}
+    for memo in (field._inv, *field.memos.values()):
+        assert len(memo) == 8
+    assert all(x * y % p == 1 for x, y in field._inv.items())
+    assert all(y == dilog._pounds1(field, x) for x, y in field.memos[dilog._pounds1].items())
 
 
 def test_li2p_involution_witness():

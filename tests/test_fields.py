@@ -24,6 +24,15 @@ def test_canonical_form_is_idempotent():
     assert a.value.denominator == 2
     # negative denominators normalize to a positive one
     assert QQ.element(Fraction(3, -6)).value == Fraction(-1, 2)
+    # reduce is the one canonical-form method: an int over QQ becomes an equal Fraction,
+    # a Fraction comes back as it is, and GF(p) reduces a Fraction through 1/denominator
+    assert type(QQ.reduce(-3)) is Fraction and QQ.reduce(-3) == -3
+    half = Fraction(1, 2)
+    assert QQ.reduce(half) is half
+    assert GF(7).reduce(Fraction(-3, 2)) == -3 * pow(2, -1, 7) % 7 == 2
+    assert GF(7).reduce(-1) == 6 and GF(7).reduce(3 * 5) == 1
+    with pytest.raises(ZeroDivisionError):
+        GF(7).reduce(Fraction(1, 14))
 
 
 def test_inexact_scalars_are_refused():
