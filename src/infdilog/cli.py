@@ -14,9 +14,9 @@ Commands:
   periodicity        certify nu-periodicity of a pattern, as a check report
 
 Directions are 0-indexed in pattern files and 1-indexed in human output.
-Every check and periodicity print a check report.  Exit codes: 0 when every
-executed check passes, 1 on a failure or too few valid samples, 2 on a
-configuration error.
+Every check, periodicity and suite print a report and take --seed, --out and
+--format.  Exit codes: 0 when every executed check passes, 1 on a failure or
+too few valid samples, 2 on a configuration error or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -32,130 +32,93 @@ from .series import TruncatedSeries
 
 __all__ = ["entry", "main"]
 
+# every flag: its argparse keywords, and the least value a check can use (None: unbounded);
+# a subcommand adds its flags in this order
+_FLAGS: dict[str, tuple[dict, int | None]] = {
+    "field": ({"choices": ("q", "fp"), "default": "q",
+               "help": "coefficient field: rationals (q) or GF(p) (fp); default q"}, None),
+    "p": ({"type": int, "help": "odd prime characteristic (required with --field fp)"}, None),
+    "m": ({"type": int, "help": "modulus (1 < m)"}, None),
+    "w": ({"type": int, "help": "weight (m < w < 2m)"}, None),
+    "pattern": ({"help": f"built-in pattern name ({', '.join(cluster.BUILTIN_PATTERNS)})"}, None),
+    "pattern-file": ({"help": "path to a JSON pattern config"}, None),
+    "trials": ({"type": int, "default": 100, "help": "requested valid sample count; default 100"}, 1),
+    "height": ({"type": int, "default": 10, "help": "height bound for random rationals; default 10"}, 1),
+    "precision": ({"type": int, "help": "series precision N (command-specific default)"}, 1),
+    "seed": ({"type": int, "default": 0, "help": "master seed; default 0"}, None),
+    "factor-bound": ({"type": int, "default": 10**6,
+                      "help": "trial-division bound for the zero test; default 10^6"}, 2),
+    "perturbations": ({"type": int, "default": 10, "help": "lift perturbations per point; default 10"}, 0),
+    "exhaustive": ({"action": "store_true", "help": "enumerate all constant terms"
+                    " (prime fields; refused above the exhaustive limit)"}, None),
+    "point": ({"required": True, "help": "comma-separated constants (e.g. '2,3' or '3/4,1/2'),"
+               " or a JSON list of coefficient lists"}, None),
+    "out": ({"help": "write the report to this path"}, None),
+    "format": ({"choices": ("human", "json"), "default": "human",
+                "help": "report format; default human"}, None),
+}
+_PATTERN = ("pattern", "pattern-file")
+# cluster-p and named work over GF(--p) and enumerate every point when no count is given
+_CHARP = {"p": {"required": True, "help": "odd prime characteristic"},
+          "trials": {"default": None, "help": "random valid sample count; omit for auto-exhaustive"}}
 
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    if "field" in names:
-        parser.add_argument("--field", choices=("q", "fp"), default="q",
-                            help="coefficient field: rationals (q) or GF(p) (fp); default q")
-    if "p" in names:
-        parser.add_argument("--p", type=int, default=None,
-                            help="odd prime characteristic (required with --field fp)")
-    if "m" in names:
-        parser.add_argument("--m", type=int, default=None, help="modulus (1 < m)")
-    if "w" in names:
-        parser.add_argument("--w", type=int, default=None, help="weight (m < w < 2m)")
-    if "pattern" in names:
-        parser.add_argument("--pattern", default=None,
-                            help="built-in pattern name (A1, A2, B2)")
-        parser.add_argument("--pattern-file", default=None,
-                            help="path to a JSON pattern config")
-    if "trials" in names:
-        parser.add_argument("--trials", type=int, default=100,
-                            help="requested valid sample count; default 100")
-    if "height" in names:
-        parser.add_argument("--height", type=int, default=10,
-                            help="height bound for random rationals; default 10")
-    if "precision" in names:
-        parser.add_argument("--precision", type=int, default=None,
-                            help="series precision N (command-specific default)")
-    if "seed" in names:
-        parser.add_argument("--seed", type=int, default=0, help="master seed; default 0")
-    if "factor-bound" in names:
-        parser.add_argument("--factor-bound", type=int, default=10**6,
-                            help="trial-division bound for the zero test; default 10^6")
-    if "out" in names:
-        parser.add_argument("--out", default=None, help="write the report to this path")
-    if "format" in names:
-        parser.add_argument("--format", choices=("human", "json"), default="human",
-                            help="report format; default human")
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str, **overrides: dict) -> None:
+    """Add the named flags from _FLAGS; a keyword named after a flag replaces some of its keywords."""
+    for name, (kwargs, _) in _FLAGS.items():
+        if name in names:
+            parser.add_argument(f"--{name}", **{**kwargs, **overrides.get(name, {})})
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="infdilog", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    checks = sub.add_parser("check", help="run a single identity check").add_subparsers(
+        dest="check", required=True)
+    # every report command shares these three actions, added once
+    report_flags = argparse.ArgumentParser(add_help=False)
+    _add_flags(report_flags, "seed", "out", "format")
 
-    check = sub.add_parser("check", help="run a single identity check")
-    checks = check.add_subparsers(dest="check_command", required=True)
-
-    pent = checks.add_parser("pentagon", help="five-term relation")
-    _add_common(pent, "field", "p", "m", "w", "trials", "height", "seed", "out", "format")
-
-    clus = checks.add_parser("cluster", help="cluster sum over the rationals")
-    _add_common(clus, "pattern", "m", "w", "trials", "height", "seed", "out", "format")
-
-    clusp = checks.add_parser("cluster-p", help="cluster sum over GF(p)")
-    _add_common(clusp, "pattern", "p", "seed", "out", "format")
-    clusp.add_argument("--trials", type=int, default=None,
-                       help="random valid sample count; omit for auto-exhaustive")
-
-    named = checks.add_parser("named", help="a named char-p functional equation")
+    _add_flags(checks.add_parser("pentagon", parents=[report_flags], help="five-term relation"),
+               "field", "p", "m", "w", "trials", "height")
+    _add_flags(checks.add_parser("cluster", parents=[report_flags], help="cluster sum over the rationals"),
+               *_PATTERN, "m", "w", "trials", "height")
+    _add_flags(checks.add_parser("cluster-p", parents=[report_flags], help="cluster sum over GF(p)"),
+               *_PATTERN, "p", "trials", **_CHARP)
+    named = checks.add_parser("named", parents=[report_flags], help="a named char-p functional equation")
     named.add_argument("identity", choices=sorted(verify.NAMED_IDENTITIES),
                        help="which identity to check")
-    _add_common(named, "p", "seed", "out", "format")
-    named.add_argument("--trials", type=int, default=None,
-                       help="random valid sample count; omit for auto-exhaustive")
+    _add_flags(named, "p", "trials", **_CHARP)
+    _add_flags(checks.add_parser("lemma", parents=[report_flags], help="wedge-sum zero test"), *_PATTERN,
+               "field", "p", "trials", "height", "precision", "factor-bound", "exhaustive")
+    _add_flags(checks.add_parser("welldef", parents=[report_flags], help="lift independence"),
+               "m", "w", "trials", "height", "perturbations")
 
-    lemma = checks.add_parser("lemma", help="wedge-sum zero test")
-    _add_common(lemma, "pattern", "field", "p", "trials", "height",
-                "precision", "seed", "factor-bound", "out", "format")
-    lemma.add_argument("--exhaustive", action="store_true",
-                       help="enumerate all constant terms (prime fields; refused above the exhaustive limit)")
-
-    welldef = checks.add_parser("welldef", help="lift independence")
-    _add_common(welldef, "m", "w", "trials", "height", "seed", "out", "format")
-    welldef.add_argument("--perturbations", type=int, default=10,
-                         help="lift perturbations per point; default 10")
-
-    suite = sub.add_parser("suite", help="run the full acceptance battery")
-    _add_common(suite, "seed", "out", "format")
-
-    mutate = sub.add_parser("mutate", help="print a trajectory at a point")
-    _add_common(mutate, "pattern", "field", "p", "precision")
-    mutate.add_argument("--point", required=True,
-                        help="comma-separated constants (e.g. '2,3' or '3/4,1/2'),"
-                             " or a JSON list of coefficient lists")
-
-    theta = sub.add_parser("theta", help="print the skew-symmetrizer")
-    _add_common(theta, "pattern")
-
-    period = sub.add_parser("periodicity", help="certify nu-periodicity")
-    _add_common(period, "pattern", "field", "p", "trials", "height", "precision", "seed")
-
+    sub.add_parser("suite", parents=[report_flags], help="run the full acceptance battery")
+    _add_flags(sub.add_parser("mutate", help="print a trajectory at a point"),
+               *_PATTERN, "field", "p", "precision", "point")
+    _add_flags(sub.add_parser("theta", help="print the skew-symmetrizer"), *_PATTERN)
+    _add_flags(sub.add_parser("periodicity", parents=[report_flags], help="certify nu-periodicity"),
+               *_PATTERN, "field", "p", "trials", "height", "precision")
     return parser
 
 
-def _check_bounds(args, parser) -> None:
-    """Reject a numeric flag below the least value its check can use."""
-    for flag, low in (("trials", 1), ("height", 1), ("precision", 1), ("factor_bound", 2),
-                      ("perturbations", 0)):
-        value = getattr(args, flag, None)
-        if value is not None and value < low:
-            parser.error(f"--{flag.replace('_', '-')} must be at least {low}, got {value}")
-
-
-def _prime_field(args, parser, missing: str) -> Field:
+def _field(args) -> Field:
+    """The field that --field and --p choose; a command without --field works over GF(--p)."""
+    if getattr(args, "field", "fp") == "q":
+        if args.p is not None:
+            raise ValueError("--p requires --field fp")
+        return QQ
     if args.p is None:
-        parser.error(missing)
-    try:
-        return GF(args.p)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--field fp requires --p")
+    return GF(args.p)
 
 
-def _resolve_field(args, parser) -> Field:
-    if args.field == "fp":
-        return _prime_field(args, parser, "--field fp requires --p")
-    if args.p is not None:
-        parser.error("--p requires --field fp")
-    return QQ
-
-
-def _load_pattern(args, parser):
-    name = getattr(args, "pattern", None)
-    path = getattr(args, "pattern_file", None)
+def _load_pattern(args):
+    name, path = args.pattern, args.pattern_file
     if (name is None) == (path is None):
-        parser.error("give exactly one of --pattern or --pattern-file")
+        raise ValueError("give exactly one of --pattern or --pattern-file")
     try:
         if name is not None:
             return cluster.builtin_pattern(name)
@@ -164,17 +127,17 @@ def _load_pattern(args, parser):
         if isinstance(config, dict):
             config.setdefault("name", path)
         return cluster.pattern_from_dict(config)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        parser.error(f"invalid pattern: {exc}")
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise ValueError(f"invalid pattern: {exc}") from exc
 
 
-def _validate_mw(args, parser) -> tuple[int, int]:
+def _validate_mw(args) -> tuple[int, int]:
     if args.m is None or args.w is None:
-        parser.error("this check requires --m and --w")
+        raise ValueError("this check requires --m and --w")
     return args.m, args.w
 
 
-def _parse_point(text: str, field: Field, precision: int, parser) -> tuple[TruncatedSeries, ...]:
+def _parse_point(text: str, field: Field, precision: int) -> tuple[TruncatedSeries, ...]:
     try:
         if text.lstrip().startswith("["):
             rows = json.loads(text)
@@ -185,124 +148,110 @@ def _parse_point(text: str, field: Field, precision: int, parser) -> tuple[Trunc
             coords = [[Fraction(token.strip())] for token in text.split(",")]
         precision = max([precision, *map(len, coords)])
         return tuple(TruncatedSeries.from_coeffs(field, row, precision) for row in coords)
-    except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot parse --point: {exc}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse --point: {exc}") from exc
 
 
-def _emit(doc_config: dict, checks: list, args) -> int:
+def _mutate(args) -> int:
+    matrix, schedule = _load_pattern(args)
+    point = _parse_point(args.point, _field(args), 2 if args.precision is None else args.precision)
+    if len(point) != matrix.n:
+        raise ValueError(f"{schedule.name} has rank {matrix.n}, point has {len(point)} coordinates")
+    try:
+        trajectory = cluster.run_schedule(matrix, point, schedule)
+    except cluster.InvalidPointError as exc:
+        print(f"invalid point: {exc} (step {exc.step})", file=sys.stderr)
+        return 1
+    for j, step in enumerate(trajectory.steps):
+        print(f"step {j}: direction {step.direction + 1}, value {step.value}")
+    print(f"final B: {[list(r) for r in trajectory.final.matrix.rows]}")
+    for i, y in enumerate(trajectory.final.ys):
+        print(f"final y_{i + 1}: {y}")
+    return 0
+
+
+def _report(args) -> verify.CheckReport:
+    """Run the check or periodicity report that args name, reading `verify` at call time.
+
+    Each refuses a configuration it cannot evaluate with ValueError (a bad
+    modulus/weight, an aperiodic pattern, a point space too large to enumerate
+    without --trials, a lemma precision above p).
+    """
+    kind = args.check if args.command == "check" else args.command
+    if kind == "pentagon":
+        field = _field(args)
+        # over GF(p), --m/--w reach check_pentagon, which refuses them
+        m, w = _validate_mw(args) if field is QQ else (args.m, args.w)
+        return verify.check_pentagon(m=m, w=w, p=field.characteristic or None,
+                                     trials=args.trials, height=args.height, seed=args.seed)
+    if kind == "cluster":
+        return verify.check_cluster_char0(_load_pattern(args), *_validate_mw(args), trials=args.trials,
+                                          height=args.height, seed=args.seed)
+    if kind == "cluster-p":
+        return verify.check_cluster_charp(_load_pattern(args), _field(args).characteristic,
+                                          trials=args.trials, seed=args.seed)
+    if kind == "named":
+        return verify.check_named_identity(args.identity, _field(args).characteristic,
+                                           trials=args.trials, seed=args.seed)
+    if kind == "lemma":
+        return verify.check_lemma_wedge(_load_pattern(args), field=_field(args), trials=args.trials,
+                                        precision=6 if args.precision is None else args.precision,
+                                        height=args.height, seed=args.seed, factor_bound=args.factor_bound,
+                                        exhaustive_constants=args.exhaustive)
+    if kind == "welldef":
+        return verify.check_welldef(*_validate_mw(args), trials=args.trials,
+                                    perturbations=args.perturbations, height=args.height, seed=args.seed)
+    return verify.check_periodicity_report(_load_pattern(args), trials=args.trials, height=args.height,
+                                           seed=args.seed, field=_field(args),
+                                           precision=2 if args.precision is None else args.precision)
+
+
+def _emit(doc_config: dict, checks: list, args, parser) -> int:
     report = verify.SuiteReport(config=doc_config, checks=checks)
-    if getattr(args, "format", "human") == "json":
-        payload = report.to_json_bytes()
-        if args.out:
-            with open(args.out, "wb") as handle:
-                handle.write(payload)
-        else:
-            sys.stdout.buffer.write(payload)
+    binary = args.format == "json"
+    payload = report.to_json_bytes() if binary else report.to_text() + "\n"
+    if not args.out:
+        (sys.stdout.buffer if binary else sys.stdout).write(payload)
     else:
-        text = report.to_text() + "\n"
-        if getattr(args, "out", None):
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        try:
+            with open(args.out, "wb" if binary else "w") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            parser.error(f"cannot write --out: {exc}")
     return 0 if report.all_pass else 1
 
 
-def _resolved_config(args, **extra) -> dict:
+def _resolved_config(args) -> dict:
     # keep only the semantic configuration; output routing does not belong in
     # a replayable report
-    skip = ("command", "check_command", "out", "format")
-    config = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    config.update(extra)
-    return {k: (v if isinstance(v, (int, str, bool, list)) else str(v))
-            for k, v in sorted(config.items())}
+    return {k: v for k, v in sorted(vars(args).items())
+            if k not in ("command", "out", "format") and v is not None}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _check_bounds(args, parser)
 
     if args.command == "suite":
+        # outside the configuration boundary: the battery has nothing to refuse,
+        # so a ValueError here is a fault and keeps its traceback
         report = verify.run_suite(seed=args.seed)
-        return _emit(report.config, report.checks, args)
+        return _emit(report.config, report.checks, args, parser)
 
-    if args.command == "theta":
-        matrix, _ = _load_pattern(args, parser)
-        theta = cluster.skew_symmetrizer(matrix)
-        print("(" + ", ".join(str(t) for t in theta) + ")")
-        return 0
-
-    if args.command == "periodicity":
-        pattern = _load_pattern(args, parser)
-        field = _resolve_field(args, parser)
-        report = verify.check_periodicity_report(
-            pattern, trials=args.trials, height=args.height, seed=args.seed,
-            field=field, precision=2 if args.precision is None else args.precision,
-        )
-        return _emit(_resolved_config(args), [report], args)
-
-    if args.command == "mutate":
-        matrix, schedule = _load_pattern(args, parser)
-        field = _resolve_field(args, parser)
-        precision = 2 if args.precision is None else args.precision
-        point = _parse_point(args.point, field, precision, parser)
-        if len(point) != matrix.n:
-            parser.error(f"{schedule.name} has rank {matrix.n}, point has {len(point)} coordinates")
-        try:
-            trajectory = cluster.run_schedule(matrix, point, schedule)
-        except cluster.InvalidPointError as exc:
-            print(f"invalid point: {exc} (step {exc.step})", file=sys.stderr)
-            return 1
-        for j, step in enumerate(trajectory.steps):
-            print(f"step {j}: direction {step.direction + 1}, value {step.value}")
-        print(f"final B: {[list(r) for r in trajectory.final.matrix.rows]}")
-        for i, y in enumerate(trajectory.final.ys):
-            print(f"final y_{i + 1}: {y}")
-        return 0
-
-    # single checks; each refuses a configuration it cannot evaluate with ValueError
-    # (a bad modulus/weight, an aperiodic pattern, a point space too large to
-    # enumerate without --trials, a lemma precision above p)
-    kind = args.check_command
     try:
-        if kind == "pentagon":
-            field = _resolve_field(args, parser)
-            # over GF(p), --m/--w reach check_pentagon, which refuses them
-            m, w = _validate_mw(args, parser) if field is QQ else (args.m, args.w)
-            report = verify.check_pentagon(m=m, w=w, p=field.characteristic or None,
-                                           trials=args.trials, height=args.height, seed=args.seed)
-        elif kind == "cluster":
-            pattern = _load_pattern(args, parser)
-            m, w = _validate_mw(args, parser)
-            report = verify.check_cluster_char0(pattern, m, w, trials=args.trials,
-                                                height=args.height, seed=args.seed)
-        elif kind == "cluster-p":
-            pattern = _load_pattern(args, parser)
-            field = _prime_field(args, parser, "cluster-p requires --p")
-            report = verify.check_cluster_charp(pattern, field.characteristic,
-                                                trials=args.trials, seed=args.seed)
-        elif kind == "named":
-            field = _prime_field(args, parser, "named identities require --p")
-            report = verify.check_named_identity(args.identity, field.characteristic,
-                                                 trials=args.trials, seed=args.seed)
-        elif kind == "lemma":
-            pattern = _load_pattern(args, parser)
-            field = _resolve_field(args, parser)
-            report = verify.check_lemma_wedge(
-                pattern, field=field, precision=6 if args.precision is None else args.precision,
-                trials=args.trials, height=args.height, seed=args.seed,
-                factor_bound=args.factor_bound, exhaustive_constants=args.exhaustive,
-            )
-        else:  # welldef; argparse enforces the choices
-            m, w = _validate_mw(args, parser)
-            report = verify.check_welldef(m, w, trials=args.trials,
-                                          perturbations=args.perturbations,
-                                          height=args.height, seed=args.seed)
+        for name, (_, low) in _FLAGS.items():
+            value = getattr(args, name.replace("-", "_"), None)
+            if low is not None and value is not None and value < low:
+                raise ValueError(f"--{name} must be at least {low}, got {value}")
+        if args.command == "theta":
+            print("(" + ", ".join(str(t) for t in cluster.skew_symmetrizer(_load_pattern(args)[0])) + ")")
+            return 0
+        if args.command == "mutate":
+            return _mutate(args)
+        report = _report(args)
     except ValueError as exc:
         parser.error(str(exc))
-
-    return _emit(_resolved_config(args, check=kind), [report], args)
+    return _emit(_resolved_config(args), [report], args, parser)
 
 
 def entry() -> None:

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from infdilog import cli
+from infdilog import cli, cluster, verify
+from infdilog.fields import GF
 
 # A2's matrix after three mutations is -B, which is not nu(B) for nu = identity
 APERIODIC = {"B": [[0, -1], [1, 0]], "sequence": [0, 1, 0], "nu": [0, 1]}
@@ -256,3 +257,90 @@ def test_periodicity_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             run(["periodicity", *argv])
         assert err.value.code == 2
+
+
+# each report command's resolved config: a report carries every dest and default of its
+# subcommand, so the parser must keep them all
+PINNED_CONFIGS = {
+    "pentagon-q": (
+        ["check", "pentagon", "--m", "2", "--w", "3", "--trials", "3"],
+        {"check": "pentagon", "field": "q", "height": 10, "m": 2, "seed": 0, "trials": 3, "w": 3}),
+    "pentagon-fp": (
+        ["check", "pentagon", "--field", "fp", "--p", "5", "--trials", "3"],
+        {"check": "pentagon", "field": "fp", "height": 10, "p": 5, "seed": 0, "trials": 3}),
+    "cluster": (
+        ["check", "cluster", "--pattern", "A2", "--m", "2", "--w", "3", "--trials", "3"],
+        {"check": "cluster", "height": 10, "m": 2, "pattern": "A2", "seed": 0, "trials": 3, "w": 3}),
+    "cluster-p": (
+        ["check", "cluster-p", "--pattern", "A2", "--p", "5"],
+        {"check": "cluster-p", "p": 5, "pattern": "A2", "seed": 0}),
+    "named": (
+        ["check", "named", "four_term", "--p", "5"],
+        {"check": "named", "identity": "four_term", "p": 5, "seed": 0}),
+    "lemma": (
+        ["check", "lemma", "--pattern", "A2", "--trials", "3"],
+        {"check": "lemma", "exhaustive": False, "factor_bound": 1000000, "field": "q", "height": 10,
+         "pattern": "A2", "seed": 0, "trials": 3}),
+    "welldef": (
+        ["check", "welldef", "--m", "2", "--w", "3", "--trials", "3"],
+        {"check": "welldef", "height": 10, "m": 2, "perturbations": 10, "seed": 0, "trials": 3, "w": 3}),
+    "periodicity": (
+        ["periodicity", "--pattern", "A2", "--trials", "3"],
+        {"field": "q", "height": 10, "pattern": "A2", "seed": 0, "trials": 3}),
+}
+
+
+@pytest.mark.parametrize("argv,config", PINNED_CONFIGS.values(), ids=PINNED_CONFIGS)
+def test_every_report_command_keeps_its_config(argv, config, capsys):
+    assert run([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == config
+
+
+def test_periodicity_writes_a_report_in_either_format(tmp_path, capsys):
+    argv = ["periodicity", "--pattern", "B2", "--field", "fp", "--p", "7", "--precision", "3",
+            "--trials", "3"]
+    assert run(argv) == 0
+    human = "[PASS] periodicity[B2]: valid=3 rejected=0 failed=0\n1/1 checks passed\n"
+    assert capsys.readouterr().out == human
+    report = verify.check_periodicity_report("B2", trials=3, height=10, seed=0, field=GF(7), precision=3)
+    config = {"field": "fp", "height": 10, "p": 7, "pattern": "B2", "precision": 3, "seed": 0, "trials": 3}
+    expected = verify.SuiteReport(config, [report]).to_json_bytes()
+    out = tmp_path / "periodicity.json"
+    assert run([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert run([*argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as err:
+        run(["check", "pentagon", "--m", "2", "--w", "3", "--trials", "1", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "cannot write --out: [Errno 21] Is a directory" in capsys.readouterr().err
+    # a one-check stand-in for the battery, which takes seconds; suite writes it the same way
+    monkeypatch.setattr(verify, "run_suite", lambda seed: verify.SuiteReport(
+        {"seed": seed}, [verify.check_pentagon(m=2, w=3, trials=1, seed=seed)]))
+    missing = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as err:
+        run(["suite", "--format", "json", "--out", str(missing)])
+    assert err.value.code == 2
+    assert "cannot write --out: [Errno 2] No such file or directory" in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
+def test_suite_fault_is_not_a_config_error(monkeypatch):
+    # suite has no configuration to refuse, so a ValueError in the battery is a
+    # program fault and keeps its traceback
+    def broken(seed):
+        raise ValueError("battery fault")
+
+    monkeypatch.setattr(verify, "run_suite", broken)
+    with pytest.raises(ValueError, match="battery fault"):
+        run(["suite"])
+
+
+def test_pattern_help_lists_every_builtin(capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["theta", "--help"])
+    assert err.value.code == 0
+    assert f"({', '.join(cluster.BUILTIN_PATTERNS)})" in " ".join(capsys.readouterr().out.split())

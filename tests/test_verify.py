@@ -344,6 +344,12 @@ def test_corrupted_dilogarithm_is_caught(monkeypatch):
                            "value": "5"})
     _assert_first_witness(verify.check_vanish_constants(m=2, w=3, trials=5),
                           "vanish-constants[m=2,w=3]", {"inputs": {"c": "1/3"}, "value": "1"})
+    _assert_first_witness(verify.check_oracle_agreement(2, 3, trials=3), "oracle-agreement[m=2,w=3]",
+                          {"inputs": {"a": "1/9 + -7/4*t"},
+                           "value": "direct 2258615/8192 vs closed 2250423/8192"})
+    # lam^w * (li + 1) differs from li(lam a) + 1 unless lam^w = 1
+    _assert_first_witness(verify.check_scale_weight(2, 3, trials=3), "scale-weight[m=2,w=3]",
+                          {"inputs": {"a": "1/8 + 7/3*t", "lam": "-3/5"}, "value": "14461/125 vs 14309/125"})
     # pounds1 + 1 leaves r^p + (s - 1)^p = r + s - 1 in the four-term sum,
     # which vanishes only on the line r + s = 1
     original_pounds1 = dilog.pounds1
@@ -352,6 +358,42 @@ def test_corrupted_dilogarithm_is_caught(monkeypatch):
     assert (report.valid, report.failed) == (20, 16)
     _assert_first_witness(report, "named[four_term,p=7,exhaustive]",
                           {"inputs": {"r": "2", "s": "3"}, "value": "4"})
+
+
+def test_corrupted_lift_and_mutation_are_caught(monkeypatch):
+    # welldef fails on each of its two branches, and involution reaches the
+    # b > 0 branch of YSeed.mutate that no battery schedule takes
+    original_lift = dilog.li_via_lift
+    monkeypatch.setattr(dilog, "li_via_lift", lambda m, w, lift: original_lift(m, w, lift) * 2)
+    _assert_first_witness(verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
+                          {"inputs": {"lift": "-1 + -6/7*t + 0*t^2"},
+                           "value": "lift 54/343 vs direct 27/343"})
+    # the zero-padded lift still agrees with li_direct; a perturbed degree-m
+    # coefficient moves the value
+    monkeypatch.setattr(dilog, "li_via_lift",
+                        lambda m, w, lift: original_lift(m, w, lift) + lift.coeff(m))
+    _assert_first_witness(verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
+                          {"inputs": {"lift": "-1 + -6/7*t + -7/2*t^2"}, "value": "-2347/686 != 27/343"})
+
+    original_mutate = cluster.YSeed.mutate
+
+    def dropped(seed, k):
+        # drop the y_k^b factor of every neighbour with b = b_ki > 0
+        mutated = original_mutate(seed, k)
+        ys = list(mutated.ys)
+        for i in range(seed.matrix.n):
+            b = seed.matrix.entry(k, i)
+            if i != k and b > 0:
+                ys[i] = ys[i] * seed.ys[k].invert() ** b
+        return cluster.YSeed(mutated.matrix, tuple(ys))
+
+    monkeypatch.setattr(cluster.YSeed, "mutate", dropped)
+    _assert_first_witness(verify.check_mutation_involution("A2", trials=3), "involution[A2]",
+                          {"inputs": {"direction": "1", "y_1": "-5/3 + 1/6*t", "y_2": "-1 + -1*t"},
+                           "value": "seed not restored"})
+    _assert_first_witness(verify.check_mutation_involution("B2", trials=3), "involution[B2]",
+                          {"inputs": {"direction": "1", "y_1": "-8/7 + -3/4*t", "y_2": "-1/3 + 4/7*t"},
+                           "value": "seed not restored"})
 
 
 def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
