@@ -22,7 +22,9 @@ too few valid samples, 2 on a configuration error or an unwritable --out.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -206,6 +208,21 @@ def _report(args) -> verify.CheckReport:
                                            precision=2 if args.precision is None else args.precision)
 
 
+def _check_out(path: str, parser) -> None:
+    """Refuse an --out that open() could not write, before any check runs and with the OSError it
+    would raise, without creating or truncating the file; _emit still refuses a write that fails later."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    parser.error(f"cannot write --out: {OSError(code, os.strerror(code), path)}")
+
+
 def _emit(doc_config: dict, checks: list, args, parser) -> int:
     report = verify.SuiteReport(config=doc_config, checks=checks)
     binary = args.format == "json"
@@ -231,6 +248,8 @@ def _resolved_config(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "out", None):
+        _check_out(args.out, parser)
 
     if args.command == "suite":
         # outside the configuration boundary: the battery has nothing to refuse,

@@ -7,17 +7,19 @@ and `_tally` keeps the counts.  Every identity stated as a weighted sum of one
 dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
 from its (weight, argument) terms, as a raw sum reduced once.  A point source
 is either an exhaustive enumeration (`_exhaust`) or seeded sampling
-(`_resample`).  Random trials draw their randomness as a pure function of
+(`_resample`).  `_sampled` is the one place that opens a sampled report whose
+params are the family's own plus trials, height and seed; only the coordinate
+checks and the lemma, whose params have another shape, open a report for
+`_resample` by hand.  Random trials draw their randomness as a pure function of
 (master seed, check id, trial index), so reports are deterministic and
 independent of execution order; rejected samples are resampled, up to
 RESAMPLE_FACTOR attempts per requested trial, and a sampled check that cannot
-gather enough valid samples reports that instead of passing.  Prime-field
-point spaces are enumerated exhaustively whenever p^dimension stays within
-EXHAUSTIVE_LIMIT and a trial count is not forced; above the limit a trial
-count is required.  An exhaustive cluster-p or named check passes when no
-valid point fails, even if no point was valid: at p = 3 the A2 and B2 cluster
-sums and three of the named identities pass that way, with valid = 0 in their
-reports.
+gather enough valid samples reports that instead of passing.  Prime-field point
+spaces are enumerated exhaustively whenever p^dimension stays within
+EXHAUSTIVE_LIMIT and a trial count is not forced; above the limit a trial count
+is required.  An exhaustive cluster-p or named check passes when no valid point
+fails, even if no point was valid: at p = 3 the A2 and B2 cluster sums and
+three of the named identities pass that way, with valid = 0 in their reports.
 
 An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
 elementary, involution and a2_five_term_charp) first tries to certify a pass
@@ -163,6 +165,12 @@ def _resample(report: CheckReport, trials: int, seed: int, evaluate) -> CheckRep
     return report.finish(min_valid=trials)
 
 
+def _sampled(name: str, params: dict, trials: int, height: int, seed: int, evaluate) -> CheckReport:
+    """Open a seeded-sampling report, adding trials, height and seed to params; judge it by `_resample`."""
+    report = CheckReport(name=name, params={**params, "trials": trials, "height": height, "seed": seed})
+    return _resample(report, trials, seed, evaluate)
+
+
 def _exhaust(report: CheckReport, points, judge, min_valid: int = 0) -> CheckReport:
     """Judge every point of an enumerated point space."""
     for point in points:
@@ -249,7 +257,8 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
 
 
 def _resolve_pattern(pattern):
-    """A built-in name or a (matrix, schedule) pair, validated once, and its name."""
+    """(matrix, schedule, name) of a built-in name or a (matrix, schedule) pair, validating the
+    schedule here: a built-in was validated when builtin_pattern made it, so it is validated twice."""
     matrix, schedule = cluster.builtin_pattern(pattern) if isinstance(pattern, str) else pattern
     schedule.validate(matrix)
     return matrix, schedule, schedule.name
@@ -312,6 +321,12 @@ def _cluster_judge(field: Field, pattern, value_of, label: str = ""):
     return matrix, name, weights, judge
 
 
+def _require_one_characteristic(m, w, p) -> None:
+    """Refuse, with ValueError, anything but (m, w) alone or p alone."""
+    if (p is None) == (m is None and w is None):
+        raise ValueError("give either (m, w) for characteristic 0 or p for characteristic p")
+
+
 def _sample_flat(field: Field, precision: int, rng: random.Random, height: int) -> TruncatedSeries | None:
     s = random_series(field, precision, rng, height)
     return s if s.is_flat else None
@@ -325,10 +340,6 @@ def check_oracle_agreement(m: int, w: int, trials: int = 200, height: int = 10, 
     dilog.validate_modulus_weight(m, w)
     if (m, w) not in dilog.CLOSED_FORM_PARAMS:
         raise ValueError(f"no closed-form oracle for (m, w) = ({m}, {w})")
-    report = CheckReport(
-        name=f"oracle-agreement[m={m},w={w}]",
-        params={"m": m, "w": w, "trials": trials, "height": height, "seed": seed},
-    )
 
     def evaluate(rng: random.Random):
         a = _sample_flat(QQ, m, rng, height)
@@ -340,7 +351,7 @@ def check_oracle_agreement(m: int, w: int, trials: int = 200, height: int = 10, 
             return {"ok": True}
         return {"ok": False, "inputs": {"a": str(a)}, "value": f"direct {direct} vs closed {closed}"}
 
-    return _resample(report, trials, seed, evaluate)
+    return _sampled(f"oracle-agreement[m={m},w={w}]", {"m": m, "w": w}, trials, height, seed, evaluate)
 
 
 def check_pentagon(
@@ -356,23 +367,14 @@ def check_pentagon(
     Pairs (a, b) are valid when a(1-a)b(1-b)(b-a) is a unit, which makes every
     pentagon argument flat.
     """
-    if (p is None) == (m is None and w is None):
-        raise ValueError("give either (m, w) for characteristic 0 or p for characteristic p")
+    _require_one_characteristic(m, w, p)
     if p is None:
         dilog.validate_modulus_weight(m, w)
-        field: Field = QQ
-        precision = m
-        name = f"pentagon[q,m={m},w={w}]"
-        value_of = lambda arg: dilog.li_direct(m, w, arg)
-        params = {"field": "q", "m": m, "w": w}
+        field, precision, value_of = QQ, m, lambda arg: dilog.li_direct(m, w, arg)
+        name, params = f"pentagon[q,m={m},w={w}]", {"field": "q", "m": m, "w": w}
     else:
-        field = GF(p)
-        precision = 2
-        name = f"pentagon[p={p}]"
-        value_of = dilog.li2p
-        params = {"field": "fp", "p": p}
-    params.update({"trials": trials, "height": height, "seed": seed})
-    report = CheckReport(name=name, params=params)
+        field, precision, value_of = GF(p), 2, dilog.li2p
+        name, params = f"pentagon[p={p}]", {"field": "fp", "p": p}
 
     def evaluate(rng: random.Random):
         a = random_series(field, precision, rng, height)
@@ -381,7 +383,7 @@ def check_pentagon(
             return None
         return _vanishing(field, value_of, bloch.pentagon_terms(a, b), lambda: {"a": str(a), "b": str(b)})
 
-    return _resample(report, trials, seed, evaluate)
+    return _sampled(name, params, trials, height, seed, evaluate)
 
 
 def check_welldef(
@@ -401,11 +403,6 @@ def check_welldef(
     dilog.validate_modulus_weight(m, w)
     if perturbations < 0:
         raise ValueError(f"perturbations must be at least 0, got {perturbations}")
-    report = CheckReport(
-        name=f"welldef[m={m},w={w}]",
-        params={"m": m, "w": w, "trials": trials, "perturbations": perturbations,
-                "height": height, "seed": seed},
-    )
 
     def evaluate(rng: random.Random):
         base = _sample_flat(QQ, m, rng, height)
@@ -425,16 +422,13 @@ def check_welldef(
                         "value": f"{got} != {reference}"}
         return {"ok": True}
 
-    return _resample(report, trials, seed, evaluate)
+    return _sampled(f"welldef[m={m},w={w}]", {"m": m, "w": w, "perturbations": perturbations},
+                    trials, height, seed, evaluate)
 
 
 def check_scale_weight(m: int, w: int, trials: int = 100, height: int = 10, seed: int = 0) -> CheckReport:
     """Homogeneity under the scaling action: li(lam x a) = lam^w li(a)."""
     dilog.validate_modulus_weight(m, w)
-    report = CheckReport(
-        name=f"scale-weight[m={m},w={w}]",
-        params={"m": m, "w": w, "trials": trials, "height": height, "seed": seed},
-    )
 
     def evaluate(rng: random.Random):
         a = _sample_flat(QQ, m, rng, height)
@@ -447,7 +441,7 @@ def check_scale_weight(m: int, w: int, trials: int = 100, height: int = 10, seed
             return {"ok": True}
         return {"ok": False, "inputs": {"a": str(a), "lam": str(lam)}, "value": f"{lhs} vs {rhs}"}
 
-    return _resample(report, trials, seed, evaluate)
+    return _sampled(f"scale-weight[m={m},w={w}]", {"m": m, "w": w}, trials, height, seed, evaluate)
 
 
 def check_vanish_constants(
@@ -459,22 +453,18 @@ def check_vanish_constants(
     seed: int = 0,
 ) -> CheckReport:
     """Dilogarithms vanish on constant flat inputs, in both characteristics."""
+    _require_one_characteristic(m, w, p)
     if p is not None:
         field = GF(p)
-        report = CheckReport(name=f"vanish-constants[p={p}]", params={"p": p})
 
         def judge(s: int):
             if s in (0, 1):
                 return None
             return _vanishing(field, dilog.li2p, [(1, TruncatedSeries(field, (s, 0)))], lambda: {"s": str(s)})
 
-        return _exhaust(report, range(p), judge, min_valid=1)
+        return _exhaust(CheckReport(f"vanish-constants[p={p}]", {"p": p}), range(p), judge, min_valid=1)
 
     dilog.validate_modulus_weight(m, w)
-    report = CheckReport(
-        name=f"vanish-constants[m={m},w={w}]",
-        params={"m": m, "w": w, "trials": trials, "height": height, "seed": seed},
-    )
 
     def evaluate(rng: random.Random):
         c = QQ.random_element(rng, height)
@@ -483,7 +473,7 @@ def check_vanish_constants(
         return _vanishing(QQ, lambda a: dilog.li_direct(m, w, a),
                           [(1, TruncatedSeries.constant(QQ, c, m))], lambda: {"c": str(c)})
 
-    return _resample(report, trials, seed, evaluate)
+    return _sampled(f"vanish-constants[m={m},w={w}]", {"m": m, "w": w}, trials, height, seed, evaluate)
 
 
 def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckReport:
@@ -533,13 +523,9 @@ def check_cluster_char0(
     """The weighted cluster sum of li_{m,w} along a periodic mutation sequence."""
     dilog.validate_modulus_weight(m, w)
     matrix, name, weights, judge = _cluster_judge(QQ, pattern, lambda y: dilog.li_direct(m, w, y))
-    report = CheckReport(
-        name=f"cluster0[{name},m={m},w={w}]",
-        params={"pattern": name, "m": m, "w": w, "theta": list(weights),
-                "trials": trials, "height": height, "seed": seed},
-    )
-    return _resample(report, trials, seed, lambda rng: judge(
-        tuple(random_series(QQ, m, rng, height) for _ in range(matrix.n))))
+    return _sampled(f"cluster0[{name},m={m},w={w}]", {"pattern": name, "m": m, "w": w, "theta": list(weights)},
+                    trials, height, seed,
+                    lambda rng: judge(tuple(random_series(QQ, m, rng, height) for _ in range(matrix.n))))
 
 
 def check_cluster_charp(
@@ -715,10 +701,7 @@ def check_theta_invariance(pattern) -> CheckReport:
     """The skew-symmetrizer is unchanged by every mutation along the schedule."""
     matrix, schedule, name = _resolve_pattern(pattern)
     theta = cluster.skew_symmetrizer(matrix)
-    report = CheckReport(
-        name=f"theta-invariance[{name}]",
-        params={"pattern": name, "theta": list(theta)},
-    )
+    report = CheckReport(name=f"theta-invariance[{name}]", params={"pattern": name, "theta": list(theta)})
 
     def judge(item):
         step, mat = item
@@ -737,11 +720,6 @@ def check_mutation_involution(
 ) -> CheckReport:
     """Mutating twice in the same direction restores the seed exactly, at precision 2."""
     matrix, schedule, name = _resolve_pattern(pattern)
-    report = CheckReport(
-        name=f"involution[{name}]",
-        params={"pattern": name, "trials": trials, "height": height,
-                "seed": seed, "precision": 2},
-    )
 
     def evaluate(rng: random.Random):
         point = tuple(random_series(QQ, 2, rng, height) for _ in range(matrix.n))
@@ -757,7 +735,7 @@ def check_mutation_involution(
                                         **{f"y_{i + 1}": str(s) for i, s in enumerate(point)}},
                 "value": "seed not restored"}
 
-    return _resample(report, trials, seed, evaluate)
+    return _sampled(f"involution[{name}]", {"pattern": name, "precision": 2}, trials, height, seed, evaluate)
 
 
 def check_periodicity_report(

@@ -328,6 +328,71 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch):
     assert not missing.parent.exists()
 
 
+REPORT_COMMANDS = {
+    "pentagon": ["check", "pentagon", "--m", "2", "--w", "3"],
+    "cluster": ["check", "cluster", "--pattern", "A2", "--m", "2", "--w", "3"],
+    "cluster-p": ["check", "cluster-p", "--pattern", "A2", "--p", "5"],
+    "named": ["check", "named", "four_term", "--p", "5"],
+    "lemma": ["check", "lemma", "--pattern", "A2"],
+    "welldef": ["check", "welldef", "--m", "2", "--w", "3"],
+    "periodicity": ["periodicity", "--pattern", "A2"],
+    "suite": ["suite"],
+}
+
+
+def _refuse_to_run(monkeypatch):
+    def ran(*args, **kwargs):
+        pytest.fail("a check ran before --out was checked")
+
+    monkeypatch.setattr(verify, "run_suite", ran)
+    for name in verify.__all__:
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, ran)
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_unwritable_out_is_refused_before_any_check_runs(command, tmp_path, capsys, monkeypatch):
+    _refuse_to_run(monkeypatch)
+    missing = tmp_path / "missing" / "report.json"
+    for out, reason in ((tmp_path, "[Errno 21] Is a directory"), (missing, "[Errno 2] No such file or directory")):
+        with pytest.raises(SystemExit) as err:
+            run([*REPORT_COMMANDS[command], "--out", str(out)])
+        assert err.value.code == 2
+        # the text open() would give
+        assert f"cannot write --out: {reason}: {str(out)!r}" in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
+def test_out_in_a_read_only_directory_is_refused_before_the_battery_runs(tmp_path, capsys, monkeypatch):
+    _refuse_to_run(monkeypatch)
+    # a stand-in for a directory without write permission, which a superuser does not have
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    with pytest.raises(SystemExit) as err:
+        run(["suite", "--out", str(tmp_path / "report.json")])
+    assert err.value.code == 2
+    assert "cannot write --out: [Errno 13] Permission denied" in capsys.readouterr().err
+
+
+def test_out_is_neither_created_nor_truncated_by_a_refused_run(tmp_path, capsys):
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("an earlier report")
+    for out in (fresh, kept):
+        with pytest.raises(SystemExit) as err:
+            run(["check", "pentagon", "--m", "3", "--w", "2", "--out", str(out)])
+        assert err.value.code == 2
+    assert not fresh.exists()
+    assert kept.read_text() == "an earlier report"
+
+
+def test_a_write_that_fails_after_the_run_is_still_a_config_error(tmp_path, capsys, monkeypatch):
+    # an --out that passes the early check can still fail when the report is written
+    monkeypatch.setattr(cli, "_check_out", lambda path, parser: None)
+    with pytest.raises(SystemExit) as err:
+        run(["check", "pentagon", "--m", "2", "--w", "3", "--trials", "1", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "cannot write --out: [Errno 21] Is a directory" in capsys.readouterr().err
+
+
 def test_suite_fault_is_not_a_config_error(monkeypatch):
     # suite has no configuration to refuse, so a ValueError in the battery is a
     # program fault and keeps its traceback

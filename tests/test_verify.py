@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from infdilog import bloch, cluster, dilog, verify
-from infdilog.fields import GF, QQ, Field, FieldMismatchError
+from infdilog.fields import GF, QQ, Field, FieldMismatchError, RationalField
 from infdilog.series import TruncatedSeries
 
 
@@ -394,6 +394,103 @@ def test_corrupted_lift_and_mutation_are_caught(monkeypatch):
     _assert_first_witness(verify.check_mutation_involution("B2", trials=3), "involution[B2]",
                           {"inputs": {"direction": "1", "y_1": "-8/7 + -3/4*t", "y_2": "-1/3 + 4/7*t"},
                            "value": "seed not restored"})
+
+
+@pytest.mark.parametrize("check", [verify.check_pentagon, verify.check_vanish_constants],
+                         ids=["pentagon", "vanish-constants"])
+@pytest.mark.parametrize("kwargs", [{}, {"m": 2, "w": 3, "p": 5}, {"m": 2, "p": 5}],
+                         ids=["neither", "m-w-and-p", "m-and-p"])
+def test_exactly_one_characteristic_is_accepted(check, kwargs):
+    # a mix of both characteristics, or neither, is refused with the one message
+    message = r"^give either \(m, w\) for characteristic 0 or p for characteristic p$"
+    with pytest.raises(ValueError, match=message):
+        check(**kwargs)
+
+
+def test_all_ones_symmetrizer_is_caught(monkeypatch):
+    # B2's symmetrizer is (1, 2), so its weighted sums fail; A2's is all ones
+    # already, and theta-invariance compares the symmetrizer with itself
+    monkeypatch.setattr(cluster, "skew_symmetrizer", lambda matrix: (1,) * matrix.n)
+    _assert_first_witness(verify.check_cluster_char0("B2", 2, 3, trials=3), "cluster0[B2,m=2,w=3]",
+                          {"inputs": {"alpha_1": "-1/5 + 10/3*t", "alpha_2": "-5/7 + 1/2*t"},
+                           "value": "-1034876381/16200"})
+    _assert_first_witness(verify.check_cluster_charp("B2", 5), "clusterp[B2,p=5,exhaustive]",
+                          {"inputs": {"alpha_1": "2 + 0*t", "alpha_2": "1 + 1*t"}, "value": "li2p sum 4"})
+    _assert_first_witness(verify.check_lemma_wedge("B2", trials=3), "lemma[B2,q,N=6,random[3]]",
+                          {"inputs": {"alpha_1": "-6/5 + -3/2*t + 0*t^2 + 1*t^3 + -5*t^4 + 2*t^5",
+                                      "alpha_2": "2/5 + -4*t + 3/5*t^2 + -9/7*t^3 + -5*t^4 + 0*t^5"},
+                           "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to -20185471875/251628832"})
+    _assert_first_witness(verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True),
+                          "lemma[B2,fp7,N=6,exhaustive-constants]",
+                          {"inputs": {"alpha_1": "1 + 5*t + 3*t^2 + 1*t^3 + 4*t^4 + 6*t^5",
+                                      "alpha_2": "1 + 3*t + 5*t^2 + 0*t^3 + 1*t^4 + 2*t^5"},
+                           "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to 1"})
+    assert verify.check_theta_invariance("B2").passed
+    assert verify.check_cluster_char0("A2", 2, 3, trials=3).passed
+
+
+def test_wrong_rational_log_is_caught(monkeypatch):
+    # the t^2 coefficient of every rational log_circ off by one: each family
+    # that reads a log at precision 3 or more fails
+    original = RationalField.log_circ
+
+    def bumped(self, a, da):
+        nums, den = original(self, a, da)
+        return self.normalize([*nums[:2], nums[2] + den, *nums[3:]], den) if len(nums) > 2 else (nums, den)
+
+    monkeypatch.setattr(RationalField, "log_circ", bumped)
+    pinned = [
+        (verify.check_oracle_agreement(3, 4, trials=3), "oracle-agreement[m=3,w=4]",
+         {"inputs": {"a": "3/2 + -3*t + -1/4*t^2"}, "value": "direct 108 vs closed 132"}),
+        (verify.check_pentagon(m=3, w=4, trials=3), "pentagon[q,m=3,w=4]",
+         {"inputs": {"a": "-10/7 + 3/5*t + 0*t^2", "b": "-3/5 + 0*t + 2*t^2"}, "value": "-11480553/30381125"}),
+        (verify.check_welldef(3, 4, trials=3), "welldef[m=3,w=4]",
+         {"inputs": {"lift": "-5/4 + -5/2*t + 3/8*t^2 + 0*t^3"}, "value": "lift -5128/2187 vs direct -2968/2187"}),
+        (verify.check_scale_weight(3, 4, trials=3), "scale-weight[m=3,w=4]",
+         {"inputs": {"a": "-9/4 + 2/3*t + -1*t^2", "lam": "5/7"},
+          "value": "1530348800/133492841937 vs 6345440000/934449893559"}),
+        (verify.check_cluster_char0("A2", 3, 4, trials=3), "cluster0[A2,m=3,w=4]",
+         {"inputs": {"alpha_1": "5/7 + -1*t + 2/3*t^2", "alpha_2": "8/7 + -5*t + 2*t^2"},
+          "value": "6893957/504600"}),
+        (verify.check_lemma_wedge("A2", trials=3), "lemma[A2,q,N=6,random[3]]",
+         {"inputs": {"alpha_1": "-6 + 0*t + -3/2*t^2 + 0*t^3 + 3/5*t^4 + 2/7*t^5",
+                     "alpha_2": "-3/10 + -1/2*t + 5/4*t^2 + 1/3*t^3 + 7/2*t^4 + -10/3*t^5"},
+          "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to 29/21"}),
+    ]
+    for report, name, witness in pinned:
+        _assert_first_witness(report, name, witness)
+
+
+def test_wrong_series_inverse_is_caught(monkeypatch):
+    # the t coefficient of every series inverse off by one, in both characteristics
+    original = TruncatedSeries.invert
+
+    def bumped(self):
+        inverse = original(self)
+        if inverse.precision < 2:
+            return inverse
+        c = inverse.coeffs
+        return TruncatedSeries.from_coeffs(inverse.field, [c[0], c[1] + 1, *c[2:]])
+
+    monkeypatch.setattr(TruncatedSeries, "invert", bumped)
+    pinned = [
+        (verify.check_pentagon(m=2, w=3, trials=3), "pentagon[q,m=2,w=3]",
+         {"inputs": {"a": "9/4 + -3/2*t", "b": "-3/2 + -9/4*t"}, "value": "5997269/115200"}),
+        (verify.check_pentagon(p=5, trials=3), "pentagon[p=5]",
+         {"inputs": {"a": "4 + 1*t", "b": "3 + 2*t"}, "value": "3"}),
+        (verify.check_cluster_char0("A2", 2, 3, trials=3), "cluster0[A2,m=2,w=3]",
+         {"inputs": {"alpha_1": "2/3 + 1/2*t", "alpha_2": "-1/5 + 2*t"}, "value": "-8983/800"}),
+        (verify.check_cluster_charp("A2", 5), "clusterp[A2,p=5,exhaustive]",
+         {"inputs": {"alpha_1": "1 + 0*t", "alpha_2": "1 + 0*t"}, "value": "li2p sum 1"}),
+        (verify.check_mutation_involution("A2", trials=3), "involution[A2]",
+         {"inputs": {"direction": "1", "y_1": "-5/3 + 1/6*t", "y_2": "-1 + -1*t"}, "value": "seed not restored"}),
+        (verify.check_periodicity_report("A2", trials=3), "periodicity[A2]",
+         {"inputs": {}, "value": "y-values disagree at point ['2/7 + -9/5*t', '3/4 + 2/5*t']"}),
+        (verify.check_named_identity("involution", 5), "named[involution,p=5,exhaustive]",
+         {"inputs": {"y": "2 + 0*t"}, "value": "2"}),
+    ]
+    for report, name, witness in pinned:
+        _assert_first_witness(report, name, witness)
 
 
 def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
