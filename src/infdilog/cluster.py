@@ -47,6 +47,7 @@ __all__ = [
     "pattern_from_dict",
     "run_schedule",
     "skew_symmetrizer",
+    "skew_symmetrizes",
 ]
 
 
@@ -192,6 +193,12 @@ def skew_symmetrizer(matrix: ExchangeMatrix) -> tuple[int, ...]:
     return tuple(int(r) for r in ratios)
 
 
+def skew_symmetrizes(theta, matrix: ExchangeMatrix) -> bool:
+    """Whether theta_j b_ij = -theta_i b_ji at every entry of the matrix."""
+    return all(theta[j] * matrix.entry(i, j) == -theta[i] * matrix.entry(j, i)
+               for i in range(matrix.n) for j in range(matrix.n))
+
+
 @dataclass(frozen=True)
 class MutationSchedule:
     """A pattern's keys besides B: directions (`sequence`), nu, optional theta, name."""
@@ -213,10 +220,8 @@ class MutationSchedule:
         if self.theta is not None:
             if len(self.theta) != n or any(t < 1 for t in self.theta):
                 raise ValueError("theta must be an n-tuple of positive integers")
-            for i in range(n):
-                for j in range(n):
-                    if self.theta[j] * matrix.entry(i, j) != -self.theta[i] * matrix.entry(j, i):
-                        raise ValueError("theta does not skew-symmetrize the matrix")
+            if not skew_symmetrizes(self.theta, matrix):
+                raise ValueError("theta does not skew-symmetrize the matrix")
 
     def resolved_theta(self, matrix: ExchangeMatrix) -> tuple[int, ...]:
         return self.theta if self.theta is not None else skew_symmetrizer(matrix)

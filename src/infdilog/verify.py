@@ -5,8 +5,10 @@ checks share one driver: a judge maps a point to None when a validity filter
 (a failed inversion, a non-flat value) rejects it, or else to a witness dict,
 and `_tally` keeps the counts.  Every identity stated as a weighted sum of one
 dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
-from its (weight, argument) terms, as a raw sum reduced once.  A point source
-is either an exhaustive enumeration (`_exhaust`) or seeded sampling
+from its (weight, argument) terms, as a raw sum reduced once.  The two cluster
+sums and the wedge lemma share one trajectory judge, `_cluster_judge`: it walks
+the schedule and hands the weighted values to the family's verdict.  A point
+source is either an exhaustive enumeration (`_exhaust`) or seeded sampling
 (`_resample`).  `_sampled` is the one place that opens a sampled report whose
 params are the family's own plus trials, height and seed; only the coordinate
 checks and the lemma, whose params have another shape, open a report for
@@ -257,38 +259,14 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
 
 
 def _resolve_pattern(pattern):
-    """(matrix, schedule, name) of a built-in name or a (matrix, schedule) pair, validating the
-    schedule here: a built-in was validated when builtin_pattern made it, so it is validated twice."""
-    matrix, schedule = cluster.builtin_pattern(pattern) if isinstance(pattern, str) else pattern
-    schedule.validate(matrix)
+    """(matrix, schedule, name) of a built-in name or a (matrix, schedule) pair; builtin_pattern
+    validated a built-in as it made it, so only a hand-built pair is validated here."""
+    if isinstance(pattern, str):
+        matrix, schedule = cluster.builtin_pattern(pattern)
+    else:
+        matrix, schedule = pattern
+        schedule.validate(matrix)
     return matrix, schedule, schedule.name
-
-
-def _periodic_pattern(pattern):
-    """Resolve a pattern whose matrix returns to nu of itself; add its weights."""
-    matrix, schedule, name = _resolve_pattern(pattern)
-    if not cluster.matrix_returns(matrix, schedule):
-        raise ValueError(f"pattern {name} is not nu-periodic at the matrix level")
-    return matrix, schedule, name, schedule.resolved_theta(matrix)
-
-
-def _weighted_flat_values(matrix, schedule, weights, point):
-    """(theta_r, -y) for each recorded value y, where -y must be flat.
-
-    None when the point is invalid: a mutation fails, or some -y is not flat
-    (equivalently, y or 1 + y is not a unit).
-    """
-    try:
-        trajectory = cluster.run_schedule(matrix, point, schedule)
-    except cluster.InvalidPointError:
-        return None
-    values = []
-    for step in trajectory.steps:
-        value = -step.value
-        if not value.is_flat:
-            return None
-        values.append((weights[step.direction], value))
-    return values
 
 
 def _vanishing(field: Field, value_of, terms, inputs, label: str = "") -> dict:
@@ -306,17 +284,29 @@ def _vanishing(field: Field, value_of, terms, inputs, label: str = "") -> dict:
     return {"ok": False, "inputs": inputs(), "value": f"{label}{total}"} if total else {"ok": True}
 
 
-def _cluster_judge(field: Field, pattern, value_of, label: str = ""):
-    """(matrix, name, weights, judge) of a periodic pattern, where judge(point) is
-    None for an invalid point, or else the witness of its weighted cluster sum."""
-    matrix, schedule, name, weights = _periodic_pattern(pattern)
+def _cluster_judge(pattern, verdict):
+    """(matrix, name, weights, judge) of a pattern whose matrix returns to nu of itself.
+
+    judge(point) walks the schedule from point: None when a mutation fails or some recorded
+    -y is not flat (equivalently, y or 1 + y is not a unit), else verdict(terms, inputs) of
+    the (theta_r, -y) pairs of the recorded values y, where inputs() renders the point."""
+    matrix, schedule, name = _resolve_pattern(pattern)
+    if not cluster.matrix_returns(matrix, schedule):
+        raise ValueError(f"pattern {name} is not nu-periodic at the matrix level")
+    weights = schedule.resolved_theta(matrix)
 
     def judge(point):
-        values = _weighted_flat_values(matrix, schedule, weights, point)
-        if values is None:
+        try:
+            trajectory = cluster.run_schedule(matrix, point, schedule)
+        except cluster.InvalidPointError:
             return None
-        return _vanishing(field, value_of, values,
-                          lambda: {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)}, label)
+        terms = []
+        for step in trajectory.steps:
+            value = -step.value
+            if not value.is_flat:
+                return None
+            terms.append((weights[step.direction], value))
+        return verdict(terms, lambda: {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)})
 
     return matrix, name, weights, judge
 
@@ -522,7 +512,8 @@ def check_cluster_char0(
 ) -> CheckReport:
     """The weighted cluster sum of li_{m,w} along a periodic mutation sequence."""
     dilog.validate_modulus_weight(m, w)
-    matrix, name, weights, judge = _cluster_judge(QQ, pattern, lambda y: dilog.li_direct(m, w, y))
+    matrix, name, weights, judge = _cluster_judge(pattern, lambda terms, inputs: _vanishing(
+        QQ, lambda y: dilog.li_direct(m, w, y), terms, inputs))
     return _sampled(f"cluster0[{name},m={m},w={w}]", {"pattern": name, "m": m, "w": w, "theta": list(weights)},
                     trials, height, seed,
                     lambda rng: judge(tuple(random_series(QQ, m, rng, height) for _ in range(matrix.n))))
@@ -542,7 +533,8 @@ def check_cluster_charp(
     then required.
     """
     field = GF(p)
-    matrix, name, weights, judge = _cluster_judge(field, pattern, dilog.li2p, "li2p sum ")
+    matrix, name, weights, judge = _cluster_judge(pattern, lambda terms, inputs: _vanishing(
+        field, dilog.li2p, terms, inputs, "li2p sum "))
     return _check_coords("clusterp", name, {"pattern": name, "theta": list(weights)},
                          p, 2 * matrix.n, trials, seed, lambda coords: judge(
                              tuple(TruncatedSeries(field, coords[2 * i: 2 * i + 2])
@@ -654,7 +646,16 @@ def check_lemma_wedge(
         raise ValueError(f"factor_bound must be at least 2, got {factor_bound}")
     if exhaustive_constants and not p:
         raise ValueError("exhaustive constants require a prime field")
-    matrix, schedule, name, weights = _periodic_pattern(pattern)
+
+    def verdict(terms, inputs):
+        ledger = bloch.WedgeLedger([(weight, -beta, 1 - beta) for weight, beta in terms])
+        result = bloch.zero_test_rational(ledger, factor_bound)
+        if result.is_zero:
+            return {"ok": True}
+        return {"ok": False, "inconclusive": result.verdict == "inconclusive", "inputs": inputs(),
+                "value": f"{result.failing_component}: {result.detail}"}
+
+    matrix, name, _, judge = _cluster_judge(pattern, verdict)
     if exhaustive_constants:
         _require_enumerable(p, matrix.n, "sample the constants instead")
     field_tag = f"fp{p}" if p else "q"
@@ -665,18 +666,6 @@ def check_lemma_wedge(
                 "trials": trials, "height": height, "seed": seed,
                 "factor_bound": factor_bound, "mode": mode},
     )
-
-    def judge(point):
-        values = _weighted_flat_values(matrix, schedule, weights, point)
-        if values is None:
-            return None
-        ledger = bloch.WedgeLedger([(weight, -beta, 1 - beta) for weight, beta in values])
-        result = bloch.zero_test_rational(ledger, factor_bound)
-        if result.is_zero:
-            return {"ok": True}
-        return {"ok": False, "inconclusive": result.verdict == "inconclusive",
-                "inputs": {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)},
-                "value": f"{result.failing_component}: {result.detail}"}
 
     if not exhaustive_constants:
         return _resample(report, trials, seed, lambda rng: judge(
@@ -698,15 +687,17 @@ def check_lemma_wedge(
 
 
 def check_theta_invariance(pattern) -> CheckReport:
-    """The skew-symmetrizer is unchanged by every mutation along the schedule."""
+    """The matrix's skew-symmetrizer theta skew-symmetrizes every matrix the schedule mutates to."""
     matrix, schedule, name = _resolve_pattern(pattern)
     theta = cluster.skew_symmetrizer(matrix)
     report = CheckReport(name=f"theta-invariance[{name}]", params={"pattern": name, "theta": list(theta)})
 
     def judge(item):
         step, mat = item
-        got = cluster.skew_symmetrizer(mat)
-        return {"ok": got == theta, "inputs": {"step": str(step)}, "value": f"theta became {got}"}
+        if cluster.skew_symmetrizes(theta, mat):
+            return {"ok": True}
+        return {"ok": False, "inputs": {"step": str(step)},
+                "value": f"theta does not skew-symmetrize {[list(row) for row in mat.rows]}"}
 
     path = cluster.matrix_path(matrix, schedule.directions)[1:]
     return _exhaust(report, enumerate(path), judge, min_valid=1)
@@ -724,9 +715,8 @@ def check_mutation_involution(
     def evaluate(rng: random.Random):
         point = tuple(random_series(QQ, 2, rng, height) for _ in range(matrix.n))
         direction = rng.randrange(matrix.n)
-        twice = cluster.MutationSchedule((direction, direction), tuple(range(matrix.n)))
         try:
-            back = cluster.run_schedule(matrix, point, twice).final
+            back = cluster.YSeed(matrix, point).mutate(direction).mutate(direction)
         except cluster.InvalidPointError:
             return None
         if back.ys == point and back.matrix == matrix:

@@ -81,6 +81,7 @@ def test_cluster_charp_builds_the_matrix_path_once(monkeypatch):
 
 
 def test_a_pattern_is_validated_once_per_check(monkeypatch):
+    patterns = {"built-in": "A2", "hand-built": cluster.builtin_pattern("A2")}
     calls = []
     original = cluster.MutationSchedule.validate
 
@@ -89,14 +90,24 @@ def test_a_pattern_is_validated_once_per_check(monkeypatch):
         original(self, matrix)
 
     monkeypatch.setattr(cluster.MutationSchedule, "validate", counting)
+    checks = {
+        "cluster0": lambda pattern: verify.check_cluster_char0(pattern, 2, 3, trials=5),
+        "clusterp": lambda pattern: verify.check_cluster_charp(pattern, 5),
+        "lemma": lambda pattern: verify.check_lemma_wedge(pattern, trials=2),
+        "theta-invariance": verify.check_theta_invariance,
+        "involution": lambda pattern: verify.check_mutation_involution(pattern, trials=5),
+    }
     counts = {}
-    for p in (5, 7):
-        calls.clear()
-        assert verify.check_cluster_charp("A2", p).valid > 0
-        counts[p] = len(calls)
-    # once when the built-in is made and once when the check resolves it,
-    # however many of the p^4 points walk the schedule
-    assert counts == {5: 2, 7: 2}
+    for family, check in checks.items():
+        for kind, pattern in patterns.items():
+            calls.clear()
+            assert check(pattern).passed
+            counts[family, kind] = len(calls)
+    # a built-in is validated when builtin_pattern makes it and a hand-built
+    # pair when the check resolves it, however many points walk the schedule.
+    # Periodicity is left out: cluster.check_periodicity is a public entry
+    # point that validates its own arguments, so its report validates twice.
+    assert counts == {(family, kind): 1 for family in checks for kind in patterns}
 
 
 def test_periodicity_builds_no_matrix_per_point(monkeypatch):
@@ -408,8 +419,8 @@ def test_exactly_one_characteristic_is_accepted(check, kwargs):
 
 
 def test_all_ones_symmetrizer_is_caught(monkeypatch):
-    # B2's symmetrizer is (1, 2), so its weighted sums fail; A2's is all ones
-    # already, and theta-invariance compares the symmetrizer with itself
+    # B2's symmetrizer is (1, 2), so its weighted sums fail and all ones does
+    # not skew-symmetrize its first mutation; A2's is all ones already
     monkeypatch.setattr(cluster, "skew_symmetrizer", lambda matrix: (1,) * matrix.n)
     _assert_first_witness(verify.check_cluster_char0("B2", 2, 3, trials=3), "cluster0[B2,m=2,w=3]",
                           {"inputs": {"alpha_1": "-1/5 + 10/3*t", "alpha_2": "-5/7 + 1/2*t"},
@@ -425,7 +436,8 @@ def test_all_ones_symmetrizer_is_caught(monkeypatch):
                           {"inputs": {"alpha_1": "1 + 5*t + 3*t^2 + 1*t^3 + 4*t^4 + 6*t^5",
                                       "alpha_2": "1 + 3*t + 5*t^2 + 0*t^3 + 1*t^4 + 2*t^5"},
                            "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to 1"})
-    assert verify.check_theta_invariance("B2").passed
+    _assert_first_witness(verify.check_theta_invariance("B2"), "theta-invariance[B2]",
+                          {"inputs": {"step": "0"}, "value": "theta does not skew-symmetrize [[0, 1], [-2, 0]]"})
     assert verify.check_cluster_char0("A2", 2, 3, trials=3).passed
 
 
