@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -72,7 +73,9 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str, **overrides: dict) 
             parser.add_argument(f"--{name}", **{**kwargs, **overrides.get(name, {})})
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process at the first main call, not at import, so set-up stays lean."""
     parser = argparse.ArgumentParser(prog="infdilog", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -214,7 +217,7 @@ def _check_out(path: str, parser) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(parent):
+    elif not path or not os.path.isdir(parent):
         code = errno.ENOENT
     elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
@@ -248,7 +251,7 @@ def _resolved_config(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         _check_out(args.out, parser)
 
     if args.command == "suite":

@@ -15,8 +15,9 @@ A series' coefficients are a vector: int numerators over one positive common
 denominator, normalised by the field (gcd(den, *nums) = 1 over QQ, so the form
 is unique; least residues over den = 1 over GF(p)).  The field is the one place
 that turns a vector into arithmetic: mul and add are shared integer loops that
-normalise once per result; invert, log_circ and exp_t are per field,
-fraction-free integer recurrences over QQ and residue loops over GF(p).
+normalise once per result, except that GF(p) mul and invert at N = 2 (the dual
+numbers of every char-p check) are closed forms; invert, log_circ and exp_t are
+per field, fraction-free integer recurrences over QQ and residue loops over GF(p).
 
 At the public boundary a scalar is a FieldElement: a raw value tagged with its
 field.  Field.scalar is the one rule for operands: an exact scalar (an int
@@ -134,7 +135,7 @@ class Field:
                             da is ignored, since log_circ kills constants
       exp_t(u, du)          exp of u with u_0 = 0, from k E_k = sum_j j u_j E_(k-j)
 
-    mul and add are shared: plain integer loops, normalised once.
+    mul and add are shared: plain integer loops, normalised once; GF(p) mul is a closed form at N = 2.
     """
 
     characteristic: int
@@ -285,9 +286,19 @@ class PrimeField(Field):
         p = self.p
         return tuple([x % p for x in nums]), 1
 
+    # At N = 2 (the dual numbers s + a t of every char-p check) mul and invert are closed forms.
+
+    def mul(self, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> Vector:
+        if len(a) != 2:
+            return super().mul(a, da, b, db)
+        p = self.p
+        return (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p), 1
+
     def invert(self, a: tuple[int, ...], da: int) -> Vector:
         p = self.p
         inv0 = self.inv(a[0])
+        if len(a) == 2:
+            return (inv0, -a[1] * inv0 * inv0 % p), 1
         neg_inv0 = p - inv0
         weights = [(j, x) for j, x in enumerate(a) if j and x]
         return tuple(_recurrence(inv0, weights, len(a), lambda k, acc: neg_inv0 * acc % p)), 1

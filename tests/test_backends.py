@@ -8,6 +8,7 @@ after every operation, and by reducing p-integral rational inputs mod p, which
 must commute with every series operation and with seed mutation.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -103,6 +104,26 @@ def test_kernels_match_the_fraction_loops(field):
             assert result == TruncatedSeries(field, expected)
             compared += 1
     assert compared >= 5 * top * 12
+
+
+def test_dual_number_kernels_match_the_fraction_loops():
+    """The closed N = 2 forms over GF(p): every vector pair at p = 3, 5, 7, and seeded pairs at word size."""
+    rng = random.Random(14)
+    word = GF(2**61 - 1)
+    cases = [(GF(p), a, b) for p in (3, 5, 7)
+             for a in itertools.product(range(p), repeat=2) for b in itertools.product(range(p), repeat=2)]
+    draw = lambda: (rng.randrange(word.p), rng.randrange(word.p))
+    cases += [(word, draw(), draw()) for _ in range(200)]
+    inverted = 0
+    for field, a, b in cases:
+        x, y = TruncatedSeries(field, a), TruncatedSeries(field, b)
+        assert (x * y).coeffs == ref_mul(field, a, b), (field, a, b)
+        assert_canonical(x * y)
+        if a[0]:
+            assert x.invert().coeffs == ref_invert(field, a), (field, a)
+            assert_canonical(x.invert())
+            inverted += 1
+    assert len(cases) == 3**4 + 5**4 + 7**4 + 200 and inverted > 2800
 
 
 def test_log_circ_and_exp_t_read_inverses_from_the_inv_memo():

@@ -354,7 +354,8 @@ def _refuse_to_run(monkeypatch):
 def test_unwritable_out_is_refused_before_any_check_runs(command, tmp_path, capsys, monkeypatch):
     _refuse_to_run(monkeypatch)
     missing = tmp_path / "missing" / "report.json"
-    for out, reason in ((tmp_path, "[Errno 21] Is a directory"), (missing, "[Errno 2] No such file or directory")):
+    for out, reason in ((tmp_path, "[Errno 21] Is a directory"), (missing, "[Errno 2] No such file or directory"),
+                        ("", "[Errno 2] No such file or directory")):
         with pytest.raises(SystemExit) as err:
             run([*REPORT_COMMANDS[command], "--out", str(out)])
         assert err.value.code == 2
@@ -409,3 +410,43 @@ def test_pattern_help_lists_every_builtin(capsys):
         run(["theta", "--help"])
     assert err.value.code == 0
     assert f"({', '.join(cluster.BUILTIN_PATTERNS)})" in " ".join(capsys.readouterr().out.split())
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    """The parser is built once; no call's flags, --out or error leak into the next call."""
+    cli._build_parser.cache_clear()
+    lemma = ["check", "lemma", "--pattern", "A2", "--field", "fp", "--p", "7", "--precision", "3",
+             "--format", "json"]
+    assert run([*lemma, "--exhaustive"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["exhaustive"] is True
+    assert run([*lemma, "--trials", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["exhaustive"] is False
+    assert doc["checks"][0]["name"] == "lemma[A2,fp7,N=3,random[3]]"
+
+    named = ["check", "named", "four_term", "--p", "5", "--format", "json"]
+    out = tmp_path / "named.json"
+    assert run([*named, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(named) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    with pytest.raises(SystemExit) as err:
+        run(["check", "named", "four_term", "--p", "4", "--format", "human"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run(named) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "infdilog.cli", *named], capture_output=True,
+                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert capsys.readouterr().out.encode() == fresh.stdout
+
+    pages = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            run(["--help"])
+        assert err.value.code == 0
+        pages.append(capsys.readouterr().out)
+    assert pages[0] == pages[1] and "usage: infdilog" in pages[0]
+    assert cli._build_parser.cache_info().misses == 1
