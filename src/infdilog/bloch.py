@@ -36,9 +36,9 @@ verdict `inconclusive` rather than risking a wrong answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .fields import FieldElement
 from .series import NonUnitError, NotFlatError, PrecisionError, TruncatedSeries, log_circ
@@ -170,13 +170,11 @@ def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> Fi
     return FieldElement(field, field.quotient(total, den * den))
 
 
-@dataclass(frozen=True)
-class ZeroTestResult:
-    """Outcome of the rationalized zero test, with the first failing component."""
+class ZeroTestResult(namedtuple("ZeroTestResult", "verdict failing_component detail", defaults=(None, ""))):
+    """Outcome of the rationalized zero test: verdict "zero", "nonzero" or "inconclusive",
+    and for "nonzero" the first failing component."""
 
-    verdict: str  # "zero" | "nonzero" | "inconclusive"
-    failing_component: str | None = None
-    detail: str = ""
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:

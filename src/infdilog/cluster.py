@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .fields import QQ, Field
@@ -199,14 +199,10 @@ def skew_symmetrizes(theta, matrix: ExchangeMatrix) -> bool:
                for i in range(matrix.n) for j in range(matrix.n))
 
 
-@dataclass(frozen=True)
-class MutationSchedule:
-    """A pattern's keys besides B: directions (`sequence`), nu, optional theta, name."""
+class MutationSchedule(namedtuple("MutationSchedule", "directions nu theta name", defaults=(None, "custom"))):
+    """A pattern's keys besides B: directions (`sequence`), nu, optional theta (int tuples), name."""
 
-    directions: tuple[int, ...]
-    nu: tuple[int, ...]
-    theta: tuple[int, ...] | None = None
-    name: str = "custom"
+    __slots__ = ()
 
     def validate(self, matrix: ExchangeMatrix) -> None:
         n = matrix.n
@@ -227,16 +223,15 @@ class MutationSchedule:
         return self.theta if self.theta is not None else skew_symmetrizer(matrix)
 
 
-@dataclass(frozen=True)
-class YSeed:
-    """An exchange matrix paired with evaluated y-values (unit series)."""
+class YSeed(namedtuple("YSeed", "matrix ys")):
+    """An exchange matrix paired with evaluated y-values (a tuple of unit series)."""
 
-    matrix: ExchangeMatrix
-    ys: tuple[TruncatedSeries, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.ys) != self.matrix.n:
-            raise ValueError(f"rank mismatch: matrix {self.matrix.n}, point {len(self.ys)}")
+    def __new__(cls, matrix: ExchangeMatrix, ys: tuple[TruncatedSeries, ...]) -> "YSeed":
+        if len(ys) != matrix.n:
+            raise ValueError(f"rank mismatch: matrix {matrix.n}, point {len(ys)}")
+        return tuple.__new__(cls, (matrix, ys))
 
     def mutate(self, k: int) -> "YSeed":
         n = self.matrix.n
@@ -265,16 +260,16 @@ class YSeed:
         return YSeed(self.matrix.mutate(k), tuple(new_ys))
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    direction: int
-    value: TruncatedSeries  # the mutated-direction y-value before the step
+class TrajectoryStep(namedtuple("TrajectoryStep", "direction value")):
+    """One mutation step: its direction and that direction's y-value before the step."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    steps: tuple[TrajectoryStep, ...]
-    final: YSeed
+class Trajectory(namedtuple("Trajectory", "steps final")):
+    """The steps of a schedule, a tuple of TrajectorySteps, and the final YSeed."""
+
+    __slots__ = ()
 
 
 def run_schedule(

@@ -37,7 +37,6 @@ import functools
 import math
 import random
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "Field",
@@ -49,9 +48,8 @@ __all__ = [
     "RationalField",
 ]
 
-Scalar = Union["FieldElement", int, Fraction]
 # A canonical raw value: a Fraction over QQ, a least residue in [0, p) over GF(p).
-Raw = Union[int, Fraction]
+Raw = int | Fraction
 # A coefficient vector: int numerators over one positive common denominator.
 Vector = tuple[tuple[int, ...], int]
 
@@ -404,6 +402,8 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"{self.value} in {self.field!r}"
 
+
+Scalar = FieldElement | int | Fraction
 
 QQ = RationalField()
 

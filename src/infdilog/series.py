@@ -36,7 +36,7 @@ precision is refused loudly rather than silently reduced.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from collections.abc import Iterable
 
 from .fields import Field, FieldElement, FieldMismatchError, Raw, Scalar, Vector
 

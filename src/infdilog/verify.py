@@ -43,7 +43,6 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass, field as dataclass_field
 
 from . import bloch, cluster, dilog
 from .fields import GF, QQ, Field, FieldElement
@@ -88,21 +87,25 @@ def _derive_rng(master_seed: int, check_id: str, trial: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-@dataclass
+def _copied(value):
+    """A copy of a JSON-shaped value: dicts and lists are rebuilt, immutable leaves shared."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    return [_copied(item) for item in value] if isinstance(value, list) else value
+
+
 class CheckReport:
     """Counts and witnesses for one identity check."""
 
-    name: str
-    params: dict
-    attempted: int = 0
-    valid: int = 0
-    rejected: int = 0
-    failed: int = 0
-    inconclusive: int = 0
-    witnesses: list = dataclass_field(default_factory=list)
-    verdict: str = VERDICT_PASS
-
     MAX_WITNESSES = 5
+
+    def __init__(self, name: str, params: dict, attempted: int = 0, valid: int = 0,
+                 rejected: int = 0, failed: int = 0, inconclusive: int = 0,
+                 witnesses: list | None = None, verdict: str = VERDICT_PASS) -> None:
+        self.name, self.params, self.attempted, self.valid = name, params, attempted, valid
+        self.rejected, self.failed, self.inconclusive = rejected, failed, inconclusive
+        self.witnesses = [] if witnesses is None else witnesses
+        self.verdict = verdict
 
     @property
     def passed(self) -> bool:
@@ -125,7 +128,10 @@ class CheckReport:
         return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"name": self.name, "params": _copied(self.params), "attempted": self.attempted,
+                "valid": self.valid, "rejected": self.rejected, "failed": self.failed,
+                "inconclusive": self.inconclusive, "witnesses": _copied(self.witnesses),
+                "verdict": self.verdict}
 
 
 # -- the check driver ------------------------------------------------------------
@@ -757,10 +763,10 @@ def check_periodicity_report(
 # -- suite ----------------------------------------------------------------------
 
 
-@dataclass
 class SuiteReport:
-    config: dict
-    checks: list
+    def __init__(self, config: dict, checks: list) -> None:
+        self.config = config
+        self.checks = checks
 
     @property
     def all_pass(self) -> bool:
