@@ -17,20 +17,25 @@ ledger vanishes iff three components vanish:
 
   (i)  the infinitesimal component: the antisymmetric matrix of all
        (ell_i ^ ell_j) values, i, j = 1 .. N-1;
-  (ii) the mixed component: for each prime q in the multiplicative support of
-       the rational constants, the series-valued accumulator pairing the
-       q-adic valuation of the constant on one side with log_circ on the
-       other;
-  (iii) the constant component: the antisymmetric integer pairing of q-adic
-       valuation vectors over pairs of support primes.
+  (ii) the mixed component: for each element q of a coprime base of the
+       rational constants, the series-valued accumulator pairing the q-adic
+       exponent of the constant on one side with log_circ on the other;
+  (iii) the constant component: the antisymmetric integer pairing of
+       exponent vectors over pairs of base elements.
+
+The coprime base comes from factor refinement (Bach, Driscoll and Shallit,
+"Factor refinement", J. Algorithms 15, 1993): pairwise-coprime integers > 1
+of which every |numerator| and denominator of the constants is a product of
+powers.  Coprime elements are multiplicatively independent, and each prime
+divides one base element only, so its valuation is a fixed multiple of that
+element's exponent: the components vanish over the base iff they vanish over
+the primes, and every ledger is decided without factoring.
 
 The sign character of a rational constant is 2-torsion and every sign wedge
 dies rationally, so signs are dropped.  Over GF(p) the constants form a finite
 group and the principal units a finite p-group, so components (ii) and (iii)
 are torsion and vanish rationally; only component (i) carries rational
-information there.  Constants are factored by trial division up to
-factor_bound; a constant that cannot be certified fully factored makes the
-verdict `inconclusive` rather than risking a wrong answer.
+information there.
 """
 
 from __future__ import annotations
@@ -171,7 +176,7 @@ def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> Fi
 
 
 class ZeroTestResult(namedtuple("ZeroTestResult", "verdict failing_component detail", defaults=(None, ""))):
-    """Outcome of the rationalized zero test: verdict "zero", "nonzero" or "inconclusive",
+    """Outcome of the rationalized zero test: verdict "zero" or "nonzero",
     and for "nonzero" the first failing component."""
 
     __slots__ = ()
@@ -181,44 +186,45 @@ class ZeroTestResult(namedtuple("ZeroTestResult", "verdict failing_component det
         return self.verdict == "zero"
 
 
-def _factor_positive(n: int, bound: int) -> dict[int, int] | None:
-    """Trial-divide n; None when a cofactor cannot be certified prime."""
-    if n <= 0:
-        raise ValueError("factorization argument must be positive")
-    factors: dict[int, int] = {}
-    d = 2
-    while d <= bound and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        # no prime factor <= min(bound, sqrt(n)) remains; n is prime if it is
-        # small enough to certify, otherwise the factorization is incomplete
-        if n <= bound * bound:
-            factors[n] = factors.get(n, 0) + 1
+def _coprime_exponents(values: set[Fraction]) -> dict[Fraction, dict[int, int]]:
+    """Exponent vectors of nonzero rationals over one coprime base; signs dropped (2-torsion).
+
+    Factor refinement: a base element b sharing a factor g > 1 with a pending
+    number x is replaced by g and b // g, which are refined again with x // g.
+    Each split divides the product of all pending and base numbers by g, so the
+    loop ends, with every |numerator| and denominator a product of base powers.
+    """
+    base: list[int] = []
+    pending = [n for value in values for n in (abs(value.numerator), value.denominator)]
+    while pending:
+        x = pending.pop()
+        if x == 1:
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                pending += (g, b // g, x // g)
+                break
         else:
-            return None
-    return factors
+            base.append(x)
+
+    def exponent(n: int, b: int) -> int:
+        e = 0
+        while n % b == 0:
+            n //= b
+            e += 1
+        return e
+
+    exponents = {}
+    for value in values:
+        num, den = abs(value.numerator), value.denominator
+        exponents[value] = {b: e for b in base if (e := exponent(num, b) - exponent(den, b))}
+    return exponents
 
 
-def _rational_exponents(value: Fraction, bound: int) -> dict[int, int] | None:
-    """Prime exponent vector of a nonzero rational; sign dropped (2-torsion)."""
-    num = _factor_positive(abs(value.numerator), bound)
-    if num is None:
-        return None
-    den = _factor_positive(value.denominator, bound)
-    if den is None:
-        return None
-    for q, e in den.items():
-        num[q] = num.get(q, 0) - e
-    return {q: e for q, e in num.items() if e}
-
-
-def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTestResult:
+def zero_test_rational(ledger: WedgeLedger) -> ZeroTestResult:
     """Decide whether a ledger represents 0 in the rationalized wedge square."""
-    if factor_bound < 2:
-        raise ValueError("factor_bound must be at least 2")
     if not ledger.terms:
         return ZeroTestResult("zero")
 
@@ -245,22 +251,10 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
     # each term's two constants, read once from the numerators over den
     constants = [(left.constant_term().value, right.constant_term().value)
                  for _, left, right in ledger.terms]
-    exponents: dict[Fraction, dict[int, int]] = {}
-    for pair in constants:
-        for c in pair:
-            if c not in exponents:
-                vec = _rational_exponents(c, factor_bound)
-                if vec is None:
-                    return ZeroTestResult(
-                        "inconclusive",
-                        None,
-                        f"constant {c} does not factor over primes <= {factor_bound}",
-                    )
-                exponents[c] = vec
-
+    exponents = _coprime_exponents({c for pair in constants for c in pair})
     support = sorted({q for vec in exponents.values() for q in vec})
 
-    # (ii) mixed component: one series-valued accumulator per support prime,
+    # (ii) mixed component: one series-valued accumulator per base element,
     # summed as numerators over the ledger's log denominator
     den, logged = ledger.logged()
     for q in support:
@@ -277,7 +271,7 @@ def zero_test_rational(ledger: WedgeLedger, factor_bound: int = 10**6) -> ZeroTe
             return ZeroTestResult(
                 "nonzero",
                 "mixed",
-                f"prime {q} accumulator has t^{bad} coefficient {field.quotient(acc[bad], den)}",
+                f"base element {q} accumulator has t^{bad} coefficient {field.quotient(acc[bad], den)}",
             )
 
     # (iii) constant component: antisymmetric integer form on exponent vectors

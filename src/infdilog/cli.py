@@ -49,8 +49,6 @@ _FLAGS: dict[str, tuple[dict, int | None]] = {
     "height": ({"type": int, "default": 10, "help": "height bound for random rationals; default 10"}, 1),
     "precision": ({"type": int, "help": "series precision N (command-specific default)"}, 1),
     "seed": ({"type": int, "default": 0, "help": "master seed; default 0"}, None),
-    "factor-bound": ({"type": int, "default": 10**6,
-                      "help": "trial-division bound for the zero test; default 10^6"}, 2),
     "perturbations": ({"type": int, "default": 10, "help": "lift perturbations per point; default 10"}, 0),
     "exhaustive": ({"action": "store_true", "help": "enumerate all constant terms"
                     " (prime fields; refused above the exhaustive limit)"}, None),
@@ -96,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="which identity to check")
     _add_flags(named, "p", "trials", **_CHARP)
     _add_flags(checks.add_parser("lemma", parents=[report_flags], help="wedge-sum zero test"), *_PATTERN,
-               "field", "p", "trials", "height", "precision", "factor-bound", "exhaustive")
+               "field", "p", "trials", "height", "precision", "exhaustive")
     _add_flags(checks.add_parser("welldef", parents=[report_flags], help="lift independence"),
                "m", "w", "trials", "height", "perturbations")
 
@@ -201,7 +199,7 @@ def _report(args) -> verify.CheckReport:
     if kind == "lemma":
         return verify.check_lemma_wedge(_load_pattern(args), field=_field(args), trials=args.trials,
                                         precision=6 if args.precision is None else args.precision,
-                                        height=args.height, seed=args.seed, factor_bound=args.factor_bound,
+                                        height=args.height, seed=args.seed,
                                         exhaustive_constants=args.exhaustive)
     if kind == "welldef":
         return verify.check_welldef(*_validate_mw(args), trials=args.trials,

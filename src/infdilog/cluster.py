@@ -233,6 +233,11 @@ class YSeed(namedtuple("YSeed", "matrix ys")):
             raise ValueError(f"rank mismatch: matrix {matrix.n}, point {len(ys)}")
         return tuple.__new__(cls, (matrix, ys))
 
+    @classmethod
+    def _make(cls, iterable) -> "YSeed":
+        """Build through __new__, so _make and _replace (which calls it) check the rank too."""
+        return cls(*iterable)
+
     def mutate(self, k: int) -> "YSeed":
         n = self.matrix.n
         if not 0 <= k < n:

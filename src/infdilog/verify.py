@@ -78,7 +78,6 @@ PENTAGON_PARAMS = ((2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7))
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_INSUFFICIENT = "insufficient-valid-samples"
-VERDICT_INCONCLUSIVE = "inconclusive"
 
 
 def _derive_rng(master_seed: int, check_id: str, trial: int) -> random.Random:
@@ -100,10 +99,10 @@ class CheckReport:
     MAX_WITNESSES = 5
 
     def __init__(self, name: str, params: dict, attempted: int = 0, valid: int = 0,
-                 rejected: int = 0, failed: int = 0, inconclusive: int = 0,
-                 witnesses: list | None = None, verdict: str = VERDICT_PASS) -> None:
+                 rejected: int = 0, failed: int = 0, witnesses: list | None = None,
+                 verdict: str = VERDICT_PASS) -> None:
         self.name, self.params, self.attempted, self.valid = name, params, attempted, valid
-        self.rejected, self.failed, self.inconclusive = rejected, failed, inconclusive
+        self.rejected, self.failed = rejected, failed
         self.witnesses = [] if witnesses is None else witnesses
         self.verdict = verdict
 
@@ -119,8 +118,6 @@ class CheckReport:
     def finish(self, min_valid: int) -> "CheckReport":
         if self.failed:
             self.verdict = VERDICT_FAIL
-        elif self.inconclusive:
-            self.verdict = VERDICT_INCONCLUSIVE
         elif self.valid < min_valid:
             self.verdict = VERDICT_INSUFFICIENT
         else:
@@ -130,8 +127,7 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {"name": self.name, "params": _copied(self.params), "attempted": self.attempted,
                 "valid": self.valid, "rejected": self.rejected, "failed": self.failed,
-                "inconclusive": self.inconclusive, "witnesses": _copied(self.witnesses),
-                "verdict": self.verdict}
+                "witnesses": _copied(self.witnesses), "verdict": self.verdict}
 
 
 # -- the check driver ------------------------------------------------------------
@@ -141,17 +137,14 @@ def _tally(report: CheckReport, outcome: dict | None, count: int = 1) -> bool:
     """Count `count` attempted points that share one outcome; return whether they were valid.
 
     outcome is None for a rejected point, otherwise a witness dict with an
-    "ok" key; a valid point whose zero test could not decide carries
-    "inconclusive" True instead.  A valid point that is not ok is a failure.
+    "ok" key.  A valid point that is not ok is a failure.
     """
     report.attempted += count
     if outcome is None:
         report.rejected += count
         return False
     report.valid += count
-    if outcome.pop("inconclusive", False):
-        report.inconclusive += count
-    elif not outcome.pop("ok"):
+    if not outcome.pop("ok"):
         report.record_failure(outcome, count)
     return True
 
@@ -218,8 +211,7 @@ def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int
                     for tangent in (*tangents, guard)]
         if all(outcome is None for outcome in outcomes):
             _tally(report, None, p ** n)
-        elif all(outcome is not None and outcome["ok"] and not outcome.get("inconclusive")
-                 for outcome in outcomes):
+        elif all(outcome is not None and outcome["ok"] for outcome in outcomes):
             _tally(report, outcomes[0], p ** n)
         else:
             return None
@@ -630,7 +622,6 @@ def check_lemma_wedge(
     trials: int = 25,
     height: int = 10,
     seed: int = 0,
-    factor_bound: int = 10**6,
     exhaustive_constants: bool = False,
 ) -> CheckReport:
     """The weighted wedge sum along a trajectory rationally zero-tests to zero.
@@ -639,38 +630,36 @@ def check_lemma_wedge(
     infinitesimal zero-test component evaluates every functional pair
     (ell_i ^ ell_j), i < j < N.  Over a prime field, exhaustive_constants
     enumerates all constant terms and randomizes the higher coefficients; it
-    needs at least one valid point to pass.  Refused up front: p^n constant
-    points above EXHAUSTIVE_LIMIT, a configuration the zero test cannot evaluate
-    (N > p over GF(p), factor_bound < 2), and N < 3 over GF(p), where the zero
-    test would test nothing: no pair i < j < N, the rest vanishing over GF(p).
+    needs at least one valid point to pass, and its params omit trials, which
+    it does not use.  Over QQ the zero test decides every point.  Refused up
+    front: p^n constant points above EXHAUSTIVE_LIMIT, N > p over GF(p), which
+    the zero test cannot evaluate, and N < 3 over GF(p), where the zero test
+    would test nothing: no pair i < j < N, the rest vanishing over GF(p).
     """
     p = field.characteristic
     if p and not 3 <= precision <= p:
         raise ValueError(f"precision {precision} over GF({p}) must be between 3 and p:"
                          " the zero test needs a pair i < j < N and N <= p")
-    if factor_bound < 2:
-        raise ValueError(f"factor_bound must be at least 2, got {factor_bound}")
     if exhaustive_constants and not p:
         raise ValueError("exhaustive constants require a prime field")
 
     def verdict(terms, inputs):
         ledger = bloch.WedgeLedger([(weight, -beta, 1 - beta) for weight, beta in terms])
-        result = bloch.zero_test_rational(ledger, factor_bound)
+        result = bloch.zero_test_rational(ledger)
         if result.is_zero:
             return {"ok": True}
-        return {"ok": False, "inconclusive": result.verdict == "inconclusive", "inputs": inputs(),
-                "value": f"{result.failing_component}: {result.detail}"}
+        return {"ok": False, "inputs": inputs(), "value": f"{result.failing_component}: {result.detail}"}
 
     matrix, name, _, judge = _cluster_judge(pattern, verdict)
     if exhaustive_constants:
         _require_enumerable(p, matrix.n, "sample the constants instead")
     field_tag = f"fp{p}" if p else "q"
     mode = "exhaustive-constants" if exhaustive_constants else f"random[{trials}]"
+    sampled = {} if exhaustive_constants else {"trials": trials}
     report = CheckReport(
         name=f"lemma[{name},{field_tag},N={precision},{mode}]",
         params={"pattern": name, "field": field_tag, "precision": precision,
-                "trials": trials, "height": height, "seed": seed,
-                "factor_bound": factor_bound, "mode": mode},
+                **sampled, "height": height, "seed": seed, "mode": mode},
     )
 
     if not exhaustive_constants:
@@ -793,7 +782,6 @@ class SuiteReport:
             lines.append(
                 f"[{status}] {check.name}: valid={check.valid}"
                 f" rejected={check.rejected} failed={check.failed}"
-                + (f" inconclusive={check.inconclusive}" if check.inconclusive else "")
             )
             for witness in check.witnesses:
                 lines.append(f"    witness: {witness}")

@@ -84,8 +84,8 @@ BENCH_DIR = TRACER_PATH.parent
 # sha256 of the joined per-unit report sha256s of one seed-1 pass, as the
 # benchmark child computes a pass digest; a deliberate report change re-pins these
 SEED1_PASS_DIGESTS = {
-    "charp-exhaustive": "96351e308b60ace6236f0907eb1faa6b684927c31de49ad1742d548efb8a2249",
-    "wedge-deep": "01300cff54ab3dd8fa732d1c5800e20fcda6fe434a2a1fe3509ed56cff51c2b8",
+    "charp-exhaustive": "e6ed40420d5c33f70999c74c2ab6d84a4dc303f1949630c0cf8095d5879a61a4",
+    "wedge-deep": "5a4608ab1439581cf9fad7affe0b162774bc2718ffbcf4f2fdf99febb17dcc0f",
 }
 
 

@@ -127,11 +127,90 @@ def test_zero_test_charp_torsion_components_vanish():
     assert res.verdict == "nonzero" and res.failing_component == "infinitesimal"
 
 
-def test_zero_test_inconclusive_on_large_prime():
-    # 104729 is prime and exceeds bound^2, so it cannot be certified
-    led = WedgeLedger([(1, q_series(104729, 0), q_series(1, 1))])
-    assert zero_test_rational(led, factor_bound=100).verdict == "inconclusive"
-    assert zero_test_rational(led, factor_bound=400).verdict == "nonzero"
+def test_zero_test_decides_constants_with_large_prime_factors():
+    # 104729 is prime, and 1000003 * 1000033 has no factor below 10^6
+    one_plus_t = q_series(1, 1)
+    res = zero_test_rational(WedgeLedger([(1, q_series(104729, 0), one_plus_t)]))
+    assert res.verdict == "nonzero" and res.failing_component == "mixed"
+    p, q = q_series(1000003, 0), q_series(1000033, 0)
+    # pq ^ p = q ^ p, so adding p ^ q cancels it
+    assert zero_test_rational(WedgeLedger([(1, p * q, p), (1, p, q)])).is_zero
+    res = zero_test_rational(WedgeLedger([(1, p * q, p)]))
+    assert res.verdict == "nonzero" and res.failing_component == "constants"
+    split = WedgeLedger([(1, p * q, one_plus_t), (-1, p, one_plus_t), (-1, q, one_plus_t)])
+    assert zero_test_rational(split).is_zero
+
+
+def _prime_exponents(values):
+    """Reference for bloch._coprime_exponents: prime exponent vectors by trial division."""
+    def factor(n):
+        primes, d = {}, 2
+        while d * d <= n:
+            while n % d == 0:
+                primes[d] = primes.get(d, 0) + 1
+                n //= d
+            d += 1
+        if n > 1:
+            primes[n] = primes.get(n, 0) + 1
+        return primes
+
+    vectors = {}
+    for value in values:
+        # numerator and denominator are coprime, so their primes are disjoint
+        vectors[value] = {**factor(abs(value.numerator)),
+                          **{q: -e for q, e in factor(value.denominator).items()}}
+    return vectors
+
+
+def _random_ledger(rng):
+    """A small QQ ledger at precision 3 whose constants share factors.
+
+    Profile 0 has constant sides only, profile 1 pairs constants with
+    principal units, profile 2 is unrestricted, and profile 3 starts from a
+    ledger that is zero by bilinearity and antisymmetry and then adds terms
+    to it, or keeps a ^ bc - a ^ b = a ^ c only, with a constant c that
+    enters through bc alone."""
+    def constant():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+
+    def side(kind):
+        small = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
+        if kind == "constant":
+            return q_series(constant(), 0, 0)
+        return q_series(1 if kind == "principal" else constant(), *small)
+
+    profile = rng.randrange(4)
+    kinds = ("constant", "principal", "general")[:profile + 1]
+    terms = [(rng.choice((-2, -1, 1, 2)), side(rng.choice(kinds)), side(rng.choice(kinds)))
+             for _ in range(rng.randint(1, 3))]
+    if profile == 3:
+        change = rng.randrange(5)
+        a, b = side(rng.choice(kinds)), side(rng.choice(kinds))
+        c = side("constant" if change == 4 else rng.choice(kinds))
+        k = rng.choice((-1, 1, 3))
+        zero = [(k, a, b * c), (-k, a, b), (-k, a, c), (1, b, c), (1, c, b), (2, a, a)]
+        terms = zero[:2] if change == 4 else zero + [
+            [], terms[:1], [(1, side("constant"), side("principal"))],
+            [(1, side("constant"), side("constant"))]][change]
+    return WedgeLedger(terms)
+
+
+def test_coprime_base_matches_the_prime_exponent_reference(monkeypatch):
+    six, two, three, four = (q_series(c, 0, 0) for c in (6, 2, 3, 4))
+    controls = [WedgeLedger([(1, six, six)]),
+                WedgeLedger([(1, two, six), (-1, two, three)]),
+                WedgeLedger([(1, four, three), (-2, two, three)])]
+    rng = random.Random(57)
+    ledgers = controls + [_random_ledger(rng) for _ in range(400)]
+    decided = [zero_test_rational(ledger) for ledger in ledgers]
+    monkeypatch.setattr(bloch, "_coprime_exponents", _prime_exponents)
+    reference = [zero_test_rational(ledger) for ledger in ledgers]
+    assert all(res.is_zero for res in decided[:3])
+    outcomes = {}
+    for ledger, res, ref in zip(ledgers, decided, reference):
+        assert (res.verdict, res.failing_component) == (ref.verdict, ref.failing_component), ledger.terms
+        outcomes[res.failing_component] = outcomes.get(res.failing_component, 0) + 1
+    assert min(outcomes.get(c, 0) for c in (None, "infinitesimal", "mixed", "constants")) >= 20, outcomes
 
 
 def test_pentagon_terms_validity():

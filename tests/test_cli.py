@@ -66,7 +66,6 @@ def test_fp_requires_prime(capsys):
     ["check", "cluster", "--pattern-file", "APERIODIC", "--m", "2", "--w", "3"],
     ["check", "cluster-p", "--pattern-file", "APERIODIC", "--p", "5"],
     ["check", "lemma", "--pattern-file", "APERIODIC"],
-    ["check", "lemma", "--pattern", "A2", "--factor-bound", "1"],
     ["check", "pentagon", "--m", "2", "--w", "3", "--height", "0"],
     ["check", "lemma", "--pattern", "A2", "--field", "fp", "--p", "7", "--precision", "8"],
     ["check", "lemma", "--pattern", "A2", "--field", "fp", "--p", "7", "--precision", "2", "--exhaustive"],
@@ -279,8 +278,8 @@ PINNED_CONFIGS = {
         {"check": "named", "identity": "four_term", "p": 5, "seed": 0}),
     "lemma": (
         ["check", "lemma", "--pattern", "A2", "--trials", "3"],
-        {"check": "lemma", "exhaustive": False, "factor_bound": 1000000, "field": "q", "height": 10,
-         "pattern": "A2", "seed": 0, "trials": 3}),
+        {"check": "lemma", "exhaustive": False, "field": "q", "height": 10, "pattern": "A2",
+         "seed": 0, "trials": 3}),
     "welldef": (
         ["check", "welldef", "--m", "2", "--w", "3", "--trials", "3"],
         {"check": "welldef", "height": 10, "m": 2, "perturbations": 10, "seed": 0, "trials": 3, "w": 3}),

@@ -87,12 +87,23 @@ def test_record_defaults_and_rank_check():
         cluster.YSeed(matrix=matrix, ys=(_series(2, 1),))
 
 
+def test_make_and_replace_check_the_rank_too():
+    matrix, _ = cluster.builtin_pattern("A2")
+    seed = cluster.YSeed._make((matrix, (_series(2, 1), _series(3, 1))))
+    assert seed == cluster.YSeed(matrix, (_series(2, 1), _series(3, 1)))
+    assert seed._replace(ys=(_series(5, 1), _series(3, 1))).ys[0] == _series(5, 1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        cluster.YSeed._make((matrix, ()))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        seed._replace(ys=(_series(2, 1),))
+
+
 def test_check_report_to_dict_is_a_copy_with_the_report_keys():
     witness = {"inputs": {"a": "2"}, "value": "1/3"}
     report = verify.CheckReport("pentagon[m=2,w=3]", {"m": 2, "w": 3, "theta": [1, 2]},
-                                3, 2, 1, 1, 0, [witness], "fail")
+                                3, 2, 1, 1, [witness], "fail")
     expected = {"name": "pentagon[m=2,w=3]", "params": {"m": 2, "w": 3, "theta": [1, 2]},
-                "attempted": 3, "valid": 2, "rejected": 1, "failed": 1, "inconclusive": 0,
+                "attempted": 3, "valid": 2, "rejected": 1, "failed": 1,
                 "witnesses": [{"inputs": {"a": "2"}, "value": "1/3"}], "verdict": "fail"}
     document = report.to_dict()
     assert document == expected
@@ -103,7 +114,7 @@ def test_check_report_to_dict_is_a_copy_with_the_report_keys():
     assert report.to_dict() == expected
     fresh = verify.CheckReport(name="x", params={})
     assert fresh.to_dict() == {"name": "x", "params": {}, "attempted": 0, "valid": 0, "rejected": 0,
-                               "failed": 0, "inconclusive": 0, "witnesses": [], "verdict": "pass"}
+                               "failed": 0, "witnesses": [], "verdict": "pass"}
     assert fresh.witnesses is not verify.CheckReport("y", {}).witnesses
     suite = verify.SuiteReport({"seed": 0}, [report])
     assert suite.to_dict()["checks"] == [expected] and not suite.all_pass

@@ -253,20 +253,22 @@ def test_passing_points_build_no_witness_text(monkeypatch):
 
 def test_lemma_wedge_check():
     report = verify.check_lemma_wedge("A2", trials=8)
-    assert report.passed and report.inconclusive == 0
+    assert report.passed and report.valid == 8 and "trials" in report.params
     report = verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True)
     assert report.passed and report.valid > 0
+    # the constants are enumerated, so the ignored trial count is not a param
+    assert "trials" not in report.params
     # over GF(3) every A2 constant point is rejected: nothing is certified
     empty = verify.check_lemma_wedge("A2", field=GF(3), precision=3, exhaustive_constants=True)
     assert empty.verdict == "insufficient-valid-samples"
     assert (empty.attempted, empty.valid, empty.rejected) == (9, 0, 9)
 
 
-def test_lemma_wedge_inconclusive_is_distinct():
-    # a factor bound of 2 cannot certify the trajectory constants
-    report = verify.check_lemma_wedge("A2", trials=5, factor_bound=2, seed=1)
-    assert report.verdict == "inconclusive"
-    assert report.failed == 0
+def test_lemma_wedge_decides_every_point_at_large_height():
+    # trajectory constants of height 10^9 have large prime factors; the
+    # coprime-base zero test decides each point without factoring them
+    report = verify.check_lemma_wedge("B2", QQ, precision=4, trials=10, height=10**9)
+    assert report.passed and report.valid == 10 and report.failed == 0
 
 
 def test_welldef_check():
@@ -315,15 +317,12 @@ def test_periodicity_report_verdicts():
     lambda: verify.check_li2p_lift(3, perturbations=-1),
     lambda: verify.check_lemma_wedge("B2", field=GF(5), precision=6, trials=3),
     lambda: verify.check_lemma_wedge("B2", field=GF(3), precision=6, trials=3),
-    lambda: verify.check_lemma_wedge("B2", field=GF(7), trials=3, factor_bound=1),
-    lambda: verify.check_lemma_wedge("A2", trials=3, factor_bound=1),
     lambda: verify.check_lemma_wedge("A2", exhaustive_constants=True),
     lambda: verify.check_lemma_wedge("A2", field=GF(7), precision=2, exhaustive_constants=True),
     lambda: verify.check_lemma_wedge("B2", field=GF(5), precision=1, trials=3),
 ], ids=["pentagon-q", "pentagon-p", "cluster0", "clusterp", "named", "involution",
         "periodicity-report", "check-periodicity", "welldef", "li2p-lift",
-        "lemma-precision-gf5", "lemma-precision-gf3", "lemma-factor-bound-gf7",
-        "lemma-factor-bound-q", "lemma-exhaustive-q", "lemma-precision-2-gf7",
+        "lemma-precision-gf5", "lemma-precision-gf3", "lemma-exhaustive-q", "lemma-precision-2-gf7",
         "lemma-precision-1-gf5"])
 def test_counts_that_would_make_a_vacuous_verdict_are_refused(call):
     with pytest.raises(ValueError):
@@ -634,16 +633,12 @@ def test_unit_weights_take_no_field_product(monkeypatch):
 
 
 def test_corrupted_zero_test_is_caught_exhaustively(monkeypatch):
-    verdicts = {"nonzero": "fail", "inconclusive": "inconclusive"}
-    for corrupted, expected in verdicts.items():
-        result = bloch.ZeroTestResult(corrupted, None, "corrupted")
-        monkeypatch.setattr(bloch, "zero_test_rational", lambda ledger, bound, result=result: result)
-        report = verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True)
-        assert report.verdict == expected
-        assert report.valid > 0
-        counted = report.failed if expected == "fail" else report.inconclusive
-        assert counted == report.valid
-    assert report.failed == 0 and not report.witnesses
+    result = bloch.ZeroTestResult("nonzero", None, "corrupted")
+    monkeypatch.setattr(bloch, "zero_test_rational", lambda ledger: result)
+    report = verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True)
+    assert report.verdict == "fail"
+    assert report.valid > 0 and report.failed == report.valid
+    assert report.witnesses[0]["value"] == "None: corrupted"
 
 
 def test_reports_are_deterministic():
@@ -667,7 +662,7 @@ def test_report_serialization_shape():
     report = verify.check_pentagon(p=3, trials=5).to_dict()
     assert set(report) == {
         "name", "params", "attempted", "valid", "rejected",
-        "failed", "inconclusive", "witnesses", "verdict",
+        "failed", "witnesses", "verdict",
     }
 
 
