@@ -11,7 +11,7 @@ Commands:
   suite              the full acceptance battery
   mutate             print a trajectory at a point
   theta              print the skew-symmetrizer of a pattern
-  periodicity        certify nu-periodicity of a pattern, as a check report
+  periodicity        sample nu-periodicity of a pattern, as a check report
 
 Directions are 0-indexed in pattern files and 1-indexed in human output.
 Every check, periodicity and suite print a report and take --seed, --out and
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_flags(sub.add_parser("mutate", help="print a trajectory at a point"),
                *_PATTERN, "field", "p", "precision", "point")
     _add_flags(sub.add_parser("theta", help="print the skew-symmetrizer"), *_PATTERN)
-    _add_flags(sub.add_parser("periodicity", parents=[report_flags], help="certify nu-periodicity"),
+    _add_flags(sub.add_parser("periodicity", parents=[report_flags], help="sample nu-periodicity"),
                *_PATTERN, "field", "p", "trials", "height", "precision")
     return parser
 

@@ -12,7 +12,9 @@ The exponent placement is pinned by the rank-2 test vector: mutating the seed
 with B = [[0, -1], [1, 0]] in direction 0 must send (y1, y2) to
 (1/y1, y2(1 + y1)).  Evaluation points where a required inversion fails lie in
 the excluded locus and surface as InvalidPointError, to be resampled by
-callers.
+callers.  nu-periodicity is exact in its matrix half (`matrix_returns`) and
+judged one point at a time in its y half (`check_periodicity`); drawing the
+points is the check driver's job (`verify.check_periodicity_report`).
 
 Each factor is computed as the single power (1 + y_k^sgn(b))^(-b), b = b_ki.
 For b < 0 this is (1 + y_k)^|b| as displayed.  For b > 0 it is
@@ -24,12 +26,10 @@ inversion exactly when the displayed factor does (b > 0), and for a unit y_k,
 from __future__ import annotations
 
 import math
-import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .fields import QQ, Field
-from .series import NonUnitError, TruncatedSeries, random_series
+from .series import NonUnitError, TruncatedSeries
 
 __all__ = [
     "BUILTIN_PATTERNS",
@@ -311,46 +311,18 @@ def matrix_returns(matrix: ExchangeMatrix, schedule: MutationSchedule) -> bool:
 def check_periodicity(
     matrix: ExchangeMatrix,
     schedule: MutationSchedule,
-    field: Field = QQ,
-    trials: int = 50,
-    height_bound: int = 10,
-    seed: int = 0,
-    precision: int = 2,
-) -> tuple[int, str | None]:
-    """Test nu-periodicity: exact matrix return plus y-agreement at points.
+    point: tuple[TruncatedSeries, ...],
+) -> bool:
+    """The y half of nu-periodicity at one point: the schedule puts y_i in place nu[i].
 
-    Returns (points_checked, refutation).  The matrix condition is exact.  The
-    y-condition is polynomial identity testing: at `trials` valid points, drawn
-    from random.Random(seed) in at most 100 * trials attempts, the final
-    y-values equal the point permuted by nu (y_i in place nu[i]) as a tuple.
-    refutation describes the first condition that fails, or is None; fewer
-    than `trials` points and no refutation means too few valid points were
-    found, which neither certifies nor refutes.
+    A point where a mutation fails raises InvalidPointError.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    schedule.validate(matrix)
-    if not matrix_returns(matrix, schedule):
-        return 0, "matrix does not return to nu of itself"
-    source = sorted(range(matrix.n), key=schedule.nu.__getitem__)  # source[nu[i]] = i
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(trials * 100):
-        if checked == trials:
-            break
-        point = tuple(random_series(field, precision, rng, height_bound) for _ in range(matrix.n))
-        try:
-            trajectory = run_schedule(matrix, point, schedule)
-        except InvalidPointError:
-            continue
-        if trajectory.final.ys != tuple(point[i] for i in source):
-            return checked, f"y-values disagree at point {[str(y) for y in point]}"
-        checked += 1
-    return checked, None
+    final = run_schedule(matrix, point, schedule).final.ys
+    return all(final[j] == y for j, y in zip(schedule.nu, point))
 
 
 # Built-in patterns.  B2's closing permutation is the identity: six alternating
-# mutations return the seed exactly, which check_periodicity certifies.
+# mutations return the seed exactly, which the periodicity check samples.
 BUILTIN_PATTERNS: dict[str, dict] = {
     "A1": {"name": "A1", "B": [[0]], "sequence": [0, 0], "nu": [0]},
     "A2": {"name": "A2", "B": [[0, -1], [1, 0]], "sequence": [0, 1, 0, 1, 0], "nu": [1, 0]},

@@ -11,10 +11,10 @@ the schedule and hands the weighted values to the family's verdict.  A point
 source is either an exhaustive enumeration (`_exhaust`) or seeded sampling
 (`_resample`).  `_sampled` is the one place that opens a sampled report whose
 params are the family's own plus trials, height and seed; only the coordinate
-checks and the lemma, whose params have another shape, open a report for
-`_resample` by hand.  Random trials draw their randomness as a pure function of
-(master seed, check id, trial index), so reports are deterministic and
-independent of execution order; rejected samples are resampled, up to
+checks, the lemma and periodicity, whose params have another shape, open a
+report for `_resample` by hand.  Trial k of a check draws from random.Random
+seeded with the string "master seed:check id:k", so reports are deterministic
+and independent of execution order; rejected samples are resampled, up to
 RESAMPLE_FACTOR attempts per requested trial, and a sampled check that cannot
 gather enough valid samples reports that instead of passing.  Prime-field point
 spaces are enumerated exhaustively whenever p^dimension stays within
@@ -39,7 +39,6 @@ every point.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
@@ -81,9 +80,7 @@ VERDICT_INSUFFICIENT = "insufficient-valid-samples"
 
 
 def _derive_rng(master_seed: int, check_id: str, trial: int) -> random.Random:
-    material = f"{master_seed}:{check_id}:{trial}".encode()
-    digest = hashlib.sha256(material).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
+    return random.Random(f"{master_seed}:{check_id}:{trial}")
 
 
 def _copied(value):
@@ -313,6 +310,11 @@ def _require_one_characteristic(m, w, p) -> None:
     """Refuse, with ValueError, anything but (m, w) alone or p alone."""
     if (p is None) == (m is None and w is None):
         raise ValueError("give either (m, w) for characteristic 0 or p for characteristic p")
+
+
+def _field_tag(field: Field) -> str:
+    """q, or fp{p}: a field as report names and params spell it."""
+    return f"fp{field.characteristic}" if field.characteristic else "q"
 
 
 def _sample_flat(field: Field, precision: int, rng: random.Random, height: int) -> TruncatedSeries | None:
@@ -630,8 +632,8 @@ def check_lemma_wedge(
     infinitesimal zero-test component evaluates every functional pair
     (ell_i ^ ell_j), i < j < N.  Over a prime field, exhaustive_constants
     enumerates all constant terms and randomizes the higher coefficients; it
-    needs at least one valid point to pass, and its params omit trials, which
-    it does not use.  Over QQ the zero test decides every point.  Refused up
+    needs at least one valid point to pass, and its params omit the unused
+    trials and height.  Over QQ the zero test decides every point.  Refused up
     front: p^n constant points above EXHAUSTIVE_LIMIT, N > p over GF(p), which
     the zero test cannot evaluate, and N < 3 over GF(p), where the zero test
     would test nothing: no pair i < j < N, the rest vanishing over GF(p).
@@ -653,13 +655,13 @@ def check_lemma_wedge(
     matrix, name, _, judge = _cluster_judge(pattern, verdict)
     if exhaustive_constants:
         _require_enumerable(p, matrix.n, "sample the constants instead")
-    field_tag = f"fp{p}" if p else "q"
+    field_tag = _field_tag(field)
     mode = "exhaustive-constants" if exhaustive_constants else f"random[{trials}]"
-    sampled = {} if exhaustive_constants else {"trials": trials}
+    sampled = {} if exhaustive_constants else {"trials": trials, "height": height}
     report = CheckReport(
         name=f"lemma[{name},{field_tag},N={precision},{mode}]",
         params={"pattern": name, "field": field_tag, "precision": precision,
-                **sampled, "height": height, "seed": seed, "mode": mode},
+                **sampled, "seed": seed, "mode": mode},
     )
 
     if not exhaustive_constants:
@@ -731,22 +733,33 @@ def check_periodicity_report(
     field: Field = QQ,
     precision: int = 2,
 ) -> CheckReport:
-    """The periodicity certificate as a report: a refuted pattern fails, a starved one is insufficient."""
+    """Sampled nu-periodicity: the exact matrix return, then y-agreement at `trials` valid points.
+
+    A matrix that does not return is the one failure, with no point drawn;
+    otherwise every point whose y-values disagree is a failure, and a pattern
+    with too few valid points is insufficient.
+    """
     matrix, schedule, name = _resolve_pattern(pattern)
-    checked, refutation = cluster.check_periodicity(
-        matrix, schedule, field=field, trials=trials, height_bound=height,
-        seed=seed, precision=precision,
-    )
     report = CheckReport(
         name=f"periodicity[{name}]",
-        params={"pattern": name, "trials": trials, "height": height, "seed": seed,
-                "nu": list(schedule.nu)},
-        attempted=checked,
-        valid=checked,
+        params={"pattern": name, "field": _field_tag(field), "precision": precision,
+                "nu": list(schedule.nu), "trials": trials, "height": height, "seed": seed},
     )
-    if refutation is not None:
-        report.record_failure({"inputs": {}, "value": refutation})
-    return report.finish(min_valid=trials)
+    if not cluster.matrix_returns(matrix, schedule):
+        report.record_failure({"inputs": {}, "value": "matrix does not return to nu of itself"})
+        return report.finish(min_valid=trials)
+
+    def evaluate(rng: random.Random):
+        point = tuple(random_series(field, precision, rng, height) for _ in range(matrix.n))
+        try:
+            if cluster.check_periodicity(matrix, schedule, point):
+                return {"ok": True}
+        except cluster.InvalidPointError:
+            return None
+        return {"ok": False, "inputs": {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)},
+                "value": "y-values disagree"}
+
+    return _resample(report, trials, seed, evaluate)
 
 
 # -- suite ----------------------------------------------------------------------

@@ -242,15 +242,19 @@ def test_welldef_command(capsys):
 
 def test_periodicity_exit_codes(tmp_path, capsys):
     assert run(["periodicity", "--pattern", "A2", "--trials", "10"]) == 0
-    assert "[PASS] periodicity[A2]: valid=10 rejected=0 failed=0" in capsys.readouterr().out
+    assert capsys.readouterr().out == "[PASS] periodicity[A2]: valid=10 rejected=6 failed=0\n1/1 checks passed\n"
     aperiodic = tmp_path / "aperiodic.json"
     aperiodic.write_text(json.dumps(APERIODIC))
     assert run(["periodicity", "--pattern-file", str(aperiodic), "--trials", "5"]) == 1
-    assert "[FAIL] periodicity[" in capsys.readouterr().out
-    # A2 over GF(3) has no valid point: too few samples, not a pass
+    assert capsys.readouterr().out == (
+        f"[FAIL] periodicity[{aperiodic}]: valid=0 rejected=0 failed=1\n"
+        "    witness: {'inputs': {}, 'value': 'matrix does not return to nu of itself'}\n0/1 checks passed\n")
+    # A2 over GF(3) has no valid point: the first trial spends its 100 attempts
+    # on rejected points, too few samples, not a pass
     assert run(["periodicity", "--pattern", "A2", "--field", "fp", "--p", "3",
                 "--trials", "5"]) == 1
-    assert "[INSUFFICIENT-VALID-SAMPLES] periodicity[A2]" in capsys.readouterr().out
+    assert capsys.readouterr().out == ("[INSUFFICIENT-VALID-SAMPLES] periodicity[A2]:"
+                                       " valid=0 rejected=100 failed=0\n0/1 checks passed\n")
     for argv in (["--pattern-file", str(tmp_path / "missing.json")],
                  ["--pattern", "A2", "--trials", "0"]):
         with pytest.raises(SystemExit) as err:
@@ -299,7 +303,7 @@ def test_periodicity_writes_a_report_in_either_format(tmp_path, capsys):
     argv = ["periodicity", "--pattern", "B2", "--field", "fp", "--p", "7", "--precision", "3",
             "--trials", "3"]
     assert run(argv) == 0
-    human = "[PASS] periodicity[B2]: valid=3 rejected=0 failed=0\n1/1 checks passed\n"
+    human = "[PASS] periodicity[B2]: valid=3 rejected=5 failed=0\n1/1 checks passed\n"
     assert capsys.readouterr().out == human
     report = verify.check_periodicity_report("B2", trials=3, height=10, seed=0, field=GF(7), precision=3)
     config = {"field": "fp", "height": 10, "p": 7, "pattern": "B2", "precision": 3, "seed": 0, "trials": 3}

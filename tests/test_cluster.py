@@ -238,7 +238,9 @@ def test_periodicity_builtins():
     for name in ("A1", "A2", "B2"):
         report = check_periodicity_report(name, trials=50)
         assert report.passed and report.valid >= 50
-        assert check_periodicity(*builtin_pattern(name), trials=50) == (50, None)
+        matrix, schedule = builtin_pattern(name)
+        point = tuple(TruncatedSeries.from_coeffs(QQ, (2 + i, 1)) for i in range(matrix.n))
+        assert check_periodicity(matrix, schedule, point) is True
 
 
 def test_periodicity_failures():
@@ -258,10 +260,16 @@ def test_periodicity_moves_y_i_to_place_nu_i():
     # an A3 period whose nu is a 3-cycle, so nu and its inverse differ
     matrix = ExchangeMatrix([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])
     schedule = MutationSchedule((0, 1, 0, 1, 2, 0, 2, 0), nu=(1, 2, 0))
-    assert check_periodicity(matrix, schedule, trials=20) == (20, None)
+    inverse = MutationSchedule(schedule.directions, nu=(2, 0, 1))
     point = q_point(2, 3, 5)
     final = run_schedule(matrix, point, schedule).final.ys
     assert [final[nu_i] for nu_i in schedule.nu] == list(point)
+    assert check_periodicity(matrix, schedule, point) is True
+    assert check_periodicity(matrix, inverse, point) is False
+    assert check_periodicity_report((matrix, schedule), trials=20).passed
+    # a mutation that fails at the point raises, for the caller to resample
+    with pytest.raises(InvalidPointError):
+        check_periodicity(matrix, schedule, q_point(-1, 3, 5))
 
 
 def test_periodicity_over_prime_field():

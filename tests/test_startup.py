@@ -18,6 +18,9 @@ from infdilog.series import TruncatedSeries
 
 # stdlib modules whose only use in src/ would be class boilerplate or annotations
 BOILERPLATE_MODULES = {"dataclasses", "inspect", "typing"}
+# hashlib loads OpenSSL; the per-trial rng does without it, since random seeds
+# from a string with its own sha512
+HASHLIB_MODULES = {"hashlib", "_hashlib"}
 FIELDS = {
     "ZeroTestResult": ("verdict", "failing_component", "detail"),
     "MutationSchedule": ("directions", "nu", "theta", "name"),
@@ -38,6 +41,7 @@ def test_importing_the_package_loads_no_boilerplate_module():
     loaded = set(done.stdout.split())
     assert {"infdilog.cli", "infdilog.verify"} <= loaded
     assert not loaded & BOILERPLATE_MODULES, sorted(loaded & BOILERPLATE_MODULES)
+    assert not loaded & HASHLIB_MODULES, sorted(loaded & HASHLIB_MODULES)
 
 
 def _series(*values):

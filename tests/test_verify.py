@@ -96,6 +96,7 @@ def test_a_pattern_is_validated_once_per_check(monkeypatch):
         "lemma": lambda pattern: verify.check_lemma_wedge(pattern, trials=2),
         "theta-invariance": verify.check_theta_invariance,
         "involution": lambda pattern: verify.check_mutation_involution(pattern, trials=5),
+        "periodicity": lambda pattern: verify.check_periodicity_report(pattern, trials=5),
     }
     counts = {}
     for family, check in checks.items():
@@ -104,9 +105,7 @@ def test_a_pattern_is_validated_once_per_check(monkeypatch):
             assert check(pattern).passed
             counts[family, kind] = len(calls)
     # a built-in is validated when builtin_pattern makes it and a hand-built
-    # pair when the check resolves it, however many points walk the schedule.
-    # Periodicity is left out: cluster.check_periodicity is a public entry
-    # point that validates its own arguments, so its report validates twice.
+    # pair when the check resolves it, however many points walk the schedule
     assert counts == {(family, kind): 1 for family in checks for kind in patterns}
 
 
@@ -253,11 +252,13 @@ def test_passing_points_build_no_witness_text(monkeypatch):
 
 def test_lemma_wedge_check():
     report = verify.check_lemma_wedge("A2", trials=8)
-    assert report.passed and report.valid == 8 and "trials" in report.params
+    assert report.passed and report.valid == 8
+    assert {"trials", "height"} <= set(report.params)
     report = verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True)
     assert report.passed and report.valid > 0
-    # the constants are enumerated, so the ignored trial count is not a param
-    assert "trials" not in report.params
+    # the constants are enumerated and the higher coefficients drawn below p,
+    # so the ignored trial count and height are not params
+    assert not {"trials", "height"} & set(report.params)
     # over GF(3) every A2 constant point is rejected: nothing is certified
     empty = verify.check_lemma_wedge("A2", field=GF(3), precision=3, exhaustive_constants=True)
     assert empty.verdict == "insufficient-valid-samples"
@@ -289,19 +290,26 @@ def test_structural_checks():
 
 
 def test_periodicity_report_verdicts():
-    # A2 over GF(3) has no valid point: too few samples, not a failure
+    # A2 over GF(3) has no valid point: the first trial spends its attempts,
+    # every one of them counted, and that is too few samples, not a failure
     starved = verify.check_periodicity_report("A2", field=GF(3), trials=5)
     assert starved.verdict == "insufficient-valid-samples"
+    assert starved.attempted == starved.rejected == verify.RESAMPLE_FACTOR
     assert starved.failed == 0 and starved.witnesses == []
-    # one mutation of A1 returns the matrix but inverts y
+    assert starved.params == {"pattern": "A2", "field": "fp3", "precision": 2, "nu": [1, 0],
+                              "trials": 5, "height": 10, "seed": 0}
+    # one mutation of A1 returns the matrix but inverts y: every point disagrees
     a1 = (cluster.ExchangeMatrix([[0]]), cluster.MutationSchedule(directions=(0,), nu=(0,)))
     refuted = verify.check_periodicity_report(a1, trials=5)
-    assert refuted.verdict == "fail" and refuted.failed == 1
-    assert refuted.witnesses[0]["value"].startswith("y-values disagree")
+    assert refuted.verdict == "fail" and refuted.failed == refuted.valid == 5
+    assert list(refuted.witnesses[0]["inputs"]) == ["alpha_1"]
+    assert refuted.witnesses[0]["value"] == "y-values disagree"
     # three mutations of A2 do not return the matrix
     a2 = (cluster.ExchangeMatrix([[0, -1], [1, 0]]),
           cluster.MutationSchedule(directions=(0, 1, 0), nu=(0, 1)))
-    assert verify.check_periodicity_report(a2, trials=5).verdict == "fail"
+    aperiodic = verify.check_periodicity_report(a2, trials=5)
+    assert aperiodic.verdict == "fail" and aperiodic.failed == 1
+    assert (aperiodic.attempted, aperiodic.valid) == (0, 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -312,7 +320,6 @@ def test_periodicity_report_verdicts():
     lambda: verify.check_named_identity("elementary", 5, trials=0),
     lambda: verify.check_mutation_involution("A2", trials=0),
     lambda: verify.check_periodicity_report("A2", trials=0),
-    lambda: cluster.check_periodicity(*cluster.builtin_pattern("A2"), trials=0),
     lambda: verify.check_welldef(2, 3, perturbations=-5),
     lambda: verify.check_li2p_lift(3, perturbations=-1),
     lambda: verify.check_lemma_wedge("B2", field=GF(5), precision=6, trials=3),
@@ -321,7 +328,7 @@ def test_periodicity_report_verdicts():
     lambda: verify.check_lemma_wedge("A2", field=GF(7), precision=2, exhaustive_constants=True),
     lambda: verify.check_lemma_wedge("B2", field=GF(5), precision=1, trials=3),
 ], ids=["pentagon-q", "pentagon-p", "cluster0", "clusterp", "named", "involution",
-        "periodicity-report", "check-periodicity", "welldef", "li2p-lift",
+        "periodicity-report", "welldef", "li2p-lift",
         "lemma-precision-gf5", "lemma-precision-gf3", "lemma-exhaustive-q", "lemma-precision-2-gf7",
         "lemma-precision-1-gf5"])
 def test_counts_that_would_make_a_vacuous_verdict_are_refused(call):
@@ -348,18 +355,19 @@ def test_corrupted_dilogarithm_is_caught(monkeypatch):
     report = verify.check_pentagon(m=2, w=3, trials=5)
     assert report.failed == 5
     _assert_first_witness(report, "pentagon[q,m=2,w=3]",
-                          {"inputs": {"a": "9/4 + -3/2*t", "b": "-3/2 + -9/4*t"}, "value": "1"})
+                          {"inputs": {"a": "10 + 4/5*t", "b": "-2/5 + 8/9*t"}, "value": "1"})
     _assert_first_witness(verify.check_cluster_char0("A2", 2, 3, trials=5), "cluster0[A2,m=2,w=3]",
-                          {"inputs": {"alpha_1": "2/3 + 1/2*t", "alpha_2": "-1/5 + 2*t"},
+                          {"inputs": {"alpha_1": "-2/5 + 1/4*t", "alpha_2": "-9/10 + -1/3*t"},
                            "value": "5"})
     _assert_first_witness(verify.check_vanish_constants(m=2, w=3, trials=5),
-                          "vanish-constants[m=2,w=3]", {"inputs": {"c": "1/3"}, "value": "1"})
+                          "vanish-constants[m=2,w=3]", {"inputs": {"c": "-5/7"}, "value": "1"})
     _assert_first_witness(verify.check_oracle_agreement(2, 3, trials=3), "oracle-agreement[m=2,w=3]",
-                          {"inputs": {"a": "1/9 + -7/4*t"},
-                           "value": "direct 2258615/8192 vs closed 2250423/8192"})
+                          {"inputs": {"a": "3 + -5/2*t"},
+                           "value": "direct 701/576 vs closed 125/576"})
     # lam^w * (li + 1) differs from li(lam a) + 1 unless lam^w = 1
     _assert_first_witness(verify.check_scale_weight(2, 3, trials=3), "scale-weight[m=2,w=3]",
-                          {"inputs": {"a": "1/8 + 7/3*t", "lam": "-3/5"}, "value": "14461/125 vs 14309/125"})
+                          {"inputs": {"a": "7/3 + -5/3*t", "lam": "-5/6"},
+                           "value": "97271/112896 vs -242875/338688"})
     # pounds1 + 1 leaves r^p + (s - 1)^p = r + s - 1 in the four-term sum,
     # which vanishes only on the line r + s = 1
     original_pounds1 = dilog.pounds1
@@ -376,14 +384,14 @@ def test_corrupted_lift_and_mutation_are_caught(monkeypatch):
     original_lift = dilog.li_via_lift
     monkeypatch.setattr(dilog, "li_via_lift", lambda m, w, lift: original_lift(m, w, lift) * 2)
     _assert_first_witness(verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
-                          {"inputs": {"lift": "-1 + -6/7*t + 0*t^2"},
-                           "value": "lift 54/343 vs direct 27/343"})
+                          {"inputs": {"lift": "1/2 + -1/4*t + 0*t^2"},
+                           "value": "lift 1/4 vs direct 1/8"})
     # the zero-padded lift still agrees with li_direct; a perturbed degree-m
     # coefficient moves the value
     monkeypatch.setattr(dilog, "li_via_lift",
                         lambda m, w, lift: original_lift(m, w, lift) + lift.coeff(m))
     _assert_first_witness(verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
-                          {"inputs": {"lift": "-1 + -6/7*t + -7/2*t^2"}, "value": "-2347/686 != 27/343"})
+                          {"inputs": {"lift": "1/2 + -1/4*t + -7/4*t^2"}, "value": "-13/8 != 1/8"})
 
     original_mutate = cluster.YSeed.mutate
 
@@ -399,10 +407,10 @@ def test_corrupted_lift_and_mutation_are_caught(monkeypatch):
 
     monkeypatch.setattr(cluster.YSeed, "mutate", dropped)
     _assert_first_witness(verify.check_mutation_involution("A2", trials=3), "involution[A2]",
-                          {"inputs": {"direction": "1", "y_1": "-5/3 + 1/6*t", "y_2": "-1 + -1*t"},
+                          {"inputs": {"direction": "1", "y_1": "-1/3 + 1/2*t", "y_2": "-1/2 + 6/5*t"},
                            "value": "seed not restored"})
     _assert_first_witness(verify.check_mutation_involution("B2", trials=3), "involution[B2]",
-                          {"inputs": {"direction": "1", "y_1": "-8/7 + -3/4*t", "y_2": "-1/3 + 4/7*t"},
+                          {"inputs": {"direction": "1", "y_1": "3/5 + -7/3*t", "y_2": "5/9 + -9/5*t"},
                            "value": "seed not restored"})
 
 
@@ -422,18 +430,18 @@ def test_all_ones_symmetrizer_is_caught(monkeypatch):
     # not skew-symmetrize its first mutation; A2's is all ones already
     monkeypatch.setattr(cluster, "skew_symmetrizer", lambda matrix: (1,) * matrix.n)
     _assert_first_witness(verify.check_cluster_char0("B2", 2, 3, trials=3), "cluster0[B2,m=2,w=3]",
-                          {"inputs": {"alpha_1": "-1/5 + 10/3*t", "alpha_2": "-5/7 + 1/2*t"},
-                           "value": "-1034876381/16200"})
+                          {"inputs": {"alpha_1": "7/6 + 1*t", "alpha_2": "1/3 + 1*t"},
+                           "value": "-5342419395/2723446999"})
     _assert_first_witness(verify.check_cluster_charp("B2", 5), "clusterp[B2,p=5,exhaustive]",
                           {"inputs": {"alpha_1": "2 + 0*t", "alpha_2": "1 + 1*t"}, "value": "li2p sum 4"})
     _assert_first_witness(verify.check_lemma_wedge("B2", trials=3), "lemma[B2,q,N=6,random[3]]",
-                          {"inputs": {"alpha_1": "-6/5 + -3/2*t + 0*t^2 + 1*t^3 + -5*t^4 + 2*t^5",
-                                      "alpha_2": "2/5 + -4*t + 3/5*t^2 + -9/7*t^3 + -5*t^4 + 0*t^5"},
-                           "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to -20185471875/251628832"})
+                          {"inputs": {"alpha_1": "5/3 + -2/7*t + 5/2*t^2 + 7/9*t^3 + 9/2*t^4 + 0*t^5",
+                                      "alpha_2": "3/2 + -3/2*t + -1/5*t^2 + 8/3*t^3 + 2/9*t^4 + 10/7*t^5"},
+                           "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to -129/19600"})
     _assert_first_witness(verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True),
                           "lemma[B2,fp7,N=6,exhaustive-constants]",
-                          {"inputs": {"alpha_1": "1 + 5*t + 3*t^2 + 1*t^3 + 4*t^4 + 6*t^5",
-                                      "alpha_2": "1 + 3*t + 5*t^2 + 0*t^3 + 1*t^4 + 2*t^5"},
+                          {"inputs": {"alpha_1": "1 + 2*t + 0*t^2 + 5*t^3 + 1*t^4 + 6*t^5",
+                                      "alpha_2": "1 + 3*t + 3*t^2 + 3*t^3 + 3*t^4 + 0*t^5"},
                            "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to 1"})
     _assert_first_witness(verify.check_theta_invariance("B2"), "theta-invariance[B2]",
                           {"inputs": {"step": "0"}, "value": "theta does not skew-symmetrize [[0, 1], [-2, 0]]"})
@@ -452,21 +460,23 @@ def test_wrong_rational_log_is_caught(monkeypatch):
     monkeypatch.setattr(RationalField, "log_circ", bumped)
     pinned = [
         (verify.check_oracle_agreement(3, 4, trials=3), "oracle-agreement[m=3,w=4]",
-         {"inputs": {"a": "3/2 + -3*t + -1/4*t^2"}, "value": "direct 108 vs closed 132"}),
+         {"inputs": {"a": "-5/4 + 5/9*t + -4/3*t^2"},
+          "value": "direct 1374656/14348907 vs closed 674816/14348907"}),
         (verify.check_pentagon(m=3, w=4, trials=3), "pentagon[q,m=3,w=4]",
-         {"inputs": {"a": "-10/7 + 3/5*t + 0*t^2", "b": "-3/5 + 0*t + 2*t^2"}, "value": "-11480553/30381125"}),
+         {"inputs": {"a": "6 + -2*t + -2/9*t^2", "b": "2 + 7/9*t + 10/7*t^2"}, "value": "2477/10800"}),
         (verify.check_welldef(3, 4, trials=3), "welldef[m=3,w=4]",
-         {"inputs": {"lift": "-5/4 + -5/2*t + 3/8*t^2 + 0*t^3"}, "value": "lift -5128/2187 vs direct -2968/2187"}),
+         {"inputs": {"lift": "-4 + -2/9*t + -7/6*t^2 + 0*t^3"},
+          "value": "lift 313/2187000 vs direct 1393/2187000"}),
         (verify.check_scale_weight(3, 4, trials=3), "scale-weight[m=3,w=4]",
-         {"inputs": {"a": "-9/4 + 2/3*t + -1*t^2", "lam": "5/7"},
-          "value": "1530348800/133492841937 vs 6345440000/934449893559"}),
+         {"inputs": {"a": "3 + -1/4*t + 4*t^2", "lam": "3/2"},
+          "value": "-1531/32768 vs -2011/32768"}),
         (verify.check_cluster_char0("A2", 3, 4, trials=3), "cluster0[A2,m=3,w=4]",
-         {"inputs": {"alpha_1": "5/7 + -1*t + 2/3*t^2", "alpha_2": "8/7 + -5*t + 2*t^2"},
-          "value": "6893957/504600"}),
+         {"inputs": {"alpha_1": "-1/3 + 2*t + 7/2*t^2", "alpha_2": "-7/8 + -9/10*t + -3/7*t^2"},
+          "value": "-622674/4375"}),
         (verify.check_lemma_wedge("A2", trials=3), "lemma[A2,q,N=6,random[3]]",
-         {"inputs": {"alpha_1": "-6 + 0*t + -3/2*t^2 + 0*t^3 + 3/5*t^4 + 2/7*t^5",
-                     "alpha_2": "-3/10 + -1/2*t + 5/4*t^2 + 1/3*t^3 + 7/2*t^4 + -10/3*t^5"},
-          "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to 29/21"}),
+         {"inputs": {"alpha_1": "1/3 + -7/4*t + 1/5*t^2 + 1*t^3 + -3*t^4 + 0*t^5",
+                     "alpha_2": "1/5 + 1*t + -1/3*t^2 + 6*t^3 + 3/5*t^4 + 0*t^5"},
+          "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to -499/912"}),
     ]
     for report, name, witness in pinned:
         _assert_first_witness(report, name, witness)
@@ -486,17 +496,19 @@ def test_wrong_series_inverse_is_caught(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "invert", bumped)
     pinned = [
         (verify.check_pentagon(m=2, w=3, trials=3), "pentagon[q,m=2,w=3]",
-         {"inputs": {"a": "9/4 + -3/2*t", "b": "-3/2 + -9/4*t"}, "value": "5997269/115200"}),
+         {"inputs": {"a": "10 + 4/5*t", "b": "-2/5 + 8/9*t"}, "value": "147472336957/638820000"}),
         (verify.check_pentagon(p=5, trials=3), "pentagon[p=5]",
-         {"inputs": {"a": "4 + 1*t", "b": "3 + 2*t"}, "value": "3"}),
+         {"inputs": {"a": "3 + 4*t", "b": "4 + 3*t"}, "value": "2"}),
         (verify.check_cluster_char0("A2", 2, 3, trials=3), "cluster0[A2,m=2,w=3]",
-         {"inputs": {"alpha_1": "2/3 + 1/2*t", "alpha_2": "-1/5 + 2*t"}, "value": "-8983/800"}),
+         {"inputs": {"alpha_1": "-2/5 + 1/4*t", "alpha_2": "-9/10 + -1/3*t"},
+          "value": "38585224133773/131403600000"}),
         (verify.check_cluster_charp("A2", 5), "clusterp[A2,p=5,exhaustive]",
          {"inputs": {"alpha_1": "1 + 0*t", "alpha_2": "1 + 0*t"}, "value": "li2p sum 1"}),
         (verify.check_mutation_involution("A2", trials=3), "involution[A2]",
-         {"inputs": {"direction": "1", "y_1": "-5/3 + 1/6*t", "y_2": "-1 + -1*t"}, "value": "seed not restored"}),
+         {"inputs": {"direction": "1", "y_1": "-1/3 + 1/2*t", "y_2": "-1/2 + 6/5*t"},
+          "value": "seed not restored"}),
         (verify.check_periodicity_report("A2", trials=3), "periodicity[A2]",
-         {"inputs": {}, "value": "y-values disagree at point ['2/7 + -9/5*t', '3/4 + 2/5*t']"}),
+         {"inputs": {"alpha_1": "-7/3 + 6/5*t", "alpha_2": "10/9 + -1/6*t"}, "value": "y-values disagree"}),
         (verify.check_named_identity("involution", 5), "named[involution,p=5,exhaustive]",
          {"inputs": {"y": "2 + 0*t"}, "value": "2"}),
     ]
@@ -523,7 +535,7 @@ def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
         (cluster_report, "clusterp[B2,p=5,exhaustive]",
          {"inputs": {"alpha_1": "2 + 0*t", "alpha_2": "1 + 0*t"}, "value": "li2p sum 4"}),
         (verify.check_pentagon(p=7, trials=5), "pentagon[p=7]",
-         {"inputs": {"a": "4 + 6*t", "b": "3 + 6*t"}, "value": "1"}),
+         {"inputs": {"a": "3 + 2*t", "b": "4 + 3*t"}, "value": "1"}),
         (verify.check_vanish_constants(p=7), "vanish-constants[p=7]",
          {"inputs": {"s": "2"}, "value": "1"}),
         (verify.check_named_identity("elementary", 7), "named[elementary,p=7,exhaustive]",
