@@ -7,9 +7,9 @@ rewriting applied on insertion.  Consumers are linear: the antisymmetric
 functional pairs (ell_i ^ ell_j) and the rationalized zero test.  A ledger
 computes each distinct side's log_circ once, brings every log onto one
 ledger-wide common denominator and resolves each term to (coeff, log left,
-log right) as int numerator tuples, once.  The pairs and the mixed zero-test
-component sum plain ints over that denominator and make one field value at
-the end (one Fraction over QQ, one residue over GF(p)).
+log right) as int numerator tuples, once.  _pair_sums reads every pair of a
+list in one pass over them, as ints over den^2, and the mixed zero-test
+component sums ints over den: a field value is made only for a result.
 
 Zero testing works through the splitting of a unit a into its constant a(0)
 and the principal part exp(log_circ(a)).  Rationally (torsion discarded) a
@@ -110,7 +110,8 @@ class WedgeLedger:
                         for c, l, r in self.terms]
             logs = [log_circ(side) for side in index]
             den = math.lcm(*(log.den for log in logs))
-            nums = [tuple(x * (den // log.den) for x in log.nums) for log in logs]
+            nums = [log.nums if log.den == den else tuple(x * (den // log.den) for x in log.nums)
+                    for log in logs]
             self._logged = den, tuple((c, nums[i], nums[j]) for c, i, j in resolved)
         return self._logged
 
@@ -168,11 +169,18 @@ def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> Fi
     for index in (f_index, g_index):
         if not 1 <= index < precision:
             raise PrecisionError(f"functional index {index} out of range for precision {precision}")
-    den, logged = ledger.logged()
-    total = 0
-    for coeff, lo, ro in logged:
-        total += coeff * (lo[f_index] * ro[g_index] - lo[g_index] * ro[f_index])
+    den, (total,) = _pair_sums(ledger, [(f_index, g_index)])
     return FieldElement(field, field.quotient(total, den * den))
+
+
+def _pair_sums(ledger: WedgeLedger, pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(den, sums): (ell_f ^ ell_g)(ledger) = sums[k] / den^2 for the k-th pair, in one pass; unchecked."""
+    den, logged = ledger.logged()
+    sums = [0] * len(pairs)
+    for coeff, lo, ro in logged:
+        for k, (f, g) in enumerate(pairs):
+            sums[k] += coeff * (lo[f] * ro[g] - lo[g] * ro[f])
+    return den, sums
 
 
 class ZeroTestResult(namedtuple("ZeroTestResult", "verdict failing_component detail", defaults=(None, ""))):
@@ -233,15 +241,15 @@ def zero_test_rational(ledger: WedgeLedger) -> ZeroTestResult:
     char = field.characteristic
 
     # (i) infinitesimal component == every antisymmetric functional pair
-    for i in range(1, precision):
-        for j in range(i + 1, precision):
-            entry = apply_functional_pair(i, j, ledger)
-            if entry:
-                return ZeroTestResult(
-                    "nonzero",
-                    "infinitesimal",
-                    f"(ell_{i} ^ ell_{j}) evaluates to {entry}",
-                )
+    pairs = [(i, j) for i in range(1, precision) for j in range(i + 1, precision)]
+    den, sums = _pair_sums(ledger, pairs)
+    for (i, j), total in zip(pairs, sums):
+        if total and (entry := field.quotient(total, den * den)):
+            return ZeroTestResult(
+                "nonzero",
+                "infinitesimal",
+                f"(ell_{i} ^ ell_{j}) evaluates to {entry}",
+            )
 
     if char != 0:
         # GF(p)^x and the principal units are finite groups, so the mixed and

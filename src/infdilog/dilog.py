@@ -28,7 +28,7 @@ least residue of s (fields.PrimeField.memos), once per residue below _MEMO_CAP k
 
 from __future__ import annotations
 
-from .bloch import apply_functional_pair, delta
+from .bloch import _pair_sums, delta
 from .fields import FieldElement
 from .series import (
     NotFlatError,
@@ -105,10 +105,9 @@ def li_via_lift(m: int, w: int, lift: TruncatedSeries) -> FieldElement:
 
 
 def _lift_sum(lift: TruncatedSeries, top: int, count: int) -> FieldElement:
-    """sum_{1 <= i <= count} i * (ell_{top-i} ^ ell_i)(delta(lift)), on one ledger, reduced once."""
-    led, field = delta(lift), lift.field
-    total = sum(i * apply_functional_pair(top - i, i, led).value for i in range(1, count + 1))
-    return FieldElement(field, field.reduce(total))
+    """sum_{1 <= i <= count} i * (ell_{top-i} ^ ell_i)(delta(lift)): one pass, one field value."""
+    den, sums = _pair_sums(delta(lift), [(top - i, i) for i in range(1, count + 1)])
+    return FieldElement(lift.field, lift.field.quotient(sum(i * s for i, s in enumerate(sums, 1)), den * den))
 
 
 def li_closed_form(m: int, w: int, s: FieldElement, u1, u2=None) -> FieldElement:

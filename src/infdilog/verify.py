@@ -628,15 +628,18 @@ def check_lemma_wedge(
 ) -> CheckReport:
     """The weighted wedge sum along a trajectory rationally zero-tests to zero.
 
-    The ledger is sum theta_r * (y ^ (1 + y)) over the recorded values y.  Its
-    infinitesimal zero-test component evaluates every functional pair
-    (ell_i ^ ell_j), i < j < N.  Over a prime field, exhaustive_constants
-    enumerates all constant terms and randomizes the higher coefficients; it
-    needs at least one valid point to pass, and its params omit the unused
-    trials and height.  Over QQ the zero test decides every point.  Refused up
-    front: p^n constant points above EXHAUSTIVE_LIMIT, N > p over GF(p), which
-    the zero test cannot evaluate, and N < 3 over GF(p), where the zero test
-    would test nothing: no pair i < j < N, the rest vanishing over GF(p).
+    The ledger is sum theta_r * (beta ^ (1 - beta)) over the judged beta = -y.
+    It differs from sum theta_r * (y ^ (1 + y)) by the 2-torsion theta_r *
+    ((-1) ^ (1 + y)), which the zero test does not see: log_circ(-y) =
+    log_circ(y), and exponent vectors drop signs.  Its infinitesimal zero-test
+    component evaluates every functional pair (ell_i ^ ell_j), i < j < N.  Over
+    a prime field, exhaustive_constants enumerates all constant terms and
+    randomizes the higher coefficients; it needs at least one valid point to
+    pass, and its params omit the unused trials and height.  Over QQ the zero
+    test decides every point.  Refused up front: p^n constant points above
+    EXHAUSTIVE_LIMIT, N > p over GF(p), which the zero test cannot evaluate,
+    and N < 3 over GF(p), where the zero test would test nothing: no pair
+    i < j < N, the rest vanishing over GF(p).
     """
     p = field.characteristic
     if p and not 3 <= precision <= p:
@@ -646,7 +649,7 @@ def check_lemma_wedge(
         raise ValueError("exhaustive constants require a prime field")
 
     def verdict(terms, inputs):
-        ledger = bloch.WedgeLedger([(weight, -beta, 1 - beta) for weight, beta in terms])
+        ledger = bloch.WedgeLedger([(weight, beta, 1 - beta) for weight, beta in terms])
         result = bloch.zero_test_rational(ledger)
         if result.is_zero:
             return {"ok": True}

@@ -6,8 +6,9 @@ run, so these tests load the tracer from its file and check that every span
 owner still holds its attribute and that a tracer installs and removes itself
 cleanly on this tree.  The layer micro-run calls the program directly, so
 one quick run checks that it still reports every micro metric BENCHMARK.json
-declares.  The benchmark's workloads pin report bytes; one seed-1 pass of each
-timed workload checks that a refactor keeps them.
+declares.  The benchmark's workloads pin report bytes; one pass of each timed
+workload at seed 1, the claim seed, and at seed 2, the confirmation seed,
+checks that a refactor keeps them.
 """
 
 import hashlib
@@ -82,11 +83,15 @@ def test_micro_run_reports_every_declared_micro_metric(monkeypatch):
 
 
 BENCH_DIR = TRACER_PATH.parent
-# sha256 of the joined per-unit report sha256s of one seed-1 pass, as the
-# benchmark child computes a pass digest; a deliberate report change re-pins these
+# sha256 of the joined per-unit report sha256s of one pass, as the benchmark
+# child computes a pass digest; a deliberate report change re-pins these
 SEED1_PASS_DIGESTS = {
     "charp-exhaustive": "256f26553d08fde8af740b8ed061b3814e1c1912ec1542ade6ce9fb47a8b470e",
     "wedge-deep": "4fb843caf60777579fa5c63fba4daf26c7301a495d173b5bc1a7a2108b02efe9",
+}
+SEED2_PASS_DIGESTS = {
+    "charp-exhaustive": "699a43a60ec86a4d098c7a97df8c0e271d4976c8d62c2841f88598aad041bff4",
+    "wedge-deep": "aab3cb512424419e52dc090de18c9f41b0b5a691d274e888ba7b813e821af48b",
 }
 
 
@@ -104,9 +109,10 @@ def test_timed_workloads_keep_their_report_bytes(monkeypatch):
     for name in ("reference", "workloads"):
         _load_bench_module(monkeypatch, name)
     child = _load_bench_module(monkeypatch, "child")
-    digests = {}
-    for workload in SEED1_PASS_DIGESTS:
-        units = child.workloads.WORKLOADS[workload](1)
-        shas = [hashlib.sha256(child._run_unit(unit, cli, verify)).hexdigest() for unit in units]
-        digests[workload] = hashlib.sha256("".join(shas).encode()).hexdigest()
-    assert digests == SEED1_PASS_DIGESTS
+    for seed, pinned in ((1, SEED1_PASS_DIGESTS), (2, SEED2_PASS_DIGESTS)):
+        digests = {}
+        for workload in pinned:
+            units = child.workloads.WORKLOADS[workload](seed)
+            shas = [hashlib.sha256(child._run_unit(unit, cli, verify)).hexdigest() for unit in units]
+            digests[workload] = hashlib.sha256("".join(shas).encode()).hexdigest()
+        assert digests == pinned, seed

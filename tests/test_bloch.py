@@ -13,8 +13,8 @@ from infdilog.bloch import (
     pentagon_terms,
     zero_test_rational,
 )
-from infdilog.fields import GF, QQ
-from infdilog.series import NotFlatError, PrecisionError, TruncatedSeries, random_series
+from infdilog.fields import GF, QQ, FieldElement, PrimeField, RationalField
+from infdilog.series import NotFlatError, PrecisionError, TruncatedSeries, log_circ, random_series
 
 
 def q_series(*coeffs, precision=None):
@@ -213,6 +213,75 @@ def test_coprime_base_matches_the_prime_exponent_reference(monkeypatch):
     assert min(outcomes.get(c, 0) for c in (None, "infinitesimal", "mixed", "constants")) >= 20, outcomes
 
 
+def _reference_pair_values(field, ledger, pairs):
+    """Reference for bloch._pair_sums: the per-pair loop, term by term in field arithmetic."""
+    logs = {side: log_circ(side) for _, left, right in ledger for side in (left, right)}
+    values = []
+    for f, g in pairs:
+        total = field.zero
+        for coeff, left, right in ledger:
+            lo, ro = logs[left], logs[right]
+            total += coeff * (lo.coeff(f) * ro.coeff(g) - lo.coeff(g) * ro.coeff(f))
+        values.append(total)
+    return values
+
+
+def _units(field, precision, rng, count):
+    units = []
+    while len(units) < count:
+        side = random_series(field, precision, rng, 6)
+        if side.is_unit:
+            units.append(side)
+    return units
+
+
+def _random_pair_ledger(field, precision, rng):
+    """(ledger, known_zero): terms over three sides, so sides repeat, with zero
+    coefficients among them; half the ledgers are made zero by adding each
+    term reversed and one a ^ bc - a ^ b - a ^ c."""
+    pool = _units(field, precision, rng, 3)
+    terms = [(rng.choice((-2, -1, 0, 1, 3)), rng.choice(pool), rng.choice(pool))
+             for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        return WedgeLedger(terms), False
+    a, b, c = (rng.choice(pool) for _ in range(3))
+    return WedgeLedger(terms + [(k, r, l) for k, l, r in terms] + [(1, a, b * c), (-1, a, b), (-1, a, c)]), True
+
+
+def test_one_pass_evaluator_matches_the_per_pair_reference():
+    rng = random.Random(59)
+    seen = {"zero": 0, "nonzero": 0}
+    for field in (QQ, GF(5), GF(7), GF(11)):
+        for _ in range(60):
+            precision = rng.randint(3, min(field.characteristic or 8, 8))
+            ledger, known_zero = _random_pair_ledger(field, precision, rng)
+            test_pairs = [(i, j) for i in range(1, precision) for j in range(i + 1, precision)]
+            top = rng.randint(2, precision)
+            lift_pairs = [(top - i, i) for i in range(1, top)]
+            for pairs in (test_pairs, lift_pairs):
+                den, sums = bloch._pair_sums(ledger, pairs)
+                reference = _reference_pair_values(field, ledger, pairs)
+                assert [FieldElement(field, field.quotient(s, den * den)) for s in sums] == reference
+                assert not known_zero or not any(reference)
+            # the zero test names the reference's first nonzero pair, with its value
+            values = _reference_pair_values(field, ledger, test_pairs)
+            first = next(((pair, v) for pair, v in zip(test_pairs, values) if v), None)
+            result = zero_test_rational(ledger)
+            if first is None:
+                assert result.failing_component != "infinitesimal"
+            else:
+                (i, j), value = first
+                assert result == ("nonzero", "infinitesimal", f"(ell_{i} ^ ell_{j}) evaluates to {value}")
+            seen["zero" if first is None else "nonzero"] += 1
+            # _lift_sum on delta of a flat lift against the weighted reference pairs
+            lift = next(u for u in iter(lambda: random_series(field, precision, rng, 6), None) if u.is_flat)
+            count = rng.randint(1, top - 1)
+            expected = sum((i * v for i, v in enumerate(
+                _reference_pair_values(field, delta(lift), lift_pairs[:count]), 1)), field.zero)
+            assert dilog._lift_sum(lift, top, count) == expected
+    assert min(seen.values()) >= 60, seen
+
+
 def test_pentagon_terms_validity():
     with pytest.raises(NotFlatError):
         pentagon_terms(q_series(1, 1), q_series(2, 1))
@@ -303,6 +372,57 @@ def test_ledger_resolves_each_term_once(monkeypatch):
     hashes.clear()
     apply_functional_pair(1, 5, ledger)
     assert hashes == []
+
+
+def test_lift_sum_makes_one_field_value(monkeypatch):
+    quotients = []
+    for cls in (RationalField, PrimeField):
+        monkeypatch.setattr(cls, "quotient", lambda self, num, den, original=cls.quotient:
+                            quotients.append(num) or original(self, num, den))
+    # li_via_lift(4, 7) reads 3 pairs and li2p_via_lift over GF(7) 6, all in one quotient
+    dilog._lift_sum(q_series(2, 1, 3, -1, 5, 0, 2), 7, 3)
+    assert len(quotients) == 1
+    dilog._lift_sum(TruncatedSeries.from_coeffs(GF(7), [3, 1, 2, 0, 5, 1, 4]), 7, 6)
+    assert len(quotients) == 2
+
+
+def test_a_passing_charp_zero_test_builds_no_field_element(monkeypatch):
+    field, rng = GF(11), random.Random(42)
+    while True:
+        a, b = random_series(field, 8, rng), random_series(field, 8, rng)
+        if a.is_flat and b.is_flat and a.nums[0] != b.nums[0]:
+            break
+    ledger = WedgeLedger()
+    for sign, arg in pentagon_terms(a, b):
+        ledger = ledger + delta(arg).scaled(sign)
+    ledger.logged()
+    made = []
+    original = FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, field, value: made.append(value) or original(self, field, value))
+    # the 21 pairs of component (i) are integer sums, none of them a field value
+    assert zero_test_rational(ledger).is_zero
+    assert made == []
+
+
+def test_ledger_keeps_a_log_already_over_its_denominator(monkeypatch):
+    logs = {}
+    original = bloch.log_circ
+    monkeypatch.setattr(bloch, "log_circ", lambda side: logs.setdefault(side, original(side)))
+    # over GF(p) every denominator is 1, so every log tuple is log_circ's own
+    f7 = GF(7)
+    a, b = (TruncatedSeries.from_coeffs(f7, c) for c in ([3, 1, 2, 0, 5], [2, 6, 0, 1, 1]))
+    ledger = WedgeLedger([(1, a, b), (2, b, a * b)])
+    den, logged = ledger.logged()
+    assert den == 1
+    for (_, lo, ro), (_, left, right) in zip(logged, ledger):
+        assert lo is logs[left].nums and ro is logs[right].nums
+    # over QQ a log with the ledger's denominator is kept and another is scaled
+    half, one = q_series(2, 1, 0), q_series(1, 1, 0)
+    den, ((_, lo, ro),) = WedgeLedger([(1, half, one)]).logged()
+    assert (den, logs[half].den, logs[one].den) == (8, 8, 2)
+    assert lo is logs[half].nums
+    assert ro == tuple(4 * x for x in logs[one].nums)
 
 
 def _pentagon_terms_reference(a, b):

@@ -6,7 +6,7 @@ import pytest
 
 from infdilog import bloch, cluster, dilog, verify
 from infdilog.fields import GF, QQ, Field, FieldMismatchError, RationalField
-from infdilog.series import TruncatedSeries
+from infdilog.series import TruncatedSeries, random_series
 
 
 def test_oracle_agreement_check():
@@ -272,6 +272,29 @@ def test_lemma_wedge_decides_every_point_at_large_height():
     assert report.passed and report.valid == 10 and report.failed == 0
 
 
+def test_lemma_ledger_sign_does_not_change_the_zero_test():
+    # sum theta * beta ^ (1 - beta) differs from sum theta * (-beta) ^ (1 - beta)
+    # by (-1) ^ (1 - beta), which is 2-torsion; under the all-ones symmetrizer
+    # the B2 ledgers fail, over QQ at N = 2 in the mixed component and at N = 1,
+    # where there is no log, in the constant component
+    rng = random.Random(61)
+    outcomes = {}
+    for pattern, field, precision in (("A2", QQ, 4), ("B2", QQ, 4), ("B2", QQ, 2), ("B2", QQ, 1),
+                                      ("A2", GF(7), 5), ("B2", GF(7), 5)):
+        trajectories = []
+        _, _, _, judge = verify._cluster_judge(pattern, lambda terms, inputs: trajectories.append(terms))
+        while len(trajectories) < 25:
+            judge(tuple(random_series(field, precision, rng, 10) for _ in range(2)))
+        for terms, ones in itertools.product(trajectories, (False, True)):
+            weighted = [(1 if ones else weight, beta) for weight, beta in terms]
+            result = bloch.zero_test_rational(bloch.WedgeLedger([(w, b, 1 - b) for w, b in weighted]))
+            assert result == bloch.zero_test_rational(bloch.WedgeLedger([(w, -b, 1 - b) for w, b in weighted]))
+            key = (pattern, ones, result.failing_component)
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert ("B2", True, None) not in outcomes, outcomes
+    assert {component for _, _, component in outcomes} == {None, "infinitesimal", "mixed", "constants"}, outcomes
+
+
 def test_welldef_check():
     report = verify.check_welldef(2, 3, trials=20, perturbations=5)
     assert report.passed
@@ -336,84 +359,6 @@ def test_counts_that_would_make_a_vacuous_verdict_are_refused(call):
         call()
 
 
-def _assert_first_witness(report, name, witness):
-    assert report.name == name
-    assert report.verdict == "fail", name
-    assert report.witnesses[0] == witness, name
-
-
-def test_corrupted_dilogarithm_is_caught(monkeypatch):
-    # mutation-testing hook: a wrong dilogarithm must fail with witnesses,
-    # and each first witness is pinned as the report writes it
-    original = dilog.li_direct
-
-    def corrupted(m, w, a):
-        value = original(m, w, a)
-        return value + 1
-
-    monkeypatch.setattr(dilog, "li_direct", corrupted)
-    report = verify.check_pentagon(m=2, w=3, trials=5)
-    assert report.failed == 5
-    _assert_first_witness(report, "pentagon[q,m=2,w=3]",
-                          {"inputs": {"a": "10 + 4/5*t", "b": "-2/5 + 8/9*t"}, "value": "1"})
-    _assert_first_witness(verify.check_cluster_char0("A2", 2, 3, trials=5), "cluster0[A2,m=2,w=3]",
-                          {"inputs": {"alpha_1": "-2/5 + 1/4*t", "alpha_2": "-9/10 + -1/3*t"},
-                           "value": "5"})
-    _assert_first_witness(verify.check_vanish_constants(m=2, w=3, trials=5),
-                          "vanish-constants[m=2,w=3]", {"inputs": {"c": "-5/7"}, "value": "1"})
-    _assert_first_witness(verify.check_oracle_agreement(2, 3, trials=3), "oracle-agreement[m=2,w=3]",
-                          {"inputs": {"a": "3 + -5/2*t"},
-                           "value": "direct 701/576 vs closed 125/576"})
-    # lam^w * (li + 1) differs from li(lam a) + 1 unless lam^w = 1
-    _assert_first_witness(verify.check_scale_weight(2, 3, trials=3), "scale-weight[m=2,w=3]",
-                          {"inputs": {"a": "7/3 + -5/3*t", "lam": "-5/6"},
-                           "value": "97271/112896 vs -242875/338688"})
-    # pounds1 + 1 leaves r^p + (s - 1)^p = r + s - 1 in the four-term sum,
-    # which vanishes only on the line r + s = 1
-    original_pounds1 = dilog.pounds1
-    monkeypatch.setattr(dilog, "pounds1", lambda x: original_pounds1(x) + 1)
-    report = verify.check_named_identity("four_term", 7)
-    assert (report.valid, report.failed) == (20, 16)
-    _assert_first_witness(report, "named[four_term,p=7,exhaustive]",
-                          {"inputs": {"r": "2", "s": "3"}, "value": "4"})
-
-
-def test_corrupted_lift_and_mutation_are_caught(monkeypatch):
-    # welldef fails on each of its two branches, and involution reaches the
-    # b > 0 branch of YSeed.mutate that no battery schedule takes
-    original_lift = dilog.li_via_lift
-    monkeypatch.setattr(dilog, "li_via_lift", lambda m, w, lift: original_lift(m, w, lift) * 2)
-    _assert_first_witness(verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
-                          {"inputs": {"lift": "1/2 + -1/4*t + 0*t^2"},
-                           "value": "lift 1/4 vs direct 1/8"})
-    # the zero-padded lift still agrees with li_direct; a perturbed degree-m
-    # coefficient moves the value
-    monkeypatch.setattr(dilog, "li_via_lift",
-                        lambda m, w, lift: original_lift(m, w, lift) + lift.coeff(m))
-    _assert_first_witness(verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
-                          {"inputs": {"lift": "1/2 + -1/4*t + -7/4*t^2"}, "value": "-13/8 != 1/8"})
-
-    original_mutate = cluster.YSeed.mutate
-
-    def dropped(seed, k):
-        # drop the y_k^b factor of every neighbour with b = b_ki > 0
-        mutated = original_mutate(seed, k)
-        ys = list(mutated.ys)
-        for i in range(seed.matrix.n):
-            b = seed.matrix.entry(k, i)
-            if i != k and b > 0:
-                ys[i] = ys[i] * seed.ys[k].invert() ** b
-        return cluster.YSeed(mutated.matrix, tuple(ys))
-
-    monkeypatch.setattr(cluster.YSeed, "mutate", dropped)
-    _assert_first_witness(verify.check_mutation_involution("A2", trials=3), "involution[A2]",
-                          {"inputs": {"direction": "1", "y_1": "-1/3 + 1/2*t", "y_2": "-1/2 + 6/5*t"},
-                           "value": "seed not restored"})
-    _assert_first_witness(verify.check_mutation_involution("B2", trials=3), "involution[B2]",
-                          {"inputs": {"direction": "1", "y_1": "3/5 + -7/3*t", "y_2": "5/9 + -9/5*t"},
-                           "value": "seed not restored"})
-
-
 @pytest.mark.parametrize("check", [verify.check_pentagon, verify.check_vanish_constants],
                          ids=["pentagon", "vanish-constants"])
 @pytest.mark.parametrize("kwargs", [{}, {"m": 2, "w": 3, "p": 5}, {"m": 2, "p": 5}],
@@ -425,130 +370,259 @@ def test_exactly_one_characteristic_is_accepted(check, kwargs):
         check(**kwargs)
 
 
-def test_all_ones_symmetrizer_is_caught(monkeypatch):
-    # B2's symmetrizer is (1, 2), so its weighted sums fail and all ones does
-    # not skew-symmetrize its first mutation; A2's is all ones already
-    monkeypatch.setattr(cluster, "skew_symmetrizer", lambda matrix: (1,) * matrix.n)
-    _assert_first_witness(verify.check_cluster_char0("B2", 2, 3, trials=3), "cluster0[B2,m=2,w=3]",
-                          {"inputs": {"alpha_1": "7/6 + 1*t", "alpha_2": "1/3 + 1*t"},
-                           "value": "-5342419395/2723446999"})
-    _assert_first_witness(verify.check_cluster_charp("B2", 5), "clusterp[B2,p=5,exhaustive]",
-                          {"inputs": {"alpha_1": "2 + 0*t", "alpha_2": "1 + 1*t"}, "value": "li2p sum 4"})
-    _assert_first_witness(verify.check_lemma_wedge("B2", trials=3), "lemma[B2,q,N=6,random[3]]",
-                          {"inputs": {"alpha_1": "5/3 + -2/7*t + 5/2*t^2 + 7/9*t^3 + 9/2*t^4 + 0*t^5",
-                                      "alpha_2": "3/2 + -3/2*t + -1/5*t^2 + 8/3*t^3 + 2/9*t^4 + 10/7*t^5"},
-                           "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to -129/19600"})
-    _assert_first_witness(verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True),
-                          "lemma[B2,fp7,N=6,exhaustive-constants]",
-                          {"inputs": {"alpha_1": "1 + 2*t + 0*t^2 + 5*t^3 + 1*t^4 + 6*t^5",
-                                      "alpha_2": "1 + 3*t + 3*t^2 + 3*t^3 + 3*t^4 + 0*t^5"},
-                           "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to 1"})
-    _assert_first_witness(verify.check_theta_invariance("B2"), "theta-invariance[B2]",
-                          {"inputs": {"step": "0"}, "value": "theta does not skew-symmetrize [[0, 1], [-2, 0]]"})
-    assert verify.check_cluster_char0("A2", 2, 3, trials=3).passed
+def _wrap(owner, name, make):
+    """Installer of a defect: owner.name becomes make(original)."""
+    return lambda monkeypatch: monkeypatch.setattr(owner, name, make(getattr(owner, name)))
 
 
-def test_wrong_rational_log_is_caught(monkeypatch):
-    # the t^2 coefficient of every rational log_circ off by one: each family
-    # that reads a log at precision 3 or more fails
-    original = RationalField.log_circ
+def _dropped_y_k_b(original):
+    def mutate(seed, k):
+        # drop the y_k^b factor of every neighbour with b = b_ki > 0
+        mutated = original(seed, k)
+        ys = list(mutated.ys)
+        for i in range(seed.matrix.n):
+            b = seed.matrix.entry(k, i)
+            if i != k and b > 0:
+                ys[i] = ys[i] * seed.ys[k].invert() ** b
+        return cluster.YSeed(mutated.matrix, tuple(ys))
+    return mutate
 
-    def bumped(self, a, da):
+
+def _bumped_rational_log(original):
+    def log_circ(self, a, da):
         nums, den = original(self, a, da)
         return self.normalize([*nums[:2], nums[2] + den, *nums[3:]], den) if len(nums) > 2 else (nums, den)
-
-    monkeypatch.setattr(RationalField, "log_circ", bumped)
-    pinned = [
-        (verify.check_oracle_agreement(3, 4, trials=3), "oracle-agreement[m=3,w=4]",
-         {"inputs": {"a": "-5/4 + 5/9*t + -4/3*t^2"},
-          "value": "direct 1374656/14348907 vs closed 674816/14348907"}),
-        (verify.check_pentagon(m=3, w=4, trials=3), "pentagon[q,m=3,w=4]",
-         {"inputs": {"a": "6 + -2*t + -2/9*t^2", "b": "2 + 7/9*t + 10/7*t^2"}, "value": "2477/10800"}),
-        (verify.check_welldef(3, 4, trials=3), "welldef[m=3,w=4]",
-         {"inputs": {"lift": "-4 + -2/9*t + -7/6*t^2 + 0*t^3"},
-          "value": "lift 313/2187000 vs direct 1393/2187000"}),
-        (verify.check_scale_weight(3, 4, trials=3), "scale-weight[m=3,w=4]",
-         {"inputs": {"a": "3 + -1/4*t + 4*t^2", "lam": "3/2"},
-          "value": "-1531/32768 vs -2011/32768"}),
-        (verify.check_cluster_char0("A2", 3, 4, trials=3), "cluster0[A2,m=3,w=4]",
-         {"inputs": {"alpha_1": "-1/3 + 2*t + 7/2*t^2", "alpha_2": "-7/8 + -9/10*t + -3/7*t^2"},
-          "value": "-622674/4375"}),
-        (verify.check_lemma_wedge("A2", trials=3), "lemma[A2,q,N=6,random[3]]",
-         {"inputs": {"alpha_1": "1/3 + -7/4*t + 1/5*t^2 + 1*t^3 + -3*t^4 + 0*t^5",
-                     "alpha_2": "1/5 + 1*t + -1/3*t^2 + 6*t^3 + 3/5*t^4 + 0*t^5"},
-          "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to -499/912"}),
-    ]
-    for report, name, witness in pinned:
-        _assert_first_witness(report, name, witness)
+    return log_circ
 
 
-def test_wrong_series_inverse_is_caught(monkeypatch):
-    # the t coefficient of every series inverse off by one, in both characteristics
-    original = TruncatedSeries.invert
-
-    def bumped(self):
+def _bumped_inverse(original):
+    def invert(self):
         inverse = original(self)
         if inverse.precision < 2:
             return inverse
         c = inverse.coeffs
         return TruncatedSeries.from_coeffs(inverse.field, [c[0], c[1] + 1, *c[2:]])
+    return invert
 
-    monkeypatch.setattr(TruncatedSeries, "invert", bumped)
-    pinned = [
-        (verify.check_pentagon(m=2, w=3, trials=3), "pentagon[q,m=2,w=3]",
-         {"inputs": {"a": "10 + 4/5*t", "b": "-2/5 + 8/9*t"}, "value": "147472336957/638820000"}),
-        (verify.check_pentagon(p=5, trials=3), "pentagon[p=5]",
-         {"inputs": {"a": "3 + 4*t", "b": "4 + 3*t"}, "value": "2"}),
-        (verify.check_cluster_char0("A2", 2, 3, trials=3), "cluster0[A2,m=2,w=3]",
-         {"inputs": {"alpha_1": "-2/5 + 1/4*t", "alpha_2": "-9/10 + -1/3*t"},
-          "value": "38585224133773/131403600000"}),
-        (verify.check_cluster_charp("A2", 5), "clusterp[A2,p=5,exhaustive]",
-         {"inputs": {"alpha_1": "1 + 0*t", "alpha_2": "1 + 0*t"}, "value": "li2p sum 1"}),
-        (verify.check_mutation_involution("A2", trials=3), "involution[A2]",
+
+def _pair_sums_mutant(terms, pair):
+    """Installer of a defective bloch._pair_sums, in bloch and in dilog, which binds it by name."""
+    def pair_sums(ledger, pairs):
+        den, logged = ledger.logged()
+        return den, [sum(c * pair(lo, ro, f, g) for c, lo, ro in terms(logged)) for f, g in pairs]
+
+    def install(monkeypatch):
+        for module in (bloch, dilog):
+            monkeypatch.setattr(module, "_pair_sums", pair_sums)
+    return install
+
+
+def _lemma_wedge_gf7():
+    return verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True)
+
+
+def _lemma_a2_witness(value):
+    """The first witness of lemma[A2,q,N=6,random[3]]: its first point, and ell_1 ^ ell_2 there."""
+    return {"inputs": {"alpha_1": "1/3 + -7/4*t + 1/5*t^2 + 1*t^3 + -3*t^4 + 0*t^5",
+                       "alpha_2": "1/5 + 1*t + -1/3*t^2 + 6*t^3 + 3/5*t^4 + 0*t^5"},
+            "value": f"infinitesimal: (ell_1 ^ ell_2) evaluates to {value}"}
+
+
+# The kill matrix: seeded defect -> (installer, killers).  Each killer is a check
+# that must fail under the defect alone, with its report name, its first witness
+# as the report writes it, and (valid, failed) where the defect fixes them.  The
+# tests after the table run its rows, one test per family of defects.
+KILL_MATRIX = {
+    "li_direct + 1": (_wrap(dilog, "li_direct", lambda li: lambda m, w, a: li(m, w, a) + 1), [
+        (lambda: verify.check_pentagon(m=2, w=3, trials=5), "pentagon[q,m=2,w=3]",
+         {"inputs": {"a": "10 + 4/5*t", "b": "-2/5 + 8/9*t"}, "value": "1"}, (5, 5)),
+        (lambda: verify.check_cluster_char0("A2", 2, 3, trials=5), "cluster0[A2,m=2,w=3]",
+         {"inputs": {"alpha_1": "-2/5 + 1/4*t", "alpha_2": "-9/10 + -1/3*t"}, "value": "5"}, None),
+        (lambda: verify.check_vanish_constants(m=2, w=3, trials=5), "vanish-constants[m=2,w=3]",
+         {"inputs": {"c": "-5/7"}, "value": "1"}, None),
+        (lambda: verify.check_oracle_agreement(2, 3, trials=3), "oracle-agreement[m=2,w=3]",
+         {"inputs": {"a": "3 + -5/2*t"}, "value": "direct 701/576 vs closed 125/576"}, None),
+        # lam^w * (li + 1) differs from li(lam a) + 1 unless lam^w = 1
+        (lambda: verify.check_scale_weight(2, 3, trials=3), "scale-weight[m=2,w=3]",
+         {"inputs": {"a": "7/3 + -5/3*t", "lam": "-5/6"}, "value": "97271/112896 vs -242875/338688"}, None),
+    ]),
+    # pounds1 + 1 leaves r^p + (s - 1)^p = r + s - 1 in the four-term sum,
+    # which vanishes only on the line r + s = 1
+    "pounds1 + 1": (_wrap(dilog, "pounds1", lambda pounds1: lambda x: pounds1(x) + 1), [
+        (lambda: verify.check_named_identity("four_term", 7), "named[four_term,p=7,exhaustive]",
+         {"inputs": {"r": "2", "s": "3"}, "value": "4"}, (20, 16)),
+    ]),
+    "li_via_lift * 2": (_wrap(dilog, "li_via_lift", lambda li: lambda m, w, lift: li(m, w, lift) * 2), [
+        (lambda: verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
+         {"inputs": {"lift": "1/2 + -1/4*t + 0*t^2"}, "value": "lift 1/4 vs direct 1/8"}, None),
+    ]),
+    # the zero-padded lift still agrees with li_direct; a perturbed degree-m
+    # coefficient moves the value
+    "li_via_lift + lift_m": (_wrap(dilog, "li_via_lift",
+                                   lambda li: lambda m, w, lift: li(m, w, lift) + lift.coeff(m)), [
+        (lambda: verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
+         {"inputs": {"lift": "1/2 + -1/4*t + -7/4*t^2"}, "value": "-13/8 != 1/8"}, None),
+    ]),
+    # involution reaches the b > 0 branch of YSeed.mutate that no battery schedule takes
+    "mutation drops y_k^b": (_wrap(cluster.YSeed, "mutate", _dropped_y_k_b), [
+        (lambda: verify.check_mutation_involution("A2", trials=3), "involution[A2]",
          {"inputs": {"direction": "1", "y_1": "-1/3 + 1/2*t", "y_2": "-1/2 + 6/5*t"},
-          "value": "seed not restored"}),
-        (verify.check_periodicity_report("A2", trials=3), "periodicity[A2]",
-         {"inputs": {"alpha_1": "-7/3 + 6/5*t", "alpha_2": "10/9 + -1/6*t"}, "value": "y-values disagree"}),
-        (verify.check_named_identity("involution", 5), "named[involution,p=5,exhaustive]",
-         {"inputs": {"y": "2 + 0*t"}, "value": "2"}),
-    ]
-    for report, name, witness in pinned:
-        _assert_first_witness(report, name, witness)
-
-
-def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
+          "value": "seed not restored"}, None),
+        (lambda: verify.check_mutation_involution("B2", trials=3), "involution[B2]",
+         {"inputs": {"direction": "1", "y_1": "3/5 + -7/3*t", "y_2": "5/9 + -9/5*t"},
+          "value": "seed not restored"}, None),
+    ]),
+    # B2's symmetrizer is (1, 2), so its weighted sums fail and all ones does
+    # not skew-symmetrize its first mutation; A2's is all ones already
+    "all-ones symmetrizer": (_wrap(cluster, "skew_symmetrizer", lambda _: lambda matrix: (1,) * matrix.n), [
+        (lambda: verify.check_cluster_char0("B2", 2, 3, trials=3), "cluster0[B2,m=2,w=3]",
+         {"inputs": {"alpha_1": "7/6 + 1*t", "alpha_2": "1/3 + 1*t"}, "value": "-5342419395/2723446999"}, None),
+        (lambda: verify.check_cluster_charp("B2", 5), "clusterp[B2,p=5,exhaustive]",
+         {"inputs": {"alpha_1": "2 + 0*t", "alpha_2": "1 + 1*t"}, "value": "li2p sum 4"}, None),
+        (lambda: verify.check_lemma_wedge("B2", trials=3), "lemma[B2,q,N=6,random[3]]",
+         {"inputs": {"alpha_1": "5/3 + -2/7*t + 5/2*t^2 + 7/9*t^3 + 9/2*t^4 + 0*t^5",
+                     "alpha_2": "3/2 + -3/2*t + -1/5*t^2 + 8/3*t^3 + 2/9*t^4 + 10/7*t^5"},
+          "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to -129/19600"}, None),
+        (_lemma_wedge_gf7, "lemma[B2,fp7,N=6,exhaustive-constants]",
+         {"inputs": {"alpha_1": "1 + 2*t + 0*t^2 + 5*t^3 + 1*t^4 + 6*t^5",
+                     "alpha_2": "1 + 3*t + 3*t^2 + 3*t^3 + 3*t^4 + 0*t^5"},
+          "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to 1"}, None),
+        (lambda: verify.check_theta_invariance("B2"), "theta-invariance[B2]",
+         {"inputs": {"step": "0"}, "value": "theta does not skew-symmetrize [[0, 1], [-2, 0]]"}, None),
+    ]),
+    # the t^2 coefficient of every rational log_circ off by one: each family
+    # that reads a log at precision 3 or more fails
+    "rational log t^2 + 1": (_wrap(RationalField, "log_circ", _bumped_rational_log), [
+        (lambda: verify.check_oracle_agreement(3, 4, trials=3), "oracle-agreement[m=3,w=4]",
+         {"inputs": {"a": "-5/4 + 5/9*t + -4/3*t^2"},
+          "value": "direct 1374656/14348907 vs closed 674816/14348907"}, None),
+        (lambda: verify.check_pentagon(m=3, w=4, trials=3), "pentagon[q,m=3,w=4]",
+         {"inputs": {"a": "6 + -2*t + -2/9*t^2", "b": "2 + 7/9*t + 10/7*t^2"}, "value": "2477/10800"}, None),
+        (lambda: verify.check_welldef(3, 4, trials=3), "welldef[m=3,w=4]",
+         {"inputs": {"lift": "-4 + -2/9*t + -7/6*t^2 + 0*t^3"},
+          "value": "lift 313/2187000 vs direct 1393/2187000"}, None),
+        (lambda: verify.check_scale_weight(3, 4, trials=3), "scale-weight[m=3,w=4]",
+         {"inputs": {"a": "3 + -1/4*t + 4*t^2", "lam": "3/2"}, "value": "-1531/32768 vs -2011/32768"}, None),
+        (lambda: verify.check_cluster_char0("A2", 3, 4, trials=3), "cluster0[A2,m=3,w=4]",
+         {"inputs": {"alpha_1": "-1/3 + 2*t + 7/2*t^2", "alpha_2": "-7/8 + -9/10*t + -3/7*t^2"},
+          "value": "-622674/4375"}, None),
+        (lambda: verify.check_lemma_wedge("A2", trials=3), "lemma[A2,q,N=6,random[3]]",
+         _lemma_a2_witness("-499/912"), None),
+    ]),
+    # the t coefficient of every series inverse off by one, in both characteristics
+    "series inverse t + 1": (_wrap(TruncatedSeries, "invert", _bumped_inverse), [
+        (lambda: verify.check_pentagon(m=2, w=3, trials=3), "pentagon[q,m=2,w=3]",
+         {"inputs": {"a": "10 + 4/5*t", "b": "-2/5 + 8/9*t"}, "value": "147472336957/638820000"}, None),
+        (lambda: verify.check_pentagon(p=5, trials=3), "pentagon[p=5]",
+         {"inputs": {"a": "3 + 4*t", "b": "4 + 3*t"}, "value": "2"}, None),
+        (lambda: verify.check_cluster_char0("A2", 2, 3, trials=3), "cluster0[A2,m=2,w=3]",
+         {"inputs": {"alpha_1": "-2/5 + 1/4*t", "alpha_2": "-9/10 + -1/3*t"},
+          "value": "38585224133773/131403600000"}, None),
+        (lambda: verify.check_cluster_charp("A2", 5), "clusterp[A2,p=5,exhaustive]",
+         {"inputs": {"alpha_1": "1 + 0*t", "alpha_2": "1 + 0*t"}, "value": "li2p sum 1"}, None),
+        (lambda: verify.check_mutation_involution("A2", trials=3), "involution[A2]",
+         {"inputs": {"direction": "1", "y_1": "-1/3 + 1/2*t", "y_2": "-1/2 + 6/5*t"},
+          "value": "seed not restored"}, None),
+        (lambda: verify.check_periodicity_report("A2", trials=3), "periodicity[A2]",
+         {"inputs": {"alpha_1": "-7/3 + 6/5*t", "alpha_2": "10/9 + -1/6*t"}, "value": "y-values disagree"}, None),
+        (lambda: verify.check_named_identity("involution", 5), "named[involution,p=5,exhaustive]",
+         {"inputs": {"y": "2 + 0*t"}, "value": "2"}, None),
+    ]),
     # a constant error of 1 per li2p value cannot cancel in these sums: B2's
     # weights (1, 2, 1, 2, 1, 2) add to 9, which is not 0 mod 5, the pentagon
     # signs add to 1, and A2's five unit weights add to 5, which is not 0 mod 7
-    # (they would cancel mod 5)
-    original = dilog.li2p
-    monkeypatch.setattr(dilog, "li2p", lambda y: original(y) + 1)
-    cluster_report = verify.check_cluster_charp("B2", 5)
-    assert cluster_report.name == "clusterp[B2,p=5,exhaustive]"
-    assert cluster_report.witnesses[0]["value"].startswith("li2p sum ")
-    named = verify.check_named_identity("a2_pentagon_substitution", 5)
-    assert named.name == "named[a2_pentagon_substitution,p=5,exhaustive]"
-    for report in (cluster_report, named, verify.check_li2p_lift(5)):
-        assert report.verdict == "fail", report.name
-        assert report.failed == report.valid > 0 and report.witnesses, report.name
-    pinned = [
-        (cluster_report, "clusterp[B2,p=5,exhaustive]",
-         {"inputs": {"alpha_1": "2 + 0*t", "alpha_2": "1 + 0*t"}, "value": "li2p sum 4"}),
-        (verify.check_pentagon(p=7, trials=5), "pentagon[p=7]",
-         {"inputs": {"a": "3 + 2*t", "b": "4 + 3*t"}, "value": "1"}),
-        (verify.check_vanish_constants(p=7), "vanish-constants[p=7]",
-         {"inputs": {"s": "2"}, "value": "1"}),
-        (verify.check_named_identity("elementary", 7), "named[elementary,p=7,exhaustive]",
-         {"inputs": {"z": "2 + 0*t"}, "value": "2"}),
-        (verify.check_named_identity("involution", 7), "named[involution,p=7,exhaustive]",
-         {"inputs": {"y": "2 + 0*t"}, "value": "2"}),
-        (verify.check_named_identity("a2_five_term_charp", 7),
-         "named[a2_five_term_charp,p=7,exhaustive]",
-         {"inputs": {"y1": "2 + 0*t", "y2": "2 + 0*t"}, "value": "5"}),
-    ]
-    for report, name, witness in pinned:
-        assert report.failed == report.valid > 0, name
-        _assert_first_witness(report, name, witness)
+    # (they would cancel mod 5); every valid point fails
+    "li2p + 1": (_wrap(dilog, "li2p", lambda li2p: lambda y: li2p(y) + 1), [
+        (lambda: verify.check_cluster_charp("B2", 5), "clusterp[B2,p=5,exhaustive]",
+         {"inputs": {"alpha_1": "2 + 0*t", "alpha_2": "1 + 0*t"}, "value": "li2p sum 4"}, (100, 100)),
+        (lambda: verify.check_named_identity("a2_pentagon_substitution", 5),
+         "named[a2_pentagon_substitution,p=5,exhaustive]", {"inputs": {"r": "2", "s": "3"}, "value": "1"}, (6, 6)),
+        (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
+         {"inputs": {"lift": "2 + 0*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "0 != 1"}, (15, 15)),
+        (lambda: verify.check_pentagon(p=7, trials=5), "pentagon[p=7]",
+         {"inputs": {"a": "3 + 2*t", "b": "4 + 3*t"}, "value": "1"}, (5, 5)),
+        (lambda: verify.check_vanish_constants(p=7), "vanish-constants[p=7]",
+         {"inputs": {"s": "2"}, "value": "1"}, (5, 5)),
+        (lambda: verify.check_named_identity("elementary", 7), "named[elementary,p=7,exhaustive]",
+         {"inputs": {"z": "2 + 0*t"}, "value": "2"}, (35, 35)),
+        (lambda: verify.check_named_identity("involution", 7), "named[involution,p=7,exhaustive]",
+         {"inputs": {"y": "2 + 0*t"}, "value": "2"}, (35, 35)),
+        (lambda: verify.check_named_identity("a2_five_term_charp", 7), "named[a2_five_term_charp,p=7,exhaustive]",
+         {"inputs": {"y1": "2 + 0*t", "y2": "2 + 0*t"}, "value": "5"}, (980, 980)),
+    ]),
+    "zero test says nonzero": (_wrap(bloch, "zero_test_rational", lambda _: lambda ledger: bloch.ZeroTestResult(
+        "nonzero", None, "corrupted")), [
+        (_lemma_wedge_gf7, "lemma[B2,fp7,N=6,exhaustive-constants]",
+         {"inputs": {"alpha_1": "1 + 2*t + 0*t^2 + 5*t^3 + 1*t^4 + 6*t^5",
+                     "alpha_2": "1 + 3*t + 3*t^2 + 3*t^3 + 3*t^4 + 0*t^5"}, "value": "None: corrupted"}, (16, 16)),
+    ]),
+    # the one-pass pair evaluator behind the zero test and both lift sums
+    "pair sums drop the last term": (_pair_sums_mutant(
+        lambda logged: logged[:-1], lambda lo, ro, f, g: lo[f] * ro[g] - lo[g] * ro[f]), [
+        (lambda: verify.check_lemma_wedge("A2", trials=3), "lemma[A2,q,N=6,random[3]]", _lemma_a2_witness("625/72"), None),
+        (lambda: verify.check_welldef(3, 5, trials=3), "welldef[m=3,w=5]",
+         {"inputs": {"lift": "-1 + 10/3*t + -1*t^2 + 0*t^3 + 0*t^4"}, "value": "lift 0 vs direct -119825/2916"}, None),
+        (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
+         {"inputs": {"lift": "2 + 1*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "0 != 3"}, None),
+    ]),
+    "pair sums lose antisymmetry": (_pair_sums_mutant(
+        lambda logged: logged, lambda lo, ro, f, g: lo[f] * ro[g]), [
+        (lambda: verify.check_lemma_wedge("A2", trials=3), "lemma[A2,q,N=6,random[3]]",
+         _lemma_a2_witness("304774037/11089920"), None),
+        (lambda: verify.check_welldef(3, 5, trials=3), "welldef[m=3,w=5]",
+         {"inputs": {"lift": "-1 + 10/3*t + -1*t^2 + 0*t^3 + 0*t^4"}, "value": "lift 25325/2916 vs direct -119825/2916"},
+         None),
+        (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
+         {"inputs": {"lift": "2 + 1*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "4 != 3"}, None),
+    ]),
+}
+
+
+def _kill(monkeypatch, *defects):
+    """Install each defect alone, in turn, and fail every one of its killers; the last stays installed."""
+    for defect in defects:
+        monkeypatch.undo()
+        install, killers = KILL_MATRIX[defect]
+        install(monkeypatch)
+        for check, name, witness, counts in killers:
+            report = check()
+            assert (report.name, report.verdict) == (name, "fail"), defect
+            assert report.witnesses[0] == witness, (defect, name)
+            if counts is not None:
+                assert (report.valid, report.failed) == counts, (defect, name)
+
+
+def test_corrupted_dilogarithm_is_caught(monkeypatch):
+    _kill(monkeypatch, "li_direct + 1", "pounds1 + 1")
+
+
+def test_corrupted_lift_and_mutation_are_caught(monkeypatch):
+    _kill(monkeypatch, "li_via_lift * 2", "li_via_lift + lift_m", "mutation drops y_k^b")
+
+
+def test_all_ones_symmetrizer_is_caught(monkeypatch):
+    _kill(monkeypatch, "all-ones symmetrizer")
+    assert verify.check_cluster_char0("A2", 2, 3, trials=3).passed
+
+
+def test_wrong_rational_log_is_caught(monkeypatch):
+    _kill(monkeypatch, "rational log t^2 + 1")
+
+
+def test_wrong_series_inverse_is_caught(monkeypatch):
+    _kill(monkeypatch, "series inverse t + 1")
+
+
+def test_corrupted_li2p_is_caught_exhaustively(monkeypatch):
+    _kill(monkeypatch, "li2p + 1")
+
+
+def test_corrupted_zero_test_is_caught_exhaustively(monkeypatch):
+    _kill(monkeypatch, "zero test says nonzero")
+
+
+def test_corrupted_pair_evaluator_is_caught(monkeypatch):
+    _kill(monkeypatch, "pair sums drop the last term", "pair sums lose antisymmetry")
 
 
 def _squared_li2p(y):
@@ -642,15 +716,6 @@ def test_unit_weights_take_no_field_product(monkeypatch):
     witness = verify._vanishing(field, lambda x: x, [(1, arg) for arg in args], lambda: {"x": "3, 5"}, "sum ")
     assert made == []
     assert witness == {"ok": False, "inputs": {"x": "3, 5"}, "value": "sum 1"}
-
-
-def test_corrupted_zero_test_is_caught_exhaustively(monkeypatch):
-    result = bloch.ZeroTestResult("nonzero", None, "corrupted")
-    monkeypatch.setattr(bloch, "zero_test_rational", lambda ledger: result)
-    report = verify.check_lemma_wedge("B2", field=GF(7), exhaustive_constants=True)
-    assert report.verdict == "fail"
-    assert report.valid > 0 and report.failed == report.valid
-    assert report.witnesses[0]["value"] == "None: corrupted"
 
 
 def test_reports_are_deterministic():
