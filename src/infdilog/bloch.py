@@ -7,35 +7,33 @@ rewriting applied on insertion.  Consumers are linear: the antisymmetric
 functional pairs (ell_i ^ ell_j) and the rationalized zero test.  A ledger
 computes each distinct side's log_circ once, brings every log onto one
 ledger-wide common denominator and resolves each term to (coeff, log left,
-log right) as int numerator tuples, once.  _pair_sums reads every pair of a
-list in one pass over them, as ints over den^2, and the mixed zero-test
-component sums ints over den: a field value is made only for a result.
+log right) as int numerator tuples, once.  _pair_sums evaluates the
+antisymmetric form of every coordinate pair of a list on such rows in one
+pass, as ints: a field value is made only for a result.
 
 Zero testing works through the splitting of a unit a into its constant a(0)
 and the principal part exp(log_circ(a)).  Rationally (torsion discarded) a
-ledger vanishes iff three components vanish:
+unit is a coordinate vector: the t^1 .. t^(N-1) coefficients of log_circ(a),
+then the exponents of a(0) over a coprime base of the rational constants.  A
+ledger vanishes iff the antisymmetric form sum coeff * (left ^ right) vanishes
+at every coordinate pair.  Its pairs make the three components, in order:
 
-  (i)  the infinitesimal component: the antisymmetric matrix of all
-       (ell_i ^ ell_j) values, i, j = 1 .. N-1;
-  (ii) the mixed component: for each element q of a coprime base of the
-       rational constants, the series-valued accumulator pairing the q-adic
-       exponent of the constant on one side with log_circ on the other;
-  (iii) the constant component: the antisymmetric integer pairing of
-       exponent vectors over pairs of base elements.
+  (i)   infinitesimal: (ell_i ^ ell_j), i < j < N;
+  (ii)  mixed: (v_q ^ ell_d), the exponent at base element q against ell_d;
+  (iii) constants: (v_q ^ v_r) on exponent vectors, base elements q < r.
 
 The coprime base comes from factor refinement (Bach, Driscoll and Shallit,
 "Factor refinement", J. Algorithms 15, 1993): pairwise-coprime integers > 1
 of which every |numerator| and denominator of the constants is a product of
 powers.  Coprime elements are multiplicatively independent, and each prime
 divides one base element only, so its valuation is a fixed multiple of that
-element's exponent: the components vanish over the base iff they vanish over
-the primes, and every ledger is decided without factoring.
+element's exponent: the form vanishes over the base iff it vanishes over the
+primes, and every ledger is decided without factoring.
 
 The sign character of a rational constant is 2-torsion and every sign wedge
 dies rationally, so signs are dropped.  Over GF(p) the constants form a finite
-group and the principal units a finite p-group, so components (ii) and (iii)
-are torsion and vanish rationally; only component (i) carries rational
-information there.
+group and the principal units a finite p-group, so blocks (ii) and (iii) are
+torsion and vanish rationally: the coordinates there are the logs alone.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import combinations, product
 
 from .fields import FieldElement
 from .series import NonUnitError, NotFlatError, PrecisionError, TruncatedSeries, log_circ
@@ -169,18 +168,19 @@ def apply_functional_pair(f_index: int, g_index: int, ledger: WedgeLedger) -> Fi
     for index in (f_index, g_index):
         if not 1 <= index < precision:
             raise PrecisionError(f"functional index {index} out of range for precision {precision}")
-    den, (total,) = _pair_sums(ledger, [(f_index, g_index)])
+    den, rows = ledger.logged()
+    (total,) = _pair_sums(rows, [(f_index, g_index)])
     return FieldElement(field, field.quotient(total, den * den))
 
 
-def _pair_sums(ledger: WedgeLedger, pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """(den, sums): (ell_f ^ ell_g)(ledger) = sums[k] / den^2 for the k-th pair, in one pass; unchecked."""
-    den, logged = ledger.logged()
+def _pair_sums(rows, pairs: list[tuple[int, int]]) -> list[int]:
+    """sums[k] = sum coeff * (left[f] * right[g] - left[g] * right[f]) over rows (coeff, left, right),
+    for pairs[k] = (f, g): the antisymmetric form at every pair, in one pass; unchecked."""
     sums = [0] * len(pairs)
-    for coeff, lo, ro in logged:
+    for coeff, lo, ro in rows:
         for k, (f, g) in enumerate(pairs):
             sums[k] += coeff * (lo[f] * ro[g] - lo[g] * ro[f])
-    return den, sums
+    return sums
 
 
 class ZeroTestResult(namedtuple("ZeroTestResult", "verdict failing_component detail", defaults=(None, ""))):
@@ -194,13 +194,14 @@ class ZeroTestResult(namedtuple("ZeroTestResult", "verdict failing_component det
         return self.verdict == "zero"
 
 
-def _coprime_exponents(values: set[Fraction]) -> dict[Fraction, dict[int, int]]:
-    """Exponent vectors of nonzero rationals over one coprime base; signs dropped (2-torsion).
+def _coprime_exponents(values: set[Fraction]) -> tuple[dict[Fraction, tuple[int, ...]], list[int]]:
+    """(exponents, base): each nonzero rational's exponent tuple over one sorted coprime base; signs dropped.
 
     Factor refinement: a base element b sharing a factor g > 1 with a pending
     number x is replaced by g and b // g, which are refined again with x // g.
     Each split divides the product of all pending and base numbers by g, so the
     loop ends, with every |numerator| and denominator a product of base powers.
+    Every base element divides some input, so it has a nonzero exponent in one.
     """
     base: list[int] = []
     pending = [n for value in values for n in (abs(value.numerator), value.denominator)]
@@ -216,6 +217,7 @@ def _coprime_exponents(values: set[Fraction]) -> dict[Fraction, dict[int, int]]:
                 break
         else:
             base.append(x)
+    base.sort()
 
     def exponent(n: int, b: int) -> int:
         e = 0
@@ -224,76 +226,38 @@ def _coprime_exponents(values: set[Fraction]) -> dict[Fraction, dict[int, int]]:
             e += 1
         return e
 
-    exponents = {}
-    for value in values:
-        num, den = abs(value.numerator), value.denominator
-        exponents[value] = {b: e for b in base if (e := exponent(num, b) - exponent(den, b))}
-    return exponents
+    return {value: tuple(exponent(abs(value.numerator), b) - exponent(value.denominator, b) for b in base)
+            for value in values}, base
 
 
 def zero_test_rational(ledger: WedgeLedger) -> ZeroTestResult:
-    """Decide whether a ledger represents 0 in the rationalized wedge square."""
+    """Decide whether a ledger represents 0 in the rationalized wedge square.
+
+    Coordinates 1 .. N-1 of a side are its log; over QQ coordinate N + a is den
+    times its constant's exponent at base[a].  The first nonzero pair is named.
+    """
     if not ledger.terms:
         return ZeroTestResult("zero")
 
     field = ledger.terms[0][1].field
-    precision = ledger.terms[0][1].precision
-    char = field.characteristic
+    n = ledger.terms[0][1].precision
+    den, rows = ledger.logged()
+    base: list[int] = []
+    if not field.characteristic:
+        constants = [(left.constant_term().value, right.constant_term().value) for _, left, right in ledger.terms]
+        exponents, base = _coprime_exponents({c for pair in constants for c in pair})
+        scaled = {c: tuple(den * e for e in vector) for c, vector in exponents.items()}
+        rows = [(coeff, lo + scaled[cl], ro + scaled[cr]) for (coeff, lo, ro), (cl, cr) in zip(rows, constants)]
 
-    # (i) infinitesimal component == every antisymmetric functional pair
-    pairs = [(i, j) for i in range(1, precision) for j in range(i + 1, precision)]
-    den, sums = _pair_sums(ledger, pairs)
-    for (i, j), total in zip(pairs, sums):
+    logs, exps = range(1, n), range(n, n + len(base))
+    pairs = [*combinations(logs, 2), *product(exps, logs), *combinations(exps, 2)]
+    for (f, g), total in zip(pairs, _pair_sums(rows, pairs)):
         if total and (entry := field.quotient(total, den * den)):
-            return ZeroTestResult(
-                "nonzero",
-                "infinitesimal",
-                f"(ell_{i} ^ ell_{j}) evaluates to {entry}",
-            )
-
-    if char != 0:
-        # GF(p)^x and the principal units are finite groups, so the mixed and
-        # constant components are torsion and vanish after rationalization.
-        return ZeroTestResult("zero")
-
-    # each term's two constants, read once from the numerators over den
-    constants = [(left.constant_term().value, right.constant_term().value)
-                 for _, left, right in ledger.terms]
-    exponents = _coprime_exponents({c for pair in constants for c in pair})
-    support = sorted({q for vec in exponents.values() for q in vec})
-
-    # (ii) mixed component: one series-valued accumulator per base element,
-    # summed as numerators over the ledger's log denominator
-    den, logged = ledger.logged()
-    for q in support:
-        acc = [0] * precision
-        for (coeff, lo, ro), (cl, cr) in zip(logged, constants):
-            eq_l = coeff * exponents[cl].get(q, 0)
-            eq_r = coeff * exponents[cr].get(q, 0)
-            if not eq_l and not eq_r:
-                continue
-            for d in range(1, precision):
-                acc[d] += eq_l * ro[d] - eq_r * lo[d]
-        if any(acc):
-            bad = next(d for d in range(1, precision) if acc[d])
-            return ZeroTestResult(
-                "nonzero",
-                "mixed",
-                f"base element {q} accumulator has t^{bad} coefficient {field.quotient(acc[bad], den)}",
-            )
-
-    # (iii) constant component: antisymmetric integer form on exponent vectors
-    for a_pos, q in enumerate(support):
-        for r in support[a_pos + 1:]:
-            entry = 0
-            for (coeff, _, _), (cl, cr) in zip(ledger.terms, constants):
-                el, er = exponents[cl], exponents[cr]
-                entry += coeff * (el.get(q, 0) * er.get(r, 0) - el.get(r, 0) * er.get(q, 0))
-            if entry:
-                return ZeroTestResult(
-                    "nonzero",
-                    "constants",
-                    f"(v_{q} ^ v_{r}) evaluates to {entry}",
-                )
-
+            if f < n:
+                return ZeroTestResult("nonzero", "infinitesimal", f"(ell_{f} ^ ell_{g}) evaluates to {entry}")
+            q = base[f - n]
+            if g < n:
+                return ZeroTestResult("nonzero", "mixed",
+                                      f"base element {q} accumulator has t^{g} coefficient {entry}")
+            return ZeroTestResult("nonzero", "constants", f"(v_{q} ^ v_{base[g - n]}) evaluates to {entry}")
     return ZeroTestResult("zero")

@@ -208,6 +208,10 @@ class MutationSchedule(namedtuple("MutationSchedule", "directions nu theta name"
         n = matrix.n
         if not all(type(v) is int for v in (*self.directions, *self.nu, *(self.theta or ()))):
             raise ValueError("sequence, nu and theta must hold integers")
+        if not self.directions:
+            raise ValueError("sequence is empty: a cluster sum over no step vanishes vacuously")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         for r in self.directions:
             if not 0 <= r < n:
                 raise ValueError(f"direction {r} out of range for rank {n}")
@@ -331,7 +335,7 @@ BUILTIN_PATTERNS: dict[str, dict] = {
 
 
 def pattern_from_dict(config: dict) -> tuple[ExchangeMatrix, MutationSchedule]:
-    """Validate a pattern config: lists B, sequence, nu, optional theta; optional name.
+    """Validate a pattern config: lists B, sequence (not empty), nu, optional theta; optional string name.
 
     A nameless config is named "custom"; a malformed one raises ValueError.
     """

@@ -106,7 +106,8 @@ def li_via_lift(m: int, w: int, lift: TruncatedSeries) -> FieldElement:
 
 def _lift_sum(lift: TruncatedSeries, top: int, count: int) -> FieldElement:
     """sum_{1 <= i <= count} i * (ell_{top-i} ^ ell_i)(delta(lift)): one pass, one field value."""
-    den, sums = _pair_sums(delta(lift), [(top - i, i) for i in range(1, count + 1)])
+    den, rows = delta(lift).logged()
+    sums = _pair_sums(rows, [(top - i, i) for i in range(1, count + 1)])
     return FieldElement(lift.field, lift.field.quotient(sum(i * s for i, s in enumerate(sums, 1)), den * den))
 
 

@@ -1,18 +1,19 @@
 """Exact pass/fail checkers for the dilogarithm, cluster, and wedge identities.
 
 Every check asserts exact equality with zero; there are no tolerances.  All
-checks share one driver: a judge maps a point to None when a validity filter
-(a failed inversion, a non-flat value) rejects it, or else to a witness dict,
-and `_tally` keeps the counts.  Every identity stated as a weighted sum of one
-dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
-from its (weight, argument) terms, as a raw sum reduced once.  The two cluster
-sums and the wedge lemma share one trajectory judge, `_cluster_judge`: it walks
-the schedule and hands the weighted values to the family's verdict.  A point
-source is either an exhaustive enumeration (`_exhaust`) or seeded sampling
-(`_resample`).  `_sampled` is the one place that opens a sampled report whose
-params are the family's own plus trials, height and seed; only the coordinate
-checks, the lemma and periodicity, whose params have another shape, open a
-report for `_resample` by hand.  Trial k of a check draws from random.Random
+checks share one driver: a judge maps a point to None when a validity filter (a
+failed inversion, a non-flat value) rejects it, or else to a witness dict, and
+`_tally` keeps the counts.  Every identity stated as a weighted sum of one
+dilogarithm that must vanish is judged by the one witness builder,
+`_vanishing`, from its (weight, argument) terms, as a raw sum reduced once.
+The two cluster sums and the wedge lemma share one trajectory judge,
+`_cluster_judge`: it walks the schedule and hands the weighted values to the
+family's verdict.  A point source is either an exhaustive enumeration
+(`_exhaust`) or seeded sampling (`_resample`).  `_sampled` opens every sampled
+report whose params are the family's own plus trials, height and seed, the
+lemma's too; only the coordinate checks (params p and mode) and periodicity
+(which can fail before a draw) open theirs by hand.  Trial k of a check, or
+point k of an enumeration through `_seeded_points`, draws from random.Random
 seeded with the string "master seed:check id:k", so reports are deterministic
 and independent of execution order; rejected samples are resampled, up to
 RESAMPLE_FACTOR attempts per requested trial, and a sampled check that cannot
@@ -169,6 +170,12 @@ def _sampled(name: str, params: dict, trials: int, height: int, seed: int, evalu
     return _resample(report, trials, seed, evaluate)
 
 
+def _seeded_points(report: CheckReport, p: int, k: int, seed: int):
+    """Each point of GF(p)^k in order, with the rng of (seed, report.name, its index)."""
+    for index, point in enumerate(itertools.product(range(p), repeat=k)):
+        yield point, _derive_rng(seed, report.name, index)
+
+
 def _exhaust(report: CheckReport, points, judge, min_valid: int = 0) -> CheckReport:
     """Judge every point of an enumerated point space."""
     for point in points:
@@ -202,8 +209,8 @@ def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int
         return None
     zero = (0,) * n
     tangents = [zero] + [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
-    for index, constants in enumerate(itertools.product(range(p), repeat=n)):
-        guard = tuple(_derive_rng(seed, report.name, index).randrange(p) for _ in range(n))
+    for constants, rng in _seeded_points(report, p, n, seed):
+        guard = tuple(rng.randrange(p) for _ in range(n))
         outcomes = [judge(tuple(itertools.chain.from_iterable(zip(constants, tangent))))
                     for tangent in (*tangents, guard)]
         if all(outcome is None for outcome in outcomes):
@@ -481,12 +488,11 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
     )
 
     def judge(item):
-        index, (s, a) = item
+        (s, a), rng = item
         if s in (0, 1):
             return None
         dual = TruncatedSeries(field, (s, a))
         expected = dilog.li2p(dual)
-        rng = _derive_rng(seed, report.name, index)
         lifts = [dual.with_precision(p)]
         for _ in range(perturbations):
             lifts.append(TruncatedSeries(field, (s, a, *(rng.randrange(p) for _ in range(2, p)))))
@@ -496,7 +502,7 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
                 return {"ok": False, "inputs": {"lift": str(lift)}, "value": f"{got} != {expected}"}
         return {"ok": True}
 
-    return _exhaust(report, enumerate(itertools.product(range(p), repeat=2)), judge, min_valid=1)
+    return _exhaust(report, _seeded_points(report, p, 2, seed), judge, min_valid=1)
 
 
 # -- cluster identity checks --------------------------------------------------
@@ -631,15 +637,16 @@ def check_lemma_wedge(
     The ledger is sum theta_r * (beta ^ (1 - beta)) over the judged beta = -y.
     It differs from sum theta_r * (y ^ (1 + y)) by the 2-torsion theta_r *
     ((-1) ^ (1 + y)), which the zero test does not see: log_circ(-y) =
-    log_circ(y), and exponent vectors drop signs.  Its infinitesimal zero-test
-    component evaluates every functional pair (ell_i ^ ell_j), i < j < N.  Over
-    a prime field, exhaustive_constants enumerates all constant terms and
-    randomizes the higher coefficients; it needs at least one valid point to
-    pass, and its params omit the unused trials and height.  Over QQ the zero
-    test decides every point.  Refused up front: p^n constant points above
-    EXHAUSTIVE_LIMIT, N > p over GF(p), which the zero test cannot evaluate,
-    and N < 3 over GF(p), where the zero test would test nothing: no pair
-    i < j < N, the rest vanishing over GF(p).
+    log_circ(y), and exponent vectors drop signs.  The zero test reads one
+    antisymmetric form at every pair of coordinates, the logs' coefficients
+    and over QQ the constants' exponents over a coprime base, so it decides
+    every point.  Over a prime field, exhaustive_constants enumerates all
+    constant terms and randomizes the higher coefficients; it needs at least
+    one valid point to pass, and its params omit the unused trials and height.
+    Refused up front: p^n constant points above EXHAUSTIVE_LIMIT, N > p over
+    GF(p), which the zero test cannot evaluate, and N < 3 over GF(p), where
+    the zero test would test nothing: no pair i < j < N, the rest vanishing
+    over GF(p).
     """
     p = field.characteristic
     if p and not 3 <= precision <= p:
@@ -655,32 +662,24 @@ def check_lemma_wedge(
             return {"ok": True}
         return {"ok": False, "inputs": inputs(), "value": f"{result.failing_component}: {result.detail}"}
 
-    matrix, name, _, judge = _cluster_judge(pattern, verdict)
-    if exhaustive_constants:
-        _require_enumerable(p, matrix.n, "sample the constants instead")
+    matrix, pattern_name, _, judge = _cluster_judge(pattern, verdict)
     field_tag = _field_tag(field)
     mode = "exhaustive-constants" if exhaustive_constants else f"random[{trials}]"
-    sampled = {} if exhaustive_constants else {"trials": trials, "height": height}
-    report = CheckReport(
-        name=f"lemma[{name},{field_tag},N={precision},{mode}]",
-        params={"pattern": name, "field": field_tag, "precision": precision,
-                **sampled, "seed": seed, "mode": mode},
-    )
-
+    name = f"lemma[{pattern_name},{field_tag},N={precision},{mode}]"
+    params = {"pattern": pattern_name, "field": field_tag, "precision": precision, "mode": mode}
     if not exhaustive_constants:
-        return _resample(report, trials, seed, lambda rng: judge(
+        return _sampled(name, params, trials, height, seed, lambda rng: judge(
             tuple(random_series(field, precision, rng, height) for _ in range(matrix.n))))
 
-    def judge_constants(item):
-        index, constants = item
-        rng = _derive_rng(seed, report.name, index)
-        return judge(tuple(
-            TruncatedSeries(field, (c, *(rng.randrange(p) for _ in range(precision - 1))))
-            for c in constants
-        ))
+    _require_enumerable(p, matrix.n, "sample the constants instead")
+    report = CheckReport(name, {**params, "seed": seed})
 
-    return _exhaust(report, enumerate(itertools.product(range(p), repeat=matrix.n)),
-                    judge_constants, min_valid=1)
+    def judge_constants(item):
+        constants, rng = item
+        return judge(tuple(TruncatedSeries(field, (c, *(rng.randrange(p) for _ in range(precision - 1))))
+                           for c in constants))
+
+    return _exhaust(report, _seeded_points(report, p, matrix.n, seed), judge_constants, min_valid=1)
 
 
 # -- structural cluster checks --------------------------------------------------

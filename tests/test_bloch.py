@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from infdilog import bloch, dilog
+from infdilog import bloch, cluster, dilog
 from infdilog.bloch import (
     WedgeLedger,
+    ZeroTestResult,
     apply_functional_pair,
     delta,
     ell,
@@ -159,11 +160,12 @@ def _prime_exponents(values):
         # numerator and denominator are coprime, so their primes are disjoint
         vectors[value] = {**factor(abs(value.numerator)),
                           **{q: -e for q, e in factor(value.denominator).items()}}
-    return vectors
+    primes = sorted({q for vector in vectors.values() for q in vector})
+    return {value: tuple(vector.get(q, 0) for q in primes) for value, vector in vectors.items()}, primes
 
 
-def _random_ledger(rng):
-    """A small QQ ledger at precision 3 whose constants share factors.
+def _random_ledger(rng, height=12):
+    """A small QQ ledger at precision 3 whose constants share factors when height is small.
 
     Profile 0 has constant sides only, profile 1 pairs constants with
     principal units, profile 2 is unrestricted, and profile 3 starts from a
@@ -171,7 +173,7 @@ def _random_ledger(rng):
     to it, or keeps a ^ bc - a ^ b = a ^ c only, with a constant c that
     enters through bc alone."""
     def constant():
-        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, height))
 
     def side(kind):
         small = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
@@ -210,6 +212,97 @@ def test_coprime_base_matches_the_prime_exponent_reference(monkeypatch):
     for ledger, res, ref in zip(ledgers, decided, reference):
         assert (res.verdict, res.failing_component) == (ref.verdict, ref.failing_component), ledger.terms
         outcomes[res.failing_component] = outcomes.get(res.failing_component, 0) + 1
+    assert min(outcomes.get(c, 0) for c in (None, "infinitesimal", "mixed", "constants")) >= 20, outcomes
+
+
+def _zero_test_reference(ledger):
+    """Reference for bloch.zero_test_rational: its three components decided by three loops.
+
+    (i) one sum per functional pair; (ii) one series-valued accumulator per
+    base element; (iii) an integer double loop over pairs of base elements,
+    on sparse exponent vectors over bloch's coprime base."""
+    if not ledger.terms:
+        return ZeroTestResult("zero")
+    field = ledger.terms[0][1].field
+    precision = ledger.terms[0][1].precision
+    den, logged = ledger.logged()
+
+    for i in range(1, precision):
+        for j in range(i + 1, precision):
+            total = sum(coeff * (lo[i] * ro[j] - lo[j] * ro[i]) for coeff, lo, ro in logged)
+            if total and (entry := field.quotient(total, den * den)):
+                return ZeroTestResult("nonzero", "infinitesimal", f"(ell_{i} ^ ell_{j}) evaluates to {entry}")
+    if field.characteristic:
+        return ZeroTestResult("zero")
+
+    constants = [(left.constant_term().value, right.constant_term().value) for _, left, right in ledger.terms]
+    dense, base = bloch._coprime_exponents({c for pair in constants for c in pair})
+    exponents = {c: {q: e for q, e in zip(base, vector) if e} for c, vector in dense.items()}
+    support = sorted({q for vector in exponents.values() for q in vector})
+
+    for q in support:
+        acc = [0] * precision
+        for (coeff, lo, ro), (cl, cr) in zip(logged, constants):
+            eq_l = coeff * exponents[cl].get(q, 0)
+            eq_r = coeff * exponents[cr].get(q, 0)
+            for d in range(1, precision):
+                acc[d] += eq_l * ro[d] - eq_r * lo[d]
+        if any(acc):
+            bad = next(d for d in range(1, precision) if acc[d])
+            return ZeroTestResult("nonzero", "mixed",
+                                  f"base element {q} accumulator has t^{bad} coefficient {field.quotient(acc[bad], den)}")
+
+    for a_pos, q in enumerate(support):
+        for r in support[a_pos + 1:]:
+            entry = 0
+            for (coeff, _, _), (cl, cr) in zip(ledger.terms, constants):
+                el, er = exponents[cl], exponents[cr]
+                entry += coeff * (el.get(q, 0) * er.get(r, 0) - el.get(r, 0) * er.get(q, 0))
+            if entry:
+                return ZeroTestResult("nonzero", "constants", f"(v_{q} ^ v_{r}) evaluates to {entry}")
+    return ZeroTestResult("zero")
+
+
+def _trajectory_ledger(pattern, all_ones, field, precision, rng):
+    """The lemma ledger sum theta_r * (beta ^ (1 - beta)), beta = -y, along the pattern's
+    trajectory from a random point, under its own theta or all-ones; None at an invalid point."""
+    matrix, schedule = cluster.builtin_pattern(pattern)
+    theta = (1,) * matrix.n if all_ones else schedule.resolved_theta(matrix)
+    point = tuple(random_series(field, precision, rng, 10) for _ in range(matrix.n))
+    try:
+        steps = cluster.run_schedule(matrix, point, schedule).steps
+    except cluster.InvalidPointError:
+        return None
+    betas = [(theta[step.direction], -step.value) for step in steps]
+    if not all(beta.is_flat for _, beta in betas):
+        return None
+    return WedgeLedger([(weight, beta, 1 - beta) for weight, beta in betas])
+
+
+def test_one_form_zero_test_matches_the_three_component_reference(monkeypatch):
+    rng = random.Random(60)
+    ledgers = [_random_ledger(rng) for _ in range(400)] + [_random_ledger(rng, 10**5) for _ in range(200)]
+    for field in (GF(5), GF(7), GF(11)):
+        ledgers += [_random_pair_ledger(field, rng.randint(3, 5), rng)[0] for _ in range(60)]
+    for pattern, all_ones, field, precision in itertools.product(("A2", "B2"), (False, True), (QQ, GF(7)), (4,)):
+        found = 0
+        while found < 30:
+            ledger = _trajectory_ledger(pattern, all_ones, field, precision, rng)
+            if ledger is not None:
+                ledgers.append(ledger)
+                found += 1
+    calls = []
+    original = bloch._pair_sums
+    monkeypatch.setattr(bloch, "_pair_sums", lambda rows, pairs: calls.append(pairs) or original(rows, pairs))
+    outcomes = {}
+    for ledger in ledgers:
+        calls.clear()
+        result = zero_test_rational(ledger)
+        # every component is read from one pass over the ledger; an empty one needs none
+        assert len(calls) == (1 if len(ledger) else 0)
+        assert result == _zero_test_reference(ledger), ledger.terms
+        outcomes[result.failing_component] = outcomes.get(result.failing_component, 0) + 1
+    assert len(ledgers) >= 1000
     assert min(outcomes.get(c, 0) for c in (None, "infinitesimal", "mixed", "constants")) >= 20, outcomes
 
 
@@ -258,8 +351,9 @@ def test_one_pass_evaluator_matches_the_per_pair_reference():
             test_pairs = [(i, j) for i in range(1, precision) for j in range(i + 1, precision)]
             top = rng.randint(2, precision)
             lift_pairs = [(top - i, i) for i in range(1, top)]
+            den, rows = ledger.logged()
             for pairs in (test_pairs, lift_pairs):
-                den, sums = bloch._pair_sums(ledger, pairs)
+                sums = bloch._pair_sums(rows, pairs)
                 reference = _reference_pair_values(field, ledger, pairs)
                 assert [FieldElement(field, field.quotient(s, den * den)) for s in sums] == reference
                 assert not known_zero or not any(reference)
@@ -366,8 +460,8 @@ def test_ledger_resolves_each_term_once(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__hash__", lambda s: hashes.append(s) or original(s))
     assert zero_test_rational(ledger).is_zero
     # each side of each term is looked up (and on a miss stored) once, when
-    # the terms are resolved; the 10 functional pairs and the mixed component
-    # reuse the resolved tuples instead of 2 lookups per term each
+    # the terms are resolved; every coordinate pair of the zero test reads
+    # the resolved tuples instead of 2 lookups per term each
     assert len(hashes) <= 4 * len(ledger)
     hashes.clear()
     apply_functional_pair(1, 5, ledger)

@@ -21,6 +21,12 @@ BAD_PATTERNS = {
     "THETA_NOT_LIST": {**A2, "theta": 3},
     "BOOL_SEQUENCE": {**A2, "sequence": [True, 1, 0, 1, 0]},
     "BOOL_NU": {**A2, "nu": [True, False]},
+    # an empty sequence makes every cluster sum an empty sum, passing vacuously
+    "EMPTY_SEQUENCE": {"B": [[0]], "sequence": [], "nu": [0]},
+    # the name is part of every report name and of the per-trial rng seed
+    "NULL_NAME": {**A2, "name": None},
+    "NUMBER_NAME": {**A2, "name": 5},
+    "OBJECT_NAME": {**A2, "name": {"a": 1}},
 }
 
 
@@ -77,6 +83,8 @@ def test_fp_requires_prime(capsys):
     ["check", "welldef", "--m", "2", "--w", "3", "--perturbations", "-4"],
     *(["theta", "--pattern-file", key] for key in BAD_PATTERNS),
     ["check", "cluster", "--pattern-file", "BOOL_NU", "--m", "2", "--w", "3"],
+    ["check", "cluster", "--pattern-file", "EMPTY_SEQUENCE", "--m", "2", "--w", "3", "--trials", "3"],
+    *(["periodicity", "--pattern-file", key] for key in ("NULL_NAME", "NUMBER_NAME", "OBJECT_NAME")),
     ["mutate", "--pattern", "A2", "--point", "[1, 2]"],
     ["mutate", "--pattern", "A2", "--point", "[[1], 2]"],
     ["check", "lemma", "--pattern", "A2", "--exhaustive"],

@@ -297,6 +297,10 @@ def test_schedule_validation():
         MutationSchedule(directions=(0,), nu=(0, 1), theta=(1, -2)).validate(matrix)
     with pytest.raises(ValueError):
         MutationSchedule(directions=(0,), nu=(0, 1), theta=(2, 1)).validate(matrix)
+    # an empty sequence would make every cluster sum pass vacuously; a name enters the rng seed strings
+    for bad in (MutationSchedule(directions=(), nu=(0, 1)), MutationSchedule(directions=(0,), nu=(0, 1), name=5)):
+        with pytest.raises(ValueError):
+            bad.validate(matrix)
     MutationSchedule(directions=(0,), nu=(0, 1), theta=(3, 3)).validate(matrix)
 
 
