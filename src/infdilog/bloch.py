@@ -151,8 +151,13 @@ def pentagon_terms(a: TruncatedSeries, b: TruncatedSeries) -> list[tuple[int, Tr
             raise NotFlatError(f"pentagon argument {name} must be flat")
     if a.nums[0] * b.den == b.nums[0] * a.den:
         raise NotFlatError("pentagon requires b - a to be a unit")
-    ratio = b / a
-    rest = (1 - a) / (1 - b)
+    return _pentagon_terms(a, a.invert(), 1 - a, b, (1 - b).invert())
+
+
+def _pentagon_terms(a, inv_a, one_minus_a, b, inv_one_minus_b) -> list[tuple[int, TruncatedSeries]]:
+    """pentagon_terms(a, b) from a, 1/a, 1 - a, b and 1/(1 - b), unchecked, in three products."""
+    ratio = b * inv_a
+    rest = one_minus_a * inv_one_minus_b
     return [(1, a), (-1, b), (1, ratio), (-1, rest * ratio), (1, rest)]
 
 

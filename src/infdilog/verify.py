@@ -20,9 +20,12 @@ RESAMPLE_FACTOR attempts per requested trial, and a sampled check that cannot
 gather enough valid samples reports that instead of passing.  Prime-field point
 spaces are enumerated exhaustively whenever p^dimension stays within
 EXHAUSTIVE_LIMIT and a trial count is not forced; above the limit a trial count
-is required.  An exhaustive cluster-p or named check passes when no valid point
-fails, even if no point was valid: at p = 3 the A2 and B2 cluster sums and
-three of the named identities pass that way, with valid = 0 in their reports.
+is required.  A named identity is a judge factory, make(field) -> judge(coords),
+built once per check; the pentagon substitution's judge reads its per-coordinate
+units from a memo that lives for that check.  An exhaustive cluster-p or named
+check passes when no valid point fails, even if no point was valid: at p = 3 the
+A2 and B2 cluster sums and three of the named identities pass that way, with
+valid = 0 in their reports.
 
 An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
 elementary, involution and a2_five_term_charp) first tries to certify a pass
@@ -45,7 +48,7 @@ import json
 import random
 
 from . import bloch, cluster, dilog
-from .fields import GF, QQ, Field, FieldElement
+from .fields import GF, QQ, Field, FieldElement, _Memo
 from .series import TruncatedSeries, random_series
 
 __all__ = [
@@ -550,56 +553,70 @@ def check_cluster_charp(
 # -- named char-p identities --------------------------------------------------
 
 
-def _four_term(field, coords):
+def _four_term(field):
     p = field.characteristic
-    r, s = coords
-    if r in (0, 1) or s in (0, 1) or r == s:
-        return None
-    # the weights r^p and (s - 1)^p are r and s - 1 in GF(p)
-    terms = [(1, r), (-1, s), (r, s * field.inv(r)), (s - 1, (1 - r) * field.inv((1 - s) % p))]
-    return _vanishing(field, dilog.pounds1, [(w, FieldElement(field, x % p)) for w, x in terms],
-                      lambda: {"r": str(r), "s": str(s)})
+
+    def judge(coords):
+        r, s = coords
+        if r in (0, 1) or s in (0, 1) or r == s:
+            return None
+        # the weights r^p and (s - 1)^p are r and s - 1 in GF(p)
+        terms = [(1, r), (-1, s), (r, s * field.inv(r)), (s - 1, (1 - r) * field.inv((1 - s) % p))]
+        return _vanishing(field, dilog.pounds1, [(w, FieldElement(field, x % p)) for w, x in terms],
+                          lambda: {"r": str(r), "s": str(s)})
+    return judge
 
 
-def _elementary(field, coords):
-    if coords[0] in (0, 1):
-        return None
-    z = TruncatedSeries(field, coords)
-    return _vanishing(field, dilog.li2p, [(1, 1 - z), (1, z)], lambda: {"z": str(z)})
+def _elementary(field):
+    def judge(coords):
+        if coords[0] in (0, 1):
+            return None
+        z = TruncatedSeries(field, coords)
+        return _vanishing(field, dilog.li2p, [(1, 1 - z), (1, z)], lambda: {"z": str(z)})
+    return judge
 
 
-def _involution(field, coords):
-    if coords[0] in (0, 1):
-        return None
-    y = TruncatedSeries(field, coords)
-    return _vanishing(field, dilog.li2p, [(1, y.invert()), (1, y)], lambda: {"y": str(y)})
+def _involution(field):
+    def judge(coords):
+        if coords[0] in (0, 1):
+            return None
+        y = TruncatedSeries(field, coords)
+        return _vanishing(field, dilog.li2p, [(1, y.invert()), (1, y)], lambda: {"y": str(y)})
+    return judge
 
 
-def _a2_five_term_charp(field, coords):
-    if coords[0] == 0 or coords[2] == 0:
-        return None
-    y1, y2 = TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:])
-    args = [
-        y1,
-        y2 * (1 - y1),
-        y1.invert() * (1 - y2 + y1 * y2),
-        y1.invert() * (1 - y2.invert()),
-        y2.invert(),
-    ]
-    if not all(arg.is_flat for arg in args):
-        return None
-    return _vanishing(field, dilog.li2p, [(1, arg) for arg in args], lambda: {"y1": str(y1), "y2": str(y2)})
+def _a2_five_term_charp(field):
+    def judge(coords):
+        if coords[0] == 0 or coords[2] == 0:
+            return None
+        y1, y2 = TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:])
+        args = [y1, y2 * (1 - y1), y1.invert() * (1 - y2 + y1 * y2),
+                y1.invert() * (1 - y2.invert()), y2.invert()]
+        if not all(arg.is_flat for arg in args):
+            return None
+        return _vanishing(field, dilog.li2p, [(1, arg) for arg in args], lambda: {"y1": str(y1), "y2": str(y2)})
+    return judge
 
 
-def _a2_pentagon_substitution(field, coords):
-    r, s = coords
-    if r in (0, 1) or s in (0, 1) or r == s:
-        return None
-    x, y = (TruncatedSeries(field, (c, field.reduce(c * (1 - c)))) for c in (r, s))
-    return _vanishing(field, dilog.li2p, bloch.pentagon_terms(x, y), lambda: {"r": str(r), "s": str(s)})
+def _a2_pentagon_substitution(field):
+    def units(c):
+        """(x, 1/x, 1 - x, 1/(1 - x)) at x = c + c(1 - c)t."""
+        x = TruncatedSeries(field, (c, field.reduce(c * (1 - c))))
+        return x, x.invert(), 1 - x, (1 - x).invert()
+    memo = _Memo(units)
+
+    def judge(coords):
+        r, s = coords
+        if r in (0, 1) or s in (0, 1) or r == s:
+            return None
+        (x, inv_x, one_minus_x, _), (y, _, _, inv_one_minus_y) = memo[r], memo[s]
+        return _vanishing(field, dilog.li2p, bloch._pentagon_terms(x, inv_x, one_minus_x, y, inv_one_minus_y),
+                          lambda: {"r": str(r), "s": str(s)})
+    return judge
 
 
-# name: (judge, dimension, whether the coordinates are dual numbers s_i, a_i)
+# name: (make, dimension, dual); make(field) builds the judge once per check (the pentagon substitution's
+# reads its per-coordinate units from a per-check memo); dual: the coordinates are dual numbers s_i, a_i
 NAMED_IDENTITIES = {
     "four_term": (_four_term, 2, False),
     "elementary": (_elementary, 2, True),
@@ -610,14 +627,12 @@ NAMED_IDENTITIES = {
 
 
 def check_named_identity(name: str, p: int, trials: int | None = None, seed: int = 0) -> CheckReport:
-    """One of the named char-p functional equations, exhaustive when affordable."""
+    """One of the named char-p functional equations, exhaustive when affordable; its judge is built per check."""
     if name not in NAMED_IDENTITIES:
         known = ", ".join(sorted(NAMED_IDENTITIES))
         raise ValueError(f"unknown identity {name!r}; known: {known}")
-    judge, dimension, dual = NAMED_IDENTITIES[name]
-    field = GF(p)
-    return _check_coords("named", name, {"identity": name}, p, dimension, trials, seed,
-                         lambda coords: judge(field, coords), dual)
+    make, dimension, dual = NAMED_IDENTITIES[name]
+    return _check_coords("named", name, {"identity": name}, p, dimension, trials, seed, make(GF(p)), dual)
 
 
 # -- wedge lemma ---------------------------------------------------------------

@@ -203,21 +203,49 @@ def _a2_pentagon_substitution_reference(field, coords):
     ("a2_pentagon_substitution", _a2_pentagon_substitution_reference, "li2p"),
 ])
 def test_residue_judges_match_the_element_judges(monkeypatch, name, reference, value_name):
-    """Every point of GF(43)^2: the same witness, and the same dilogarithm arguments."""
+    """Every point of GF(43)^2, judged by one judge built once as a check builds it:
+    the same witness, and the same dilogarithm arguments."""
     field = GF(43)
-    judge = verify.NAMED_IDENTITIES[name][0]
+    judge = verify.NAMED_IDENTITIES[name][0](field)
     seen = []
     original = getattr(dilog, value_name)
     monkeypatch.setattr(dilog, value_name, lambda arg: seen.append(arg) or original(arg))
     valid = 0
     for coords in itertools.product(range(43), repeat=2):
-        got, got_args = judge(field, coords), seen[:]
+        got, got_args = judge(coords), seen[:]
         seen.clear()
         assert got == reference(field, coords), coords
         assert got_args == seen, coords
         seen.clear()
         valid += got is not None
     assert valid == 41 * 40
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    original = TruncatedSeries.invert
+    monkeypatch.setattr(TruncatedSeries, "invert", lambda self: calls.append(self) or original(self))
+    return calls
+
+
+def test_pentagon_substitution_inverts_once_per_coordinate(monkeypatch):
+    """1/x and 1/(1 - x) are made once per flat coordinate of a check: 2 * 41 at p = 43."""
+    calls = _count_inversions(monkeypatch)
+    report = verify.check_named_identity("a2_pentagon_substitution", 43)
+    assert report.passed and report.valid == 41 * 40
+    first = len(calls)
+    assert first <= 2 * 41
+    # the memo belongs to the check: a second check inverts again
+    verify.check_named_identity("a2_pentagon_substitution", 43)
+    assert len(calls) == 2 * first
+
+
+def test_pentagon_substitution_memo_is_filled_on_first_use(monkeypatch):
+    """At p ~ 10^9 only the coordinates of attempted points are inverted, two of them each."""
+    calls = _count_inversions(monkeypatch)
+    report = verify.check_named_identity("a2_pentagon_substitution", 1000000007, trials=3)
+    assert report.passed and report.attempted >= 3
+    assert len(calls) <= 4 * report.attempted
 
 
 def test_vanishing_refuses_a_value_or_weight_of_another_field():
@@ -526,6 +554,9 @@ KILL_MATRIX = {
          {"inputs": {"alpha_1": "-7/3 + 6/5*t", "alpha_2": "10/9 + -1/6*t"}, "value": "y-values disagree"}, None),
         (lambda: verify.check_named_identity("involution", 5), "named[involution,p=5,exhaustive]",
          {"inputs": {"y": "2 + 0*t"}, "value": "2"}, None),
+        # the per-coordinate inverses of the pentagon substitution go through invert in each check
+        (lambda: verify.check_named_identity("a2_pentagon_substitution", 7),
+         "named[a2_pentagon_substitution,p=7,exhaustive]", {"inputs": {"r": "2", "s": "3"}, "value": "6"}, (20, 14)),
     ]),
     # a constant error of 1 per li2p value cannot cancel in these sums: B2's
     # weights (1, 2, 1, 2, 1, 2) add to 9, which is not 0 mod 5, the pentagon
