@@ -114,23 +114,6 @@ class WedgeLedger:
             self._logged = den, tuple((c, nums[i], nums[j]) for c, i, j in resolved)
         return self._logged
 
-    def __add__(self, other: "WedgeLedger") -> "WedgeLedger":
-        return WedgeLedger(self.terms + other.terms)
-
-    def scaled(self, factor: int) -> "WedgeLedger":
-        if factor == 0:
-            return WedgeLedger()
-        return WedgeLedger((factor * c, l, r) for c, l, r in self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __repr__(self) -> str:
-        return f"WedgeLedger({len(self.terms)} terms)"
-
 
 def delta(alpha: TruncatedSeries) -> WedgeLedger:
     """The Bloch differential on a flat symbol: [a] -> (1 - a) ^ a."""

@@ -2,10 +2,10 @@
 
 Commands:
 
-  check pentagon     five-term relation (rationals with --m/--w, or --field fp --p P)
+  check pentagon     five-term relation of li_{m,w} over the rationals
   check cluster      weighted cluster sum of li_{m,w} over the rationals
   check cluster-p    weighted cluster sum of li2p over GF(p) dual numbers
-  check named ID     one of the named char-p functional equations
+  check named ID     a named char-p functional equation, such as the li2p pentagon
   check lemma        wedge-sum zero test along a trajectory
   check welldef      lift independence of the differential formula
   suite              the full acceptance battery
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_flags(report_flags, "seed", "out", "format")
 
     _add_flags(checks.add_parser("pentagon", parents=[report_flags], help="five-term relation"),
-               "field", "p", "m", "w", "trials", "height")
+               "m", "w", "trials", "height")
     _add_flags(checks.add_parser("cluster", parents=[report_flags], help="cluster sum over the rationals"),
                *_PATTERN, "m", "w", "trials", "height")
     _add_flags(checks.add_parser("cluster-p", parents=[report_flags], help="cluster sum over GF(p)"),
@@ -182,11 +182,7 @@ def _report(args) -> verify.CheckReport:
     """
     kind = args.check if args.command == "check" else args.command
     if kind == "pentagon":
-        field = _field(args)
-        # over GF(p), --m/--w reach check_pentagon, which refuses them
-        m, w = _validate_mw(args) if field is QQ else (args.m, args.w)
-        return verify.check_pentagon(m=m, w=w, p=field.characteristic or None,
-                                     trials=args.trials, height=args.height, seed=args.seed)
+        return verify.check_pentagon(*_validate_mw(args), trials=args.trials, height=args.height, seed=args.seed)
     if kind == "cluster":
         return verify.check_cluster_char0(_load_pattern(args), *_validate_mw(args), trials=args.trials,
                                           height=args.height, seed=args.seed)

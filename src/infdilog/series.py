@@ -11,7 +11,7 @@ denominator, normalised by the field (gcd 1 with the denominator over QQ,
 least residues over denominator 1 over GF(p)), so equal series have equal
 vectors.  The field's vector kernels (fields.py) hold the arithmetic loops:
 mul, add, invert, log_circ and exp_t.  TruncatedSeries checks shapes and
-preconditions and only rescales numerators itself (derivative, scale, neg),
+preconditions and only rescales numerators itself (scale, neg),
 normalising through the field.  A scalar operand is what Field.scalar accepts
 (fields.py states the rule): added or subtracted it touches coefficient 0
 only, and dividing by it multiplies by its inverse, so 0 raises
@@ -142,13 +142,6 @@ class TruncatedSeries:
         if precision <= self.precision:
             return _series(self.field, self.field.normalize(self.nums[:precision], self.den))
         return _series(self.field, (self.nums + (0,) * (precision - self.precision), self.den))
-
-    def derivative(self) -> "TruncatedSeries":
-        """Formal d/dt; the result is exact through degree N - 2."""
-        if self.precision == 1:
-            return TruncatedSeries.zero(self.field, 1)
-        nums = [i * x for i, x in enumerate(self.nums[1:], 1)]
-        return _series(self.field, self.field.normalize(nums, self.den))
 
     def scale(self, lam: Scalar) -> "TruncatedSeries":
         """The scaling action f(t) -> f(lam * t): multiplies coeff i by lam^i."""

@@ -24,21 +24,21 @@ is required.  A named identity is a judge factory, make(field) -> judge(coords),
 built once per check; the pentagon substitution's judge reads its per-coordinate
 units from a memo that lives for that check.  An exhaustive cluster-p or named
 check passes when no valid point fails, even if no point was valid: at p = 3 the
-A2 and B2 cluster sums and three of the named identities pass that way, with
-valid = 0 in their reports.
+A2 and B2 cluster sums and four of the named identities pass that way, with
+valid = 0 in their reports (the battery leaves out the pentagon at p = 3).
 
 An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
-elementary, involution and a2_five_term_charp) first tries to certify a pass
-from its p^n constant points.  li2p(s + a t) = (a / (s(1 - s)))^p pounds1(s)
-is linear in a over GF(p), and precision-2 arithmetic is k[t]/(t^2), so each
-weighted sum is linear in the tangent (a_1, ..., a_n) and validity reads only
-constant terms.  Once per check, li2p(s + b t) = b li2p(s + t) is checked at
-every flat s and every b; then each constant point is judged at the zero
-tangent, the n basis tangents and a guard tangent from its per-point rng, and
-counts as p^n points when all n + 2 are rejected or all are ok.  Anything else
-redoes the check by enumerating every point, so only passes are certified this
-way, every failing report is the enumeration's, and the counts always cover
-every point.
+elementary, involution, pentagon and a2_five_term_charp) first tries to certify
+a pass from its p^n constant points.  li2p(s + a t) = (a / (s(1 - s)))^p
+pounds1(s) is linear in a over GF(p), and precision-2 arithmetic is k[t]/(t^2),
+so each weighted sum is linear in the tangent (a_1, ..., a_n) and validity
+reads only constant terms.  Once per check, li2p(s + b t) = b li2p(s + t) is
+checked at every flat s and every b; then each constant point is judged at the
+zero tangent, the n basis tangents and a guard tangent from its per-point rng,
+and counts as p^n points when all n + 2 are rejected or all are ok.  Anything
+else redoes the check by enumerating every point, so only passes are certified
+this way, every failing report is the enumeration's, and the counts always
+cover every point.
 """
 
 from __future__ import annotations
@@ -316,12 +316,6 @@ def _cluster_judge(pattern, verdict):
     return matrix, name, weights, judge
 
 
-def _require_one_characteristic(m, w, p) -> None:
-    """Refuse, with ValueError, anything but (m, w) alone or p alone."""
-    if (p is None) == (m is None and w is None):
-        raise ValueError("give either (m, w) for characteristic 0 or p for characteristic p")
-
-
 def _field_tag(field: Field) -> str:
     """q, or fp{p}: a field as report names and params spell it."""
     return f"fp{field.characteristic}" if field.characteristic else "q"
@@ -354,36 +348,23 @@ def check_oracle_agreement(m: int, w: int, trials: int = 200, height: int = 10, 
     return _sampled(f"oracle-agreement[m={m},w={w}]", {"m": m, "w": w}, trials, height, seed, evaluate)
 
 
-def check_pentagon(
-    m: int | None = None,
-    w: int | None = None,
-    p: int | None = None,
-    trials: int = 100,
-    height: int = 10,
-    seed: int = 0,
-) -> CheckReport:
-    """The five-term relation, for li_{m,w} over the rationals or li2p over GF(p).
+def check_pentagon(m: int, w: int, trials: int = 100, height: int = 10, seed: int = 0) -> CheckReport:
+    """The five-term relation for li_{m,w} over the rationals; its char-p form is the named `pentagon`.
 
     Pairs (a, b) are valid when a(1-a)b(1-b)(b-a) is a unit, which makes every
     pentagon argument flat.
     """
-    _require_one_characteristic(m, w, p)
-    if p is None:
-        dilog.validate_modulus_weight(m, w)
-        field, precision, value_of = QQ, m, lambda arg: dilog.li_direct(m, w, arg)
-        name, params = f"pentagon[q,m={m},w={w}]", {"field": "q", "m": m, "w": w}
-    else:
-        field, precision, value_of = GF(p), 2, dilog.li2p
-        name, params = f"pentagon[p={p}]", {"field": "fp", "p": p}
+    dilog.validate_modulus_weight(m, w)
 
     def evaluate(rng: random.Random):
-        a = random_series(field, precision, rng, height)
-        b = random_series(field, precision, rng, height)
+        a = random_series(QQ, m, rng, height)
+        b = random_series(QQ, m, rng, height)
         if not (a.is_flat and b.is_flat) or a.constant_term() == b.constant_term():
             return None
-        return _vanishing(field, value_of, bloch.pentagon_terms(a, b), lambda: {"a": str(a), "b": str(b)})
+        return _vanishing(QQ, lambda arg: dilog.li_direct(m, w, arg), bloch.pentagon_terms(a, b),
+                          lambda: {"a": str(a), "b": str(b)})
 
-    return _sampled(name, params, trials, height, seed, evaluate)
+    return _sampled(f"pentagon[q,m={m},w={w}]", {"field": "q", "m": m, "w": w}, trials, height, seed, evaluate)
 
 
 def check_welldef(
@@ -444,26 +425,8 @@ def check_scale_weight(m: int, w: int, trials: int = 100, height: int = 10, seed
     return _sampled(f"scale-weight[m={m},w={w}]", {"m": m, "w": w}, trials, height, seed, evaluate)
 
 
-def check_vanish_constants(
-    m: int | None = None,
-    w: int | None = None,
-    p: int | None = None,
-    trials: int = 100,
-    height: int = 10,
-    seed: int = 0,
-) -> CheckReport:
-    """Dilogarithms vanish on constant flat inputs, in both characteristics."""
-    _require_one_characteristic(m, w, p)
-    if p is not None:
-        field = GF(p)
-
-        def judge(s: int):
-            if s in (0, 1):
-                return None
-            return _vanishing(field, dilog.li2p, [(1, TruncatedSeries(field, (s, 0)))], lambda: {"s": str(s)})
-
-        return _exhaust(CheckReport(f"vanish-constants[p={p}]", {"p": p}), range(p), judge, min_valid=1)
-
+def check_vanish_constants(m: int, w: int, trials: int = 100, height: int = 10, seed: int = 0) -> CheckReport:
+    """li_{m,w} vanishes on constant flat rationals."""
     dilog.validate_modulus_weight(m, w)
 
     def evaluate(rng: random.Random):
@@ -484,6 +447,7 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
     """
     if perturbations < 0:
         raise ValueError(f"perturbations must be at least 0, got {perturbations}")
+    _require_enumerable(p, 2, "the lift check has no sampled mode")
     field = GF(p)
     report = CheckReport(
         name=f"li2p-lift[p={p}]",
@@ -585,6 +549,15 @@ def _involution(field):
     return judge
 
 
+def _pentagon(field):
+    def judge(coords):
+        if coords[0] in (0, 1) or coords[2] in (0, 1) or coords[0] == coords[2]:
+            return None
+        a, b = TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:])
+        return _vanishing(field, dilog.li2p, bloch.pentagon_terms(a, b), lambda: {"a": str(a), "b": str(b)})
+    return judge
+
+
 def _a2_five_term_charp(field):
     def judge(coords):
         if coords[0] == 0 or coords[2] == 0:
@@ -621,6 +594,7 @@ NAMED_IDENTITIES = {
     "four_term": (_four_term, 2, False),
     "elementary": (_elementary, 2, True),
     "involution": (_involution, 2, True),
+    "pentagon": (_pentagon, 4, True),
     "a2_five_term_charp": (_a2_five_term_charp, 4, True),
     "a2_pentagon_substitution": (_a2_pentagon_substitution, 2, False),
 }
@@ -827,23 +801,21 @@ def _battery(seed: int) -> list:
         entries.append((check_oracle_agreement, {"m": m, "w": w, "trials": 200, "seed": seed}))
     for m, w in PENTAGON_PARAMS:
         entries.append((check_pentagon, {"m": m, "w": w, "trials": 100, "seed": seed}))
-    entries.append((check_pentagon, {"p": 5, "trials": 100, "seed": seed}))
     entries.append((check_cluster_char0, {"pattern": "A1", "m": 2, "w": 3, "trials": 100, "seed": seed}))
     for pattern in ("A2", "B2"):
         for m, w in ((2, 3), (3, 4), (3, 5)):
             entries.append((check_cluster_char0,
                             {"pattern": pattern, "m": m, "w": w, "trials": 100, "seed": seed}))
     for pattern in ("A2", "B2"):
-        for p in (3, 5):
+        for p in (3, 5, 7, 11, 13):
             entries.append((check_cluster_charp, {"pattern": pattern, "p": p, "seed": seed}))
-        for p in (7, 11, 13):
-            entries.append((check_cluster_charp,
-                            {"pattern": pattern, "p": p, "trials": 500, "seed": seed}))
     for identity in ("four_term", "elementary", "involution", "a2_pentagon_substitution"):
         for p in (3, 5, 7, 11, 13):
             entries.append((check_named_identity, {"name": identity, "p": p, "seed": seed}))
     for p in (3, 5):
         entries.append((check_named_identity, {"name": "a2_five_term_charp", "p": p, "seed": seed}))
+    for p in (5, 7, 11, 13):
+        entries.append((check_named_identity, {"name": "pentagon", "p": p, "seed": seed}))
     for pattern in ("A2", "B2"):
         entries.append((check_lemma_wedge,
                         {"pattern": pattern, "field": QQ, "precision": 6, "trials": 25, "seed": seed}))
@@ -852,14 +824,12 @@ def _battery(seed: int) -> list:
                          "exhaustive_constants": True, "seed": seed}))
     for m, w in PENTAGON_PARAMS:
         entries.append((check_welldef, {"m": m, "w": w, "trials": 100, "perturbations": 10, "seed": seed}))
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 11, 13):
         entries.append((check_li2p_lift, {"p": p, "seed": seed}))
     for m, w in PENTAGON_PARAMS:
         entries.append((check_scale_weight, {"m": m, "w": w, "trials": 100, "seed": seed}))
     for m, w in PENTAGON_PARAMS:
         entries.append((check_vanish_constants, {"m": m, "w": w, "trials": 100, "seed": seed}))
-    for p in (3, 5, 7, 11, 13):
-        entries.append((check_vanish_constants, {"p": p, "seed": seed}))
     for pattern in ("A1", "A2", "B2"):
         entries.append((check_theta_invariance, {"pattern": pattern}))
         entries.append((check_mutation_involution, {"pattern": pattern, "trials": 350, "seed": seed}))

@@ -53,9 +53,9 @@ def test_invalid_modulus_weight_is_config_error():
 
 def test_fp_requires_prime(capsys):
     with pytest.raises(SystemExit) as err:
-        run(["check", "pentagon", "--field", "fp"])
+        run(["check", "lemma", "--pattern", "A2", "--field", "fp"])
     assert err.value.code == 2
-    for argv in (["check", "pentagon", "--field", "fp", "--p", "4"],
+    for argv in (["periodicity", "--pattern", "A2", "--field", "fp", "--p", "4"],
                  ["check", "cluster-p", "--pattern", "A2", "--p", "4"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
@@ -63,9 +63,11 @@ def test_fp_requires_prime(capsys):
         assert err.value.code == 2
         # an even p above 2 is composite, not characteristic 2
         assert "4 is not prime" in capsys.readouterr().err
+    capsys.readouterr()
     with pytest.raises(SystemExit) as err:
-        run(["check", "pentagon", "--p", "5", "--m", "2", "--w", "3"])
+        run(["check", "lemma", "--pattern", "A2", "--p", "5"])
     assert err.value.code == 2
+    assert "--p requires --field fp" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -90,7 +92,7 @@ def test_fp_requires_prime(capsys):
     ["check", "lemma", "--pattern", "A2", "--exhaustive"],
     ["mutate", "--pattern", "A2", "--point", "2,3", "--out", "trajectory.txt"],
     ["mutate", "--pattern", "A2", "--point", "2,3", "--format", "json"],
-    ["check", "pentagon", "--field", "fp", "--p", "5", "--m", "2", "--w", "3"],
+    ["check", "pentagon", "--field", "fp", "--p", "5"],
     ["check", "cluster-p", "--pattern", "A2", "--p", "4"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path):
@@ -183,8 +185,14 @@ def test_pentagon_check_runs(capsys):
 
 
 def test_charp_pentagon_via_field_flag(capsys):
-    assert run(["check", "pentagon", "--field", "fp", "--p", "5", "--trials", "10"]) == 0
-    assert "pentagon[p=5]" in capsys.readouterr().out
+    # the char-p pentagon is the named dual identity; check pentagon has no field flags
+    with pytest.raises(SystemExit) as err:
+        run(["check", "pentagon", "--field", "fp", "--p", "5"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --field fp --p 5" in capsys.readouterr().err
+    assert run(["check", "named", "pentagon", "--p", "5"]) == 0
+    assert capsys.readouterr().out == ("[PASS] named[pentagon,p=5,exhaustive]: valid=150 rejected=475 failed=0\n"
+                                       "1/1 checks passed\n")
 
 
 def test_insufficient_samples_exit_one(capsys):
@@ -275,10 +283,10 @@ def test_periodicity_exit_codes(tmp_path, capsys):
 PINNED_CONFIGS = {
     "pentagon-q": (
         ["check", "pentagon", "--m", "2", "--w", "3", "--trials", "3"],
-        {"check": "pentagon", "field": "q", "height": 10, "m": 2, "seed": 0, "trials": 3, "w": 3}),
+        {"check": "pentagon", "height": 10, "m": 2, "seed": 0, "trials": 3, "w": 3}),
     "pentagon-fp": (
-        ["check", "pentagon", "--field", "fp", "--p", "5", "--trials", "3"],
-        {"check": "pentagon", "field": "fp", "height": 10, "p": 5, "seed": 0, "trials": 3}),
+        ["check", "named", "pentagon", "--p", "5", "--trials", "3"],
+        {"check": "named", "identity": "pentagon", "p": 5, "seed": 0, "trials": 3}),
     "cluster": (
         ["check", "cluster", "--pattern", "A2", "--m", "2", "--w", "3", "--trials", "3"],
         {"check": "cluster", "height": 10, "m": 2, "pattern": "A2", "seed": 0, "trials": 3, "w": 3}),

@@ -86,7 +86,7 @@ def _li_direct_full_product(m, w, a):
     rep = a.with_precision(m).with_precision(w)
     u = log_circ(rep)
     inner = 1 - rep.constant_term() * exp_t(u.truncate_below(m))
-    du = u.derivative().truncate_below(w - m).with_precision(w)
+    du = TruncatedSeries.from_coeffs(QQ, [i * c for i, c in enumerate(u.coeffs[1:w - m + 1], 1)], w)
     return (log_circ(inner) * du).coeff(w - 1)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,10 @@ def test_oracle_agreement_check():
 
 def test_pentagon_check_both_characteristics():
     assert verify.check_pentagon(m=3, w=4, trials=25).passed
-    assert verify.check_pentagon(p=5, trials=25).passed
+    # over GF(p) the five-term relation of li2p is a named dual identity
+    assert verify.check_named_identity("pentagon", 5, trials=25).passed
     with pytest.raises(ValueError):
-        verify.check_pentagon()
-    with pytest.raises(ValueError):
-        verify.check_pentagon(m=2, w=3, p=5)
+        verify.check_pentagon(2, 4)
 
 
 def test_cluster_char0_check():
@@ -268,7 +268,8 @@ def test_passing_points_build_no_witness_text(monkeypatch):
     assert verify._vanishing(field, field.element, [(1, 3), (-1, 3)], refuse) == {"ok": True}
     monkeypatch.setattr(TruncatedSeries, "__str__", refuse)
     for report in (verify.check_cluster_charp("A2", 5), verify.check_cluster_charp("B2", 7, trials=20),
-                   verify.check_pentagon(p=7, trials=20), verify.check_vanish_constants(p=7),
+                   verify.check_pentagon(2, 3, trials=5), verify.check_vanish_constants(2, 3, trials=5),
+                   verify.check_named_identity("pentagon", 7, trials=20),
                    verify.check_cluster_char0("A2", 2, 3, trials=5), verify.check_welldef(2, 3, trials=5),
                    verify.check_oracle_agreement(2, 3, trials=5), verify.check_scale_weight(3, 4, trials=5),
                    verify.check_mutation_involution("B2", trials=5),
@@ -333,8 +334,8 @@ def test_welldef_check():
 def test_structural_checks():
     assert verify.check_scale_weight(2, 3, trials=20).passed
     assert verify.check_vanish_constants(m=3, w=5, trials=20).passed
-    assert verify.check_vanish_constants(p=11).passed
     assert verify.check_li2p_lift(3).passed
+    assert verify.check_li2p_lift(11).passed
     assert verify.check_theta_invariance("B2").passed
     assert verify.check_mutation_involution("A2", trials=100).passed
     assert verify.check_periodicity_report("B2", trials=20).passed
@@ -365,7 +366,7 @@ def test_periodicity_report_verdicts():
 
 @pytest.mark.parametrize("call", [
     lambda: verify.check_pentagon(m=2, w=3, trials=0),
-    lambda: verify.check_pentagon(p=5, trials=-1),
+    lambda: verify.check_named_identity("pentagon", 5, trials=0),
     lambda: verify.check_cluster_char0("A2", 2, 3, trials=0),
     lambda: verify.check_cluster_charp("A2", 5, trials=0),
     lambda: verify.check_named_identity("elementary", 5, trials=0),
@@ -387,15 +388,12 @@ def test_counts_that_would_make_a_vacuous_verdict_are_refused(call):
         call()
 
 
-@pytest.mark.parametrize("check", [verify.check_pentagon, verify.check_vanish_constants],
-                         ids=["pentagon", "vanish-constants"])
-@pytest.mark.parametrize("kwargs", [{}, {"m": 2, "w": 3, "p": 5}, {"m": 2, "p": 5}],
-                         ids=["neither", "m-w-and-p", "m-and-p"])
-def test_exactly_one_characteristic_is_accepted(check, kwargs):
-    # a mix of both characteristics, or neither, is refused with the one message
-    message = r"^give either \(m, w\) for characteristic 0 or p for characteristic p$"
-    with pytest.raises(ValueError, match=message):
-        check(**kwargs)
+def test_li2p_lift_obeys_the_exhaustive_limit():
+    # GF(1009)^2 has 1 018 081 points, each lifted to precision 1009: refused before any is judged
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="points, more than the exhaustive limit 1000000"):
+        verify.check_li2p_lift(1009)
+    assert time.perf_counter() - start < 1
 
 
 def _wrap(owner, name, make):
@@ -540,8 +538,8 @@ KILL_MATRIX = {
     "series inverse t + 1": (_wrap(TruncatedSeries, "invert", _bumped_inverse), [
         (lambda: verify.check_pentagon(m=2, w=3, trials=3), "pentagon[q,m=2,w=3]",
          {"inputs": {"a": "10 + 4/5*t", "b": "-2/5 + 8/9*t"}, "value": "147472336957/638820000"}, None),
-        (lambda: verify.check_pentagon(p=5, trials=3), "pentagon[p=5]",
-         {"inputs": {"a": "3 + 4*t", "b": "4 + 3*t"}, "value": "2"}, None),
+        (lambda: verify.check_named_identity("pentagon", 5), "named[pentagon,p=5,exhaustive]",
+         {"inputs": {"a": "2 + 0*t", "b": "3 + 0*t"}, "value": "2"}, (150, 150)),
         (lambda: verify.check_cluster_char0("A2", 2, 3, trials=3), "cluster0[A2,m=2,w=3]",
          {"inputs": {"alpha_1": "-2/5 + 1/4*t", "alpha_2": "-9/10 + -1/3*t"},
           "value": "38585224133773/131403600000"}, None),
@@ -569,10 +567,8 @@ KILL_MATRIX = {
          "named[a2_pentagon_substitution,p=5,exhaustive]", {"inputs": {"r": "2", "s": "3"}, "value": "1"}, (6, 6)),
         (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
          {"inputs": {"lift": "2 + 0*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "0 != 1"}, (15, 15)),
-        (lambda: verify.check_pentagon(p=7, trials=5), "pentagon[p=7]",
-         {"inputs": {"a": "3 + 2*t", "b": "4 + 3*t"}, "value": "1"}, (5, 5)),
-        (lambda: verify.check_vanish_constants(p=7), "vanish-constants[p=7]",
-         {"inputs": {"s": "2"}, "value": "1"}, (5, 5)),
+        (lambda: verify.check_named_identity("pentagon", 7), "named[pentagon,p=7,exhaustive]",
+         {"inputs": {"a": "2 + 0*t", "b": "3 + 0*t"}, "value": "1"}, (980, 980)),
         (lambda: verify.check_named_identity("elementary", 7), "named[elementary,p=7,exhaustive]",
          {"inputs": {"z": "2 + 0*t"}, "value": "2"}, (35, 35)),
         (lambda: verify.check_named_identity("involution", 7), "named[involution,p=7,exhaustive]",
@@ -673,7 +669,7 @@ DUAL_CHECKS = {
     "clusterp[A2]": lambda p, seed: verify.check_cluster_charp("A2", p, seed=seed),
     "clusterp[B2]": lambda p, seed: verify.check_cluster_charp("B2", p, seed=seed),
     **{f"named[{name}]": (lambda p, seed, name=name: verify.check_named_identity(name, p, seed=seed))
-       for name in ("elementary", "involution", "a2_five_term_charp")},
+       for name in ("elementary", "involution", "pentagon", "a2_five_term_charp")},
 }
 
 
@@ -766,7 +762,7 @@ def test_suite_select_and_determinism():
 
 
 def test_report_serialization_shape():
-    report = verify.check_pentagon(p=3, trials=5).to_dict()
+    report = verify.check_pentagon(2, 3, trials=5).to_dict()
     assert set(report) == {
         "name", "params", "attempted", "valid", "rejected",
         "failed", "witnesses", "verdict",
