@@ -12,9 +12,11 @@ The exponent placement is pinned by the rank-2 test vector: mutating the seed
 with B = [[0, -1], [1, 0]] in direction 0 must send (y1, y2) to
 (1/y1, y2(1 + y1)).  Evaluation points where a required inversion fails lie in
 the excluded locus and surface as InvalidPointError, to be resampled by
-callers.  nu-periodicity is exact in its matrix half (`matrix_returns`) and
-judged one point at a time in its y half (`check_periodicity`); drawing the
-points is the check driver's job (`verify.check_periodicity_report`).
+callers.  The one mutation loop is the lazy `walk`, which mutates only when the
+next seed is asked for; `run_schedule` is built on it.  nu-periodicity is exact
+in its matrix half (`matrix_returns`) and judged one point at a time in its y
+half (`check_periodicity`); drawing the points is the check driver's job
+(`verify.check_periodicity_report`).
 
 Each factor is computed as the single power (1 + y_k^sgn(b))^(-b), b = b_ki.
 For b < 0 this is (1 + y_k)^|b| as displayed.  For b > 0 it is
@@ -48,6 +50,7 @@ __all__ = [
     "run_schedule",
     "skew_symmetrizer",
     "skew_symmetrizes",
+    "walk",
 ]
 
 
@@ -281,22 +284,28 @@ class Trajectory(namedtuple("Trajectory", "steps final")):
     __slots__ = ()
 
 
+def walk(matrix: ExchangeMatrix, point: tuple[TruncatedSeries, ...], directions):
+    """Yield the seed at point, then the seed after each step, mutating only when that seed is asked for;
+    a failed step raises InvalidPointError carrying its step index and direction."""
+    seed = YSeed(matrix, tuple(point))
+    yield seed
+    for j, r in enumerate(directions):
+        try:
+            seed = seed.mutate(r)
+        except InvalidPointError as exc:
+            raise InvalidPointError(str(exc), step=j, direction=r) from exc
+        yield seed
+
+
 def run_schedule(
     matrix: ExchangeMatrix,
     point: tuple[TruncatedSeries, ...],
     schedule: MutationSchedule,
 ) -> Trajectory:
     """Mutate along a validated schedule, recording each y_{r_j} before its step."""
-    seed = YSeed(matrix, tuple(point))
-    steps = []
-    for j, r in enumerate(schedule.directions):
-        value = seed.ys[r]
-        try:
-            seed = seed.mutate(r)
-        except InvalidPointError as exc:
-            raise InvalidPointError(str(exc), step=j, direction=r) from exc
-        steps.append(TrajectoryStep(r, value))
-    return Trajectory(tuple(steps), seed)
+    seeds = list(walk(matrix, point, schedule.directions))
+    steps = tuple(TrajectoryStep(r, seed.ys[r]) for r, seed in zip(schedule.directions, seeds))
+    return Trajectory(steps, seeds[-1])
 
 
 def matrix_path(matrix: ExchangeMatrix, directions) -> list[ExchangeMatrix]:

@@ -7,8 +7,9 @@ failed inversion, a non-flat value) rejects it, or else to a witness dict, and
 dilogarithm that must vanish is judged by the one witness builder,
 `_vanishing`, from its (weight, argument) terms, as a raw sum reduced once.
 The two cluster sums and the wedge lemma share one trajectory judge,
-`_cluster_judge`: it walks the schedule and hands the weighted values to the
-family's verdict.  A point source is either an exhaustive enumeration
+`_cluster_judge`: it walks the schedule lazily, rejects a point at its first
+non-flat recorded value before mutating past it, and hands the weighted values
+to the family's verdict.  A point source is either an exhaustive enumeration
 (`_exhaust`) or seeded sampling (`_resample`).  `_sampled` opens every sampled
 report whose params are the family's own plus trials, height and seed, the
 lemma's too; only the coordinate checks (params p and mode) and periodicity
@@ -292,25 +293,22 @@ def _vanishing(field: Field, value_of, terms, inputs, label: str = "") -> dict:
 def _cluster_judge(pattern, verdict):
     """(matrix, name, weights, judge) of a pattern whose matrix returns to nu of itself.
 
-    judge(point) walks the schedule from point: None when a mutation fails or some recorded
-    -y is not flat (equivalently, y or 1 + y is not a unit), else verdict(terms, inputs) of
-    the (theta_r, -y) pairs of the recorded values y, where inputs() renders the point."""
+    judge(point) walks the schedule from point, reading each y_r before its mutation: None at the
+    first -y_r that is not flat (y_r or 1 + y_r is not a unit), else verdict(terms, inputs) of the
+    (theta_r, -y_r) pairs, where inputs() renders the point.  A flat -y_r makes y_r, 1 + y_r and
+    1 + 1/y_r units, so no mutation can fail; the unread last one never runs."""
     matrix, schedule, name = _resolve_pattern(pattern)
     if not cluster.matrix_returns(matrix, schedule):
         raise ValueError(f"pattern {name} is not nu-periodic at the matrix level")
     weights = schedule.resolved_theta(matrix)
 
     def judge(point):
-        try:
-            trajectory = cluster.run_schedule(matrix, point, schedule)
-        except cluster.InvalidPointError:
-            return None
         terms = []
-        for step in trajectory.steps:
-            value = -step.value
+        for r, seed in zip(schedule.directions, cluster.walk(matrix, point, schedule.directions)):
+            value = -seed.ys[r]
             if not value.is_flat:
                 return None
-            terms.append((weights[step.direction], value))
+            terms.append((weights[r], value))
         return verdict(terms, lambda: {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)})
 
     return matrix, name, weights, judge

@@ -15,6 +15,7 @@ from infdilog.cluster import (
     pattern_from_dict,
     run_schedule,
     skew_symmetrizer,
+    walk,
 )
 from infdilog.fields import GF, QQ
 from infdilog.series import NonUnitError, TruncatedSeries, random_series
@@ -232,6 +233,25 @@ def test_invalid_point_mid_schedule_reports_step():
     with pytest.raises(InvalidPointError) as err:
         run_schedule(matrix, q_point(2, 0), schedule)
     assert err.value.step == 1
+
+
+def test_walk_mutates_only_when_the_next_seed_is_asked_for(monkeypatch):
+    matrix, schedule = builtin_pattern("A2")
+    mutated = []
+    mutate = YSeed.mutate
+    monkeypatch.setattr(YSeed, "mutate", lambda self, k: mutated.append(k) or mutate(self, k))
+    seeds = walk(matrix, q_point(2, 0), schedule.directions)
+    first = next(seeds)
+    assert first.ys == q_point(2, 0) and mutated == []
+    assert next(seeds).ys == (q_const(Fraction(1, 2)), q_const(0)) and mutated == [0]
+    # y2 (1 + y1) = 0 at the second step: the failure names its step and direction
+    with pytest.raises(InvalidPointError) as err:
+        next(seeds)
+    assert (err.value.step, err.value.direction, mutated) == (1, 1, [0, 1])
+    trajectory = run_schedule(matrix, q_point(2, 3), schedule)
+    seeds = list(walk(matrix, q_point(2, 3), schedule.directions))
+    assert [step.value for step in trajectory.steps] == [s.ys[r] for s, r in zip(seeds, schedule.directions)]
+    assert trajectory.final == seeds[-1]
 
 
 def test_periodicity_builtins():

@@ -721,16 +721,141 @@ def test_a_tangent_dependent_judge_is_enumerated(judge):
     assert reference.rejected or reference.failed
 
 
+def _count_walks_and_mutations(monkeypatch):
+    counts = {"walks": 0, "mutations": 0}
+    walk, mutate = cluster.walk, cluster.YSeed.mutate
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counted_mutate(self, k):
+        counts["mutations"] += 1
+        return mutate(self, k)
+
+    monkeypatch.setattr(cluster, "walk", counted_walk)
+    monkeypatch.setattr(cluster.YSeed, "mutate", counted_mutate)
+    return counts
+
+
 def test_exhaustive_cluster_sum_walks_constant_points_only(monkeypatch):
-    walks = []
-    original = cluster.run_schedule
-    monkeypatch.setattr(cluster, "run_schedule",
-                        lambda *args, **kwargs: walks.append(1) or original(*args, **kwargs))
+    counts = _count_walks_and_mutations(monkeypatch)
     report = verify.check_cluster_charp("A2", 17)
     assert (report.attempted, report.valid, report.verdict) == (83521, 60690, "pass")
     # 17^2 constant points at the zero, two basis and one guard tangent, where
     # enumerating every point walks the schedule 17^4 times
-    assert len(walks) <= 17 ** 2 * 4
+    assert 0 < counts["walks"] <= 17 ** 2 * 4
+    # each walk stops before the unread last of the schedule's 5 mutations
+    assert 0 < counts["mutations"] <= 17 ** 2 * 4 * (5 - 1)
+
+
+@pytest.mark.parametrize("name, mutations", [("A2", 400), ("B2", 452)])
+def test_cluster_judge_mutates_only_up_to_the_first_non_flat_value(monkeypatch, name, mutations):
+    counts = _count_walks_and_mutations(monkeypatch)
+    assert verify.check_cluster_charp(name, 7).passed
+    assert counts["mutations"] == mutations
+
+
+# The A2 pattern with the opposite orientation: every step takes the b > 0
+# branch of the mutation, where the factor is (1 + 1/y_k)^(-b).
+OPPOSITE_A2 = {"name": "A2op", "B": [[0, 1], [-1, 0]], "sequence": [0, 1, 0, 1, 0], "nu": [1, 0]}
+JUDGED_PATTERNS = ("A2", "B2", OPPOSITE_A2)
+
+
+def _pattern(pattern):
+    return cluster.builtin_pattern(pattern) if isinstance(pattern, str) else cluster.pattern_from_dict(pattern)
+
+
+def test_opposite_a2_takes_the_positive_branch_at_every_step():
+    matrix, schedule = _pattern(OPPOSITE_A2)
+    path = cluster.matrix_path(matrix, schedule.directions)
+    assert all(mat.entry(r, 1 - r) > 0 for mat, r in zip(path, schedule.directions))
+    assert verify.check_periodicity_report((matrix, schedule), trials=20).passed
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("pattern", JUDGED_PATTERNS, ids=["A2", "B2", "A2op"])
+def test_no_mutation_fails_after_a_flat_value(pattern, p):
+    # the premise that lets the cluster judge mutate without catching
+    # InvalidPointError: a flat -y_r makes y_r, 1 + y_r and 1 + 1/y_r units
+    matrix, schedule = _pattern(pattern)
+    field = GF(p)
+    checked = 0
+    for constants in itertools.product(range(p), repeat=matrix.n):
+        seed = cluster.YSeed(matrix, tuple(TruncatedSeries(field, (c, 0)) for c in constants))
+        for r in schedule.directions:
+            if not (-seed.ys[r]).is_flat:
+                break
+            seed = seed.mutate(r)  # any InvalidPointError fails the test
+            checked += 1
+    assert checked > 0
+
+
+def test_a_failing_mutation_after_a_flat_value_is_an_error(monkeypatch):
+    def failing(self, k):
+        raise cluster.InvalidPointError("forced", direction=k)
+
+    monkeypatch.setattr(cluster.YSeed, "mutate", failing)
+    with pytest.raises(cluster.InvalidPointError):
+        verify.check_cluster_charp("A2", 5)
+
+
+def _reference_cluster_judge(pattern, verdict):
+    """The judge before the lazy walk: the whole schedule, then the flatness filter."""
+    matrix, schedule, name = verify._resolve_pattern(pattern)
+    if not cluster.matrix_returns(matrix, schedule):
+        raise ValueError(f"pattern {name} is not nu-periodic at the matrix level")
+    weights = schedule.resolved_theta(matrix)
+
+    def judge(point):
+        try:
+            trajectory = cluster.run_schedule(matrix, point, schedule)
+        except cluster.InvalidPointError:
+            return None
+        terms = []
+        for step in trajectory.steps:
+            value = -step.value
+            if not value.is_flat:
+                return None
+            terms.append((weights[step.direction], value))
+        return verdict(terms, lambda: {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)})
+
+    return matrix, name, weights, judge
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("pattern", JUDGED_PATTERNS, ids=["A2", "B2", "A2op"])
+def test_lazy_cluster_judge_matches_the_reference_at_every_point(pattern, p):
+    field = GF(p)
+    pattern = _pattern(pattern)
+
+    def verdict(terms, inputs):
+        return verify._vanishing(field, dilog.li2p, terms, inputs, "li2p sum ")
+
+    *_, judge = verify._cluster_judge(pattern, verdict)
+    *_, reference = _reference_cluster_judge(pattern, verdict)
+    outcomes = set()
+    for coords in itertools.product(range(p), repeat=4):
+        point = (TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:]))
+        outcome = judge(point)
+        assert outcome == reference(point), coords
+        outcomes.add(None if outcome is None else outcome["ok"])
+    assert outcomes == {None, True}
+
+
+def test_lazy_cluster_judge_matches_the_reference_reports(monkeypatch):
+    def reports():
+        for pattern in map(_pattern, JUDGED_PATTERNS):
+            yield verify.check_cluster_char0(pattern, 3, 4, trials=200)
+            yield verify.check_lemma_wedge(pattern, precision=3, trials=200)
+            yield verify.check_lemma_wedge(pattern, field=GF(11), precision=8, exhaustive_constants=True)
+
+    lazy = [report.to_dict() for report in reports()]
+    built = []
+    monkeypatch.setattr(verify, "_cluster_judge", lambda *args: built.append(1) or _reference_cluster_judge(*args))
+    assert lazy == [report.to_dict() for report in reports()]
+    assert len(built) == len(lazy) == 9
+    assert all(report["verdict"] == "pass" and report["valid"] for report in lazy)
 
 
 def test_unit_weights_take_no_field_product(monkeypatch):
