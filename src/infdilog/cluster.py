@@ -12,8 +12,10 @@ The exponent placement is pinned by the rank-2 test vector: mutating the seed
 with B = [[0, -1], [1, 0]] in direction 0 must send (y1, y2) to
 (1/y1, y2(1 + y1)).  Evaluation points where a required inversion fails lie in
 the excluded locus and surface as InvalidPointError, to be resampled by
-callers.  The one mutation loop is the lazy `walk`, which mutates only when the
-next seed is asked for; `run_schedule` is built on it.  nu-periodicity is exact
+callers.  `YSeed.mutate` is the one mutation routine; it reads row k once and
+builds the next seed from the preserved rank, without checking it again.  The
+one mutation loop is the lazy `walk`, which mutates only when the next seed is
+asked for; `run_schedule` is built on it.  nu-periodicity is exact
 in its matrix half (`matrix_returns`) and judged one point at a time in its y
 half (`check_periodicity`); drawing the points is the check driver's job
 (`verify.check_periodicity_report`).
@@ -246,9 +248,9 @@ class YSeed(namedtuple("YSeed", "matrix ys")):
         return cls(*iterable)
 
     def mutate(self, k: int) -> "YSeed":
-        n = self.matrix.n
-        if not 0 <= k < n:
-            raise IndexError(f"direction {k} out of range for rank {n}")
+        matrix = self.matrix
+        if not 0 <= k < matrix.n:
+            raise IndexError(f"direction {k} out of range for rank {matrix.n}")
         yk = self.ys[k]
         try:
             yk_inv = yk.invert()
@@ -256,11 +258,8 @@ class YSeed(namedtuple("YSeed", "matrix ys")):
             raise InvalidPointError(f"y_{k + 1} is not invertible here", direction=k) from exc
         new_ys = list(self.ys)
         new_ys[k] = yk_inv
-        for i in range(n):
-            if i == k:
-                continue
-            b = self.matrix.entry(k, i)
-            if b == 0:
+        for i, b in enumerate(matrix.rows[k]):
+            if b == 0:  # b_kk = 0 too: y_k itself is only inverted
                 continue
             try:
                 factor = (1 + (yk_inv if b > 0 else yk)) ** (-b)
@@ -269,7 +268,8 @@ class YSeed(namedtuple("YSeed", "matrix ys")):
                     f"1 + y_{k + 1} is not invertible here", direction=k
                 ) from exc
             new_ys[i] = new_ys[i] * factor
-        return YSeed(self.matrix.mutate(k), tuple(new_ys))
+        # mutation preserves the rank, so the next seed skips __new__'s rank check
+        return tuple.__new__(YSeed, (matrix.mutate(k), tuple(new_ys)))
 
 
 class TrajectoryStep(namedtuple("TrajectoryStep", "direction value")):

@@ -174,10 +174,12 @@ def li2p(y: TruncatedSeries) -> FieldElement:
     field = y.field
     if field.characteristic == 0:
         raise ValueError("li2p is defined over prime fields only")
-    if y.precision < 2:
+    nums = y.nums
+    if len(nums) < 2:
         raise PrecisionError("li2p needs the t coefficient; provide precision >= 2")
-    _require_flat(y, "li2p")
-    return FieldElement(field, y.nums[1] * field.memos[_li2p_weight][y.nums[0]] % field.p)
+    if nums[0] in (0, 1):  # the least residues that are not flat
+        _require_flat(y, "li2p")
+    return FieldElement(field, nums[1] * field.memos[_li2p_weight][nums[0]] % field.p)
 
 
 def li2p_via_lift(lift: TruncatedSeries) -> FieldElement:

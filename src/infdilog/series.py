@@ -14,10 +14,10 @@ mul, add, invert, log_circ and exp_t.  TruncatedSeries checks shapes and
 preconditions and only rescales numerators itself (scale, neg),
 normalising through the field.  A scalar operand is what Field.scalar accepts
 (fields.py states the rule): added or subtracted it touches coefficient 0
-only, and dividing by it multiplies by its inverse, so 0 raises
-ZeroDivisionError.  coeff and constant_term hand out FieldElements,
-coeffs is the raw-value view for boundaries, and from_coeffs is the validating
-constructor for arbitrary scalars.
+only (an int is added to it directly, without a vector round trip), and
+dividing by it multiplies by its inverse, so 0 raises ZeroDivisionError.
+coeff and constant_term hand out FieldElements, coeffs is the raw-value view
+for boundaries, and from_coeffs is the validating constructor for scalars.
 
 The two composition patterns the identities need are provided as module
 functions:
@@ -178,8 +178,8 @@ class TruncatedSeries:
             )
 
     def _scalar(self, other) -> Vector | None:
-        """The one-coefficient vector of a scalar operand, else None; an int is used
-        as it is (normalize reduces the result mod p)."""
+        """The one-coefficient vector of a scalar operand, else None; an int is used as it is
+        (normalize reduces the result mod p), and _plus adds one to coefficient 0 without this round trip."""
         raw = other if type(other) is int else self.field.scalar(other)
         return None if raw is None else self.field.vector((raw,))
 
@@ -189,6 +189,10 @@ class TruncatedSeries:
         if own == 1 and isinstance(other, TruncatedSeries):
             self._check(other)
             return _series(field, field.add(self.nums, self.den, other.nums, other.den, sign))
+        if type(other) is int:
+            nums = [-x for x in self.nums] if own < 0 else list(self.nums)
+            nums[0] += sign * other * self.den
+            return _series(field, field.normalize(nums, self.den))
         scalar = self._scalar(other)
         if scalar is None:
             return NotImplemented
@@ -214,7 +218,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         field = self.field
         if isinstance(other, TruncatedSeries):
-            self._check(other)
+            if other.field is not field or len(other.nums) != len(self.nums):
+                self._check(other)
             return _series(field, field.mul(self.nums, self.den, other.nums, other.den))
         scalar = self._scalar(other)
         if scalar is None:
@@ -247,6 +252,8 @@ class TruncatedSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
+        if exponent == 1:  # series are immutable, so self is its own first power
+            return self
         if exponent < 0:
             return self.invert() ** (-exponent)
         if exponent == 0:

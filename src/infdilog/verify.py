@@ -23,10 +23,11 @@ spaces are enumerated exhaustively whenever p^dimension stays within
 EXHAUSTIVE_LIMIT and a trial count is not forced; above the limit a trial count
 is required.  A named identity is a judge factory, make(field) -> judge(coords),
 built once per check; the pentagon substitution's judge reads its per-coordinate
-units from a memo that lives for that check.  An exhaustive cluster-p or named
-check passes when no valid point fails, even if no point was valid: at p = 3 the
-A2 and B2 cluster sums and four of the named identities pass that way, with
-valid = 0 in their reports (the battery leaves out the pentagon at p = 3).
+units, and four_term's its elements, from a memo that lives for that check and
+is filled on first use.  An exhaustive cluster-p or named check passes when no
+valid point fails, even if no point was valid: at p = 3 the A2 and B2 cluster
+sums and four of the named identities pass that way, with valid = 0 in their
+reports (the battery leaves out the pentagon at p = 3).
 
 An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
 elementary, involution, pentagon and a2_five_term_charp) first tries to certify
@@ -517,6 +518,7 @@ def check_cluster_charp(
 
 def _four_term(field):
     p = field.characteristic
+    element = _Memo(lambda x: FieldElement(field, x))  # per check, filled on first use: p may be ~10^9
 
     def judge(coords):
         r, s = coords
@@ -524,7 +526,7 @@ def _four_term(field):
             return None
         # the weights r^p and (s - 1)^p are r and s - 1 in GF(p)
         terms = [(1, r), (-1, s), (r, s * field.inv(r)), (s - 1, (1 - r) * field.inv((1 - s) % p))]
-        return _vanishing(field, dilog.pounds1, [(w, FieldElement(field, x % p)) for w, x in terms],
+        return _vanishing(field, dilog.pounds1, [(w, element[x % p]) for w, x in terms],
                           lambda: {"r": str(r), "s": str(s)})
     return judge
 
@@ -587,7 +589,7 @@ def _a2_pentagon_substitution(field):
 
 
 # name: (make, dimension, dual); make(field) builds the judge once per check (the pentagon substitution's
-# reads its per-coordinate units from a per-check memo); dual: the coordinates are dual numbers s_i, a_i
+# and four_term's read units and elements from per-check memos); dual: the coordinates are dual numbers s_i, a_i
 NAMED_IDENTITIES = {
     "four_term": (_four_term, 2, False),
     "elementary": (_elementary, 2, True),

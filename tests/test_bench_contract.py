@@ -116,3 +116,21 @@ def test_timed_workloads_keep_their_report_bytes(monkeypatch):
             shas = [hashlib.sha256(child._run_unit(unit, cli, verify)).hexdigest() for unit in units]
             digests[workload] = hashlib.sha256("".join(shas).encode()).hexdigest()
         assert digests == pinned, seed
+
+
+def test_seed_dependent_charp_units_pass_at_later_pass_seeds(monkeypatch):
+    """Pass k of a benchmark run uses seed N + k * PASS_SEED_STRIDE; the pinned digests only
+    reach pass 0.  The charp-exhaustive units whose points depend on the seed (the cluster-p
+    checks and the a2 five-term identity) must pass, with valid points, at eight later passes."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    for name in ("reference", "workloads"):
+        _load_bench_module(monkeypatch, name)
+    child = _load_bench_module(monkeypatch, "child")
+    stride = _load_bench_module(monkeypatch, "run").PASS_SEED_STRIDE
+    for k in range(1, 9):
+        units = [unit for unit in child.workloads.WORKLOADS["charp-exhaustive"](1 + k * stride)
+                 if "cluster-p" in unit[1] or "a2_five_term_charp" in unit[1]]
+        assert len(units) == 4
+        for unit in units:
+            for check in json.loads(child._run_unit(unit, cli, verify))["checks"]:
+                assert check["verdict"] == "pass" and check["valid"] > 0, (k, check["name"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -164,6 +165,43 @@ def test_mutation_matches_the_textbook_formula():
                             assert mutated.ys == expected and mutated.matrix == matrix.mutate(k)
                             valid += 1
     assert valid > 400 and invalid > 50
+
+
+def _assert_mutation_matches_the_textbook_formula(matrix, points):
+    valid = invalid = 0
+    for point in points:
+        seed = YSeed(matrix, point)
+        for k in range(matrix.n):
+            expected = _textbook_mutate(seed, k)
+            if isinstance(expected, str):
+                with pytest.raises(InvalidPointError) as err:
+                    seed.mutate(k)
+                assert str(err.value) == expected and err.value.direction == k
+                invalid += 1
+                continue
+            mutated = seed.mutate(k)
+            assert type(mutated) is YSeed and type(mutated.ys) is tuple
+            assert mutated.ys == expected and mutated.matrix == matrix.mutate(k)
+            with pytest.raises(ValueError, match="rank mismatch"):
+                mutated._replace(ys=mutated.ys[1:])
+            valid += 1
+    assert valid and invalid
+    return valid
+
+
+def test_mutation_matches_the_textbook_formula_at_every_unit_point_of_gf5():
+    """Every unit point of GF(5)^2 in both directions, for A2, B2 and A2 of the opposite
+    orientation (b > 0 in direction 0); then a rank-3 matrix with a +-2 entry over GF(3)."""
+    field = GF(5)
+    units = [TruncatedSeries(field, (s, a)) for s in range(1, 5) for a in range(5)]
+    for rows in ([[0, -1], [1, 0]], [[0, -1], [2, 0]], [[0, 1], [-1, 0]]):
+        valid = _assert_mutation_matches_the_textbook_formula(
+            ExchangeMatrix(rows), itertools.product(units, repeat=2))
+        # 1 + y_k is a non-unit at s_k = 4, and is inverted only in the one direction with b_ki > 0
+        assert valid == 2 * 20 * 20 - 5 * 20
+    units = [TruncatedSeries(GF(3), (s, a)) for s in range(1, 3) for a in range(3)]
+    _assert_mutation_matches_the_textbook_formula(
+        ExchangeMatrix([[0, 2, 0], [-1, 0, -1], [0, 1, 0]]), itertools.product(units, repeat=3))
 
 
 A2_FUNCTIONS = (

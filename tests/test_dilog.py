@@ -265,6 +265,31 @@ def test_li2p_matches_the_element_formula_everywhere(p):
         assert got == _li2p_reference(y), (p, s, a)
 
 
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_li2p_matches_the_power_sum_at_every_dual_number(p):
+    """li2p(s + a t) = a * pounds1(s) / (s(1 - s)), pounds1 as the power sum of s^i / i, at every
+    dual number and with a tail at N = 3; a non-flat s raises NotFlatError with the same message."""
+    field = GF(p)
+    for s, a in itertools.product(range(p), repeat=2):
+        for y in (TruncatedSeries(field, (s, a)), TruncatedSeries(field, (s, a, (s + a) % p))):
+            if s in (0, 1):
+                with pytest.raises(NotFlatError, match=rf"^li2p requires a flat argument, got constant term {s}$"):
+                    li2p(y)
+                continue
+            power_sum = sum(pow(s, i, p) * pow(i, p - 2, p) for i in range(1, p))
+            assert li2p(y).value == a * power_sum * pow(s * (1 - s), p - 2, p) % p, (p, s, a)
+
+
+def test_li2p_refuses_precision_one_and_qq_with_the_same_messages():
+    """The characteristic is checked first, then the precision, then flatness."""
+    for s in (0, 1, 2):
+        with pytest.raises(PrecisionError, match=r"^li2p needs the t coefficient; provide precision >= 2$"):
+            li2p(TruncatedSeries(GF(5), (s,)))
+    for y in (q_series(2), q_series(2, 1), q_series(1, 1), q_series(0)):
+        with pytest.raises(ValueError, match=r"^li2p is defined over prime fields only$"):
+            li2p(y)
+
+
 def test_li2p_matches_the_element_formula_at_a_word_size_prime():
     field = GF(2**61 - 1)
     rng = random.Random(61)

@@ -247,6 +247,59 @@ def test_pow_matches_repeated_products():
                         non_unit ** exponent
 
 
+def _units(field, precision, rng, count):
+    units = []
+    while len(units) < count:
+        series = random_series(field, precision, rng)
+        if series.is_unit:
+            units.append(series)
+    return units
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(101)], ids=["QQ", "GF5", "GF101"])
+def test_int_scalar_add_matches_the_fraction_path(field):
+    """An int is added to coefficient 0 directly; a Fraction of the same value takes the general
+    scalar path, so the two give equal series for either operand order and either sign."""
+    p = field.characteristic or 5
+    rng = random.Random(p)
+    for precision in (1, 2, 3, 4):
+        for y in (*_units(field, precision, rng, 3), TruncatedSeries.zero(field, precision)):
+            for c in (-2 * p, -1, 0, 1, p, 10**12):
+                f = Fraction(c)
+                assert c + y == f + y and y + c == y + f, (c, y)
+                assert y - c == y - f and c - y == f - y, (c, y)
+                assert (c - y) + (y - c) == TruncatedSeries.zero(field, precision)
+    y = _units(field, 2, rng, 1)[0]
+    for refused in (lambda: True + y, lambda: y + True, lambda: y - False, lambda: True - y):
+        with pytest.raises(TypeError):
+            refused()
+
+
+def test_pow_one_is_self_and_matches_products_and_invert():
+    rng = random.Random(29)
+    for field in (QQ, GF(5), GF(101)):
+        for precision in (1, 2, 4):
+            for y in _units(field, precision, rng, 3):
+                assert y ** 1 is y
+                assert y ** -1 == y.invert()
+                for k in range(-3, 6):
+                    expected = TruncatedSeries.one(field, precision)
+                    for _ in range(abs(k)):
+                        expected = expected * (y if k > 0 else y.invert())
+                    assert y ** k == expected, (y, k)
+    with pytest.raises(TypeError):
+        q_series(1, 2) ** 1.0
+
+
+def test_mul_refuses_another_field_or_precision_with_the_same_messages():
+    with pytest.raises(PrecisionError, match="precision mismatch: 2 vs 3; re-truncate explicitly"):
+        q_series(1, 2) * q_series(1, 2, 3)
+    with pytest.raises(FieldMismatchError, match="series over distinct fields cannot be combined"):
+        q_series(1, 2) * TruncatedSeries.from_coeffs(GF(5), [1, 2])
+    with pytest.raises(FieldMismatchError):
+        TruncatedSeries.from_coeffs(GF(5), [1, 2]) * TruncatedSeries.from_coeffs(GF(7), [1, 2, 3])
+
+
 def test_text_format():
     assert str(q_series(Fraction(1, 2), Fraction(-1, 4))) == "1/2 + -1/4*t"
     assert str(q_series(1, 3, 7)) == "1 + 3*t + 7*t^2"

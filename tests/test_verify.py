@@ -248,6 +248,21 @@ def test_pentagon_substitution_memo_is_filled_on_first_use(monkeypatch):
     assert len(calls) <= 4 * report.attempted
 
 
+def test_four_term_element_memo_is_filled_on_first_use(monkeypatch):
+    """At p ~ 10^9 the per-check element memo holds only the arguments of attempted points."""
+    memos = []
+
+    class RecordingMemo(verify._Memo):
+        def __init__(self, fn):
+            super().__init__(fn)
+            memos.append(self)
+
+    monkeypatch.setattr(verify, "_Memo", RecordingMemo)
+    report = verify.check_named_identity("four_term", 1000000007, trials=3)
+    assert report.passed and report.attempted >= 3
+    assert len(memos) == 1 and 0 < len(memos[0]) <= 4 * report.attempted
+
+
 def test_vanishing_refuses_a_value_or_weight_of_another_field():
     f5, f7 = GF(5), GF(7)
     with pytest.raises(FieldMismatchError):
