@@ -14,10 +14,16 @@ and memos[fn] does the same for any scalar function fn(field, x) of a residue
 A series' coefficients are a vector: int numerators over one positive common
 denominator, normalised by the field (gcd(den, *nums) = 1 over QQ, so the form
 is unique; least residues over den = 1 over GF(p)).  The field is the one place
-that turns a vector into arithmetic: mul and add are shared integer loops that
-normalise once per result, except that GF(p) mul and invert at N = 2 (the dual
-numbers of every char-p check) are closed forms; invert, log_circ and exp_t are
-per field, fraction-free integer recurrences over QQ and residue loops over GF(p).
+that turns a vector into arithmetic: add and every QQ product are shared integer
+loops that normalise once per result.  Over GF(p), normalize, mul and invert at
+N = 2 (the dual numbers of every char-p check) are closed forms, and any other
+product is a Kronecker substitution: each least-residue vector is packed into one
+int of N struct slots, 2, 4 or 8 bytes wide, the narrowest with N (p - 1)^2 <
+2^(8 width), so no coefficient of the product carries into the next slot; the two
+ints are multiplied once and the low N slots read back mod p.  Where 8-byte slots
+are too narrow (p above about 2^32 / sqrt(N)) the shared loop stays.  invert,
+log_circ and exp_t are per field, fraction-free integer recurrences over QQ and
+residue loops over GF(p).
 
 At the public boundary a scalar is a FieldElement: a raw value tagged with its
 field.  Field.scalar is the one rule for operands: an exact scalar (an int
@@ -36,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import struct
 from fractions import Fraction
 
 __all__ = [
@@ -102,6 +109,15 @@ def _recurrence(first: int, weights: list[tuple[int, int]], n: int, step) -> lis
     return out
 
 
+def _slot_struct(n: int, p: int) -> struct.Struct | None:
+    """n little-endian slots of the narrowest width above n (p - 1)^2, which bounds the low n coefficients
+    of a product of two least-residue vectors, so no slot carries into the next; None if 8 bytes do not."""
+    for width, code in ((2, "H"), (4, "I"), (8, "Q")):
+        if n * (p - 1) ** 2 < 1 << 8 * width:
+            return struct.Struct(f"<{n}{code}")
+    return None
+
+
 class _Memo(dict):
     """fn's value at each key, computed on its first lookup and stored below _MEMO_CAP keys."""
 
@@ -125,7 +141,7 @@ class Field:
     Each field implements reduce and inv on raw scalars and the vector side on
     int numerator tuples `a` over a denominator `da`:
 
-      vector(raws)          the normalised vector of canonical raw values
+      vector(raws)          the normalised vector of canonical raw values (of any ints over GF(p))
       quotient(num, den)    the canonical raw value of num / den
       normalize(nums, den)  the normalised vector of any ints over den != 0
       invert(a, da)         the inverse of a unit, truncated at len(a)
@@ -133,7 +149,8 @@ class Field:
                             da is ignored, since log_circ kills constants
       exp_t(u, du)          exp of u with u_0 = 0, from k E_k = sum_j j u_j E_(k-j)
 
-    mul and add are shared: plain integer loops, normalised once; GF(p) mul is a closed form at N = 2.
+    mul and add are shared: plain integer loops, normalised once; GF(p) mul is a closed form at N = 2
+    and a packed product (one int multiply over machine-word slots) wherever 8-byte slots are wide enough.
     """
 
     characteristic: int
@@ -259,6 +276,7 @@ class PrimeField(Field):
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         self._inv = _Memo(lambda x: pow(x, p - 2, p))
+        self._slots = _Memo(lambda n: _slot_struct(n, p))
         self.memos = _Memo(lambda fn: _Memo(lambda x: fn(self, x)))
 
     def reduce(self, raw: Raw) -> Raw:
@@ -272,25 +290,30 @@ class PrimeField(Field):
     def inv(self, raw: Raw) -> Raw:
         return self._inv[raw]
 
-    # Every vector over GF(p) has den 1 (no kernel makes another), so den is ignored.
-
-    def vector(self, raws) -> Vector:
-        return tuple(raws), 1
-
     def quotient(self, num: int, den: int) -> Raw:
         return num % self.p
 
-    def normalize(self, nums, den: int) -> Vector:
+    # Every vector over GF(p) has den 1 (no kernel makes another), so den is ignored, and vector is
+    # normalize: a raw outside [0, p) would compare unequal and carry between packed slots.  At N = 2
+    # normalize, mul and invert are closed forms; other products pack into _slots[N] (module docstring).
+
+    def normalize(self, nums, den: int = 1) -> Vector:
         p = self.p
+        if len(nums) == 2:
+            return (nums[0] % p, nums[1] % p), 1
         return tuple([x % p for x in nums]), 1
 
-    # At N = 2 (the dual numbers s + a t of every char-p check) mul and invert are closed forms.
+    vector = normalize
 
     def mul(self, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> Vector:
-        if len(a) != 2:
-            return super().mul(a, da, b, db)
         p = self.p
-        return (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p), 1
+        if len(a) == 2:
+            return (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p), 1
+        slots = self._slots[len(a)]
+        if slots is None:
+            return super().mul(a, da, b, db)
+        prod = int.from_bytes(slots.pack(*a), "little") * int.from_bytes(slots.pack(*b), "little")
+        return tuple([x % p for x in slots.unpack_from(prod.to_bytes(2 * slots.size, "little"))]), 1
 
     def invert(self, a: tuple[int, ...], da: int) -> Vector:
         p = self.p

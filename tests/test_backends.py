@@ -17,7 +17,7 @@ import pytest
 
 from infdilog.bloch import WedgeLedger
 from infdilog.cluster import InvalidPointError, YSeed, builtin_pattern
-from infdilog.fields import GF, QQ, PrimeField
+from infdilog.fields import GF, QQ, Field, PrimeField, _is_prime
 from infdilog.series import TruncatedSeries, exp_t, log_circ, random_series
 
 
@@ -124,6 +124,73 @@ def test_dual_number_kernels_match_the_fraction_loops():
             assert_canonical(x.invert())
             inverted += 1
     assert len(cases) == 3**4 + 5**4 + 7**4 + 200 and inverted > 2800
+
+
+# -- the packed GF(p) product against the shared integer loop ---------------
+
+PACKED_PRIMES = (3, 5, 7, 11, 13, 43, 101, 1000003, 10**9 + 7)
+WORD_PRIME = 2**61 - 1
+
+
+def slot_bytes(field, n):
+    """The slot width of field's packed product at precision n, in bytes; None where the loop runs."""
+    slots = field._slots[n]
+    return None if slots is None else slots.size // n
+
+
+def straddling_primes(bits, n):
+    """The largest prime p with n (p - 1)^2 < 2^bits, and the next prime, where that fails."""
+    top = math.isqrt(((1 << bits) - 1) // n) + 1
+    below, above = top, top + 1
+    while not _is_prime(below):
+        below -= 1
+    while not _is_prime(above):
+        above += 1
+    return below, above
+
+
+def mul_cases(p, n, rng):
+    """Random vectors, all-(p - 1) vectors (the largest slot sums) and one of each."""
+    draw = lambda: tuple(rng.randrange(p) for _ in range(n))
+    top = (p - 1,) * n
+    return [(draw(), draw()) for _ in range(4)] + [(top, top), (top, draw()), (draw(), top)]
+
+
+def test_packed_product_matches_the_shared_loop():
+    """PrimeField.mul against Field.mul at N = 1..12, on both sides of each slot-width boundary
+    N (p - 1)^2 = 2^16, 2^32, 2^64, where the rule picks the next width (or the loop)."""
+    rng = random.Random(29)
+    cases = [(p, n) for p in PACKED_PRIMES for n in range(1, 13)]
+    for n in range(1, 13):
+        for bits, width, wider in ((16, 2, 4), (32, 4, 8), (64, 8, None)):
+            below, above = straddling_primes(bits, n)
+            assert n * (below - 1) ** 2 < 1 << bits <= n * (above - 1) ** 2
+            assert (slot_bytes(GF(below), n), slot_bytes(GF(above), n)) == (width, wider), (bits, n)
+            cases += [(below, n), (above, n)]
+    cases += [(WORD_PRIME, n) for n in range(1, 13)]
+    assert all(slot_bytes(GF(WORD_PRIME), n) is None for n in range(1, 13))
+    for p, n in cases:
+        field = GF(p)
+        for a, b in mul_cases(p, n, rng):
+            assert field.mul(a, 1, b, 1) == Field.mul(field, a, 1, b, 1), (p, n, a, b)
+    assert len(cases) == 9 * 12 + 12 * 3 * 2 + 12
+
+
+def test_only_gfp_products_in_word_slots_skip_the_loop(monkeypatch):
+    """Every QQ product runs the shared loop; GF(13) never does (N = 2 is a closed form, the rest
+    packed), and GF(2^61 - 1) runs it wherever N != 2, since no 8-byte slot holds (p - 1)^2."""
+    rng = random.Random(30)
+    loops = []
+    loop = Field.mul
+    monkeypatch.setattr(Field, "mul", lambda self, *args: loops.append(self) or loop(self, *args))
+    for field in (QQ, GF(13), GF(WORD_PRIME)):
+        for n in range(1, 13):
+            a, b = random_series(field, n, rng, 10**6), random_series(field, n, rng, 10**6)
+            loops.clear()
+            product = a * b
+            looped = field is QQ or (field.p == WORD_PRIME and n != 2)
+            assert loops == ([field] if looped else []), (field, n)
+            assert product.coeffs == ref_mul(field, a.coeffs, b.coeffs)
 
 
 def test_log_circ_and_exp_t_read_inverses_from_the_inv_memo():

@@ -280,6 +280,13 @@ def test_li2p_matches_the_power_sum_at_every_dual_number(p):
             assert li2p(y).value == a * power_sum * pow(s * (1 - s), p - 2, p) % p, (p, s, a)
 
 
+def test_li2p_refuses_a_non_flat_constant_given_outside_0_p():
+    """8 is 1 and 7 is 0 in GF(7): the constructor reduces them, so li2p sees a non-flat constant term."""
+    for raws in ((8, 1), (7, 3)):
+        with pytest.raises(NotFlatError):
+            li2p(TruncatedSeries(GF(7), raws))
+
+
 def test_li2p_refuses_precision_one_and_qq_with_the_same_messages():
     """The characteristic is checked first, then the precision, then flatness."""
     for s in (0, 1, 2):

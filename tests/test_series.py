@@ -201,6 +201,34 @@ def test_flatness():
     assert not q_series(0, 1).is_flat
 
 
+# The GF(p) constructor reduces its raws: 8 and -6 are 1 in GF(7), and 7 * 9000 + 1 = 63001
+# squared overflows a 2-byte slot of the packed product.
+UNREDUCED = (8, 1), (-6, 15)
+
+
+def test_gfp_constructor_stores_least_residues():
+    for raws in UNREDUCED:
+        assert TruncatedSeries(GF(7), raws).nums == (1, 1)
+
+
+def test_gfp_constructor_flatness_reads_the_residue():
+    for raws in UNREDUCED:
+        assert not TruncatedSeries(GF(7), raws).is_flat
+
+
+def test_gfp_constructor_compares_and_prints_as_the_residue():
+    canonical = TruncatedSeries(GF(7), (1, 1))
+    for raws in UNREDUCED:
+        y = TruncatedSeries(GF(7), raws)
+        assert y == canonical and hash(y) == hash(canonical) and str(y) == "1 + 1*t"
+
+
+def test_gfp_raws_above_p_do_not_carry_between_packed_slots():
+    for raws in ((63001,) * 3, (7**6 + 1, 8, 1, 8)):
+        y = TruncatedSeries(GF(7), raws)
+        assert y * y == TruncatedSeries(GF(7), (1,) * len(raws)) ** 2
+
+
 def test_precision_and_field_mismatch():
     with pytest.raises(PrecisionError):
         q_series(1, 2) + q_series(1, 2, 3)
