@@ -53,7 +53,7 @@ _FLAGS: dict[str, tuple[dict, int | None]] = {
     "exhaustive": ({"action": "store_true", "help": "enumerate all constant terms"
                     " (prime fields; refused above the exhaustive limit)"}, None),
     "point": ({"required": True, "help": "comma-separated constants (e.g. '2,3' or '3/4,1/2'),"
-               " or a JSON list of coefficient lists"}, None),
+               " or a JSON list of coefficient lists; write a leading minus as --point=-1/2,2"}, None),
     "out": ({"help": "write the report to this path"}, None),
     "format": ({"choices": ("human", "json"), "default": "human",
                 "help": "report format; default human"}, None),

@@ -141,7 +141,7 @@ class Field:
     Each field implements reduce and inv on raw scalars and the vector side on
     int numerator tuples `a` over a denominator `da`:
 
-      vector(raws)          the normalised vector of canonical raw values (of any ints over GF(p))
+      vector(raws)          the normalised vector of canonical raw values (of any ints, and ints only, over GF(p))
       quotient(num, den)    the canonical raw value of num / den
       normalize(nums, den)  the normalised vector of any ints over den != 0
       invert(a, da)         the inverse of a unit, truncated at len(a)
@@ -293,9 +293,9 @@ class PrimeField(Field):
     def quotient(self, num: int, den: int) -> Raw:
         return num % self.p
 
-    # Every vector over GF(p) has den 1 (no kernel makes another), so den is ignored, and vector is
-    # normalize: a raw outside [0, p) would compare unequal and carry between packed slots.  At N = 2
-    # normalize, mul and invert are closed forms; other products pack into _slots[N] (module docstring).
+    # Every vector over GF(p) has den 1 (no kernel makes another), so den is ignored.  vector reduces as normalize
+    # does (a raw outside [0, p) would compare unequal and carry between packed slots); its | 0 refuses a non-int
+    # raw (% keeps a Fraction).  At N = 2 normalize, mul and invert are closed forms; other products use _slots[N].
 
     def normalize(self, nums, den: int = 1) -> Vector:
         p = self.p
@@ -303,7 +303,11 @@ class PrimeField(Field):
             return (nums[0] % p, nums[1] % p), 1
         return tuple([x % p for x in nums]), 1
 
-    vector = normalize
+    def vector(self, raws) -> Vector:
+        p = self.p
+        if len(raws) == 2:
+            return (raws[0] % p | 0, raws[1] % p | 0), 1
+        return tuple([x % p | 0 for x in raws]), 1
 
     def mul(self, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> Vector:
         p = self.p

@@ -4,9 +4,11 @@ Every check asserts exact equality with zero; there are no tolerances.  All
 checks share one driver: a judge maps a point to None when a validity filter (a
 failed inversion, a non-flat value) rejects it, or else to a witness dict, and
 `_tally` keeps the counts.  Every identity stated as a weighted sum of one
-dilogarithm that must vanish is judged by the one witness builder,
-`_vanishing`, from its (weight, argument) terms, as a raw sum reduced once.
-The two cluster sums and the wedge lemma share one trajectory judge,
+dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
+from its (weight, argument) terms, as a raw sum reduced once; a char-p sum reads
+li2p (`_li2p_values`) or pounds1, and the pentagon substitution its units, from
+memos that live for one check, so each distinct argument is evaluated once per
+check.  The two cluster sums and the wedge lemma share one trajectory judge,
 `_cluster_judge`: it walks the schedule lazily, rejects a point at its first
 non-flat recorded value before mutating past it, and hands the weighted values
 to the family's verdict.  A point source is either an exhaustive enumeration
@@ -21,13 +23,12 @@ RESAMPLE_FACTOR attempts per requested trial, and a sampled check that cannot
 gather enough valid samples reports that instead of passing.  Prime-field point
 spaces are enumerated exhaustively whenever p^dimension stays within
 EXHAUSTIVE_LIMIT and a trial count is not forced; above the limit a trial count
-is required.  A named identity is a judge factory, make(field) -> judge(coords),
-built once per check; the pentagon substitution's judge reads its per-coordinate
-units, and four_term's its elements, from a memo that lives for that check and
-is filled on first use.  An exhaustive cluster-p or named check passes when no
-valid point fails, even if no point was valid: at p = 3 the A2 and B2 cluster
-sums and four of the named identities pass that way, with valid = 0 in their
-reports (the battery leaves out the pentagon at p = 3).
+is required.  A named identity is a judge factory, make(field, li2p) ->
+judge(coords), built once per check with the check's li2p.  An exhaustive
+cluster-p or named check passes when no valid point fails, even if no point
+was valid: at p = 3 the A2 and B2 cluster sums and four of the named
+identities pass that way, with valid = 0 in their reports (the battery leaves
+out the pentagon at p = 3).
 
 An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
 elementary, involution, pentagon and a2_five_term_charp) first tries to certify
@@ -51,7 +52,7 @@ import random
 
 from . import bloch, cluster, dilog
 from .fields import GF, QQ, Field, FieldElement, _Memo
-from .series import TruncatedSeries, random_series
+from .series import TruncatedSeries, _series, random_series
 
 __all__ = [
     "CheckReport",
@@ -291,6 +292,13 @@ def _vanishing(field: Field, value_of, terms, inputs, label: str = "") -> dict:
     return {"ok": False, "inputs": inputs(), "value": f"{label}{total}"} if total else {"ok": True}
 
 
+def _li2p_values(field: Field):
+    """li2p of a GF(p) dual number, from a memo that lives for one check keyed by its least residues; a miss
+    rebuilds the number from them by the trusted constructor and calls dilog.li2p through the module."""
+    memo = _Memo(lambda nums: dilog.li2p(_series(field, (nums, 1))))
+    return lambda y: memo[y.nums]
+
+
 def _cluster_judge(pattern, verdict):
     """(matrix, name, weights, judge) of a pattern whose matrix returns to nu of itself.
 
@@ -505,8 +513,9 @@ def check_cluster_charp(
     then required.
     """
     field = GF(p)
+    li2p = _li2p_values(field)
     matrix, name, weights, judge = _cluster_judge(pattern, lambda terms, inputs: _vanishing(
-        field, dilog.li2p, terms, inputs, "li2p sum "))
+        field, li2p, terms, inputs, "li2p sum "))
     return _check_coords("clusterp", name, {"pattern": name, "theta": list(weights)},
                          p, 2 * matrix.n, trials, seed, lambda coords: judge(
                              tuple(TruncatedSeries(field, coords[2 * i: 2 * i + 2])
@@ -516,9 +525,9 @@ def check_cluster_charp(
 # -- named char-p identities --------------------------------------------------
 
 
-def _four_term(field):
+def _four_term(field, _):
     p = field.characteristic
-    element = _Memo(lambda x: FieldElement(field, x))  # per check, filled on first use: p may be ~10^9
+    pounds1 = _Memo(lambda x: dilog.pounds1(FieldElement(field, x)))  # per check, on first use: p may be ~10^9
 
     def judge(coords):
         r, s = coords
@@ -526,39 +535,39 @@ def _four_term(field):
             return None
         # the weights r^p and (s - 1)^p are r and s - 1 in GF(p)
         terms = [(1, r), (-1, s), (r, s * field.inv(r)), (s - 1, (1 - r) * field.inv((1 - s) % p))]
-        return _vanishing(field, dilog.pounds1, [(w, element[x % p]) for w, x in terms],
+        return _vanishing(field, pounds1.__getitem__, [(w, x % p) for w, x in terms],
                           lambda: {"r": str(r), "s": str(s)})
     return judge
 
 
-def _elementary(field):
+def _elementary(field, li2p):
     def judge(coords):
         if coords[0] in (0, 1):
             return None
         z = TruncatedSeries(field, coords)
-        return _vanishing(field, dilog.li2p, [(1, 1 - z), (1, z)], lambda: {"z": str(z)})
+        return _vanishing(field, li2p, [(1, 1 - z), (1, z)], lambda: {"z": str(z)})
     return judge
 
 
-def _involution(field):
+def _involution(field, li2p):
     def judge(coords):
         if coords[0] in (0, 1):
             return None
         y = TruncatedSeries(field, coords)
-        return _vanishing(field, dilog.li2p, [(1, y.invert()), (1, y)], lambda: {"y": str(y)})
+        return _vanishing(field, li2p, [(1, y.invert()), (1, y)], lambda: {"y": str(y)})
     return judge
 
 
-def _pentagon(field):
+def _pentagon(field, li2p):
     def judge(coords):
         if coords[0] in (0, 1) or coords[2] in (0, 1) or coords[0] == coords[2]:
             return None
         a, b = TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:])
-        return _vanishing(field, dilog.li2p, bloch.pentagon_terms(a, b), lambda: {"a": str(a), "b": str(b)})
+        return _vanishing(field, li2p, bloch.pentagon_terms(a, b), lambda: {"a": str(a), "b": str(b)})
     return judge
 
 
-def _a2_five_term_charp(field):
+def _a2_five_term_charp(field, li2p):
     def judge(coords):
         if coords[0] == 0 or coords[2] == 0:
             return None
@@ -567,11 +576,11 @@ def _a2_five_term_charp(field):
                 y1.invert() * (1 - y2.invert()), y2.invert()]
         if not all(arg.is_flat for arg in args):
             return None
-        return _vanishing(field, dilog.li2p, [(1, arg) for arg in args], lambda: {"y1": str(y1), "y2": str(y2)})
+        return _vanishing(field, li2p, [(1, arg) for arg in args], lambda: {"y1": str(y1), "y2": str(y2)})
     return judge
 
 
-def _a2_pentagon_substitution(field):
+def _a2_pentagon_substitution(field, li2p):
     def units(c):
         """(x, 1/x, 1 - x, 1/(1 - x)) at x = c + c(1 - c)t."""
         x = TruncatedSeries(field, (c, field.reduce(c * (1 - c))))
@@ -583,13 +592,13 @@ def _a2_pentagon_substitution(field):
         if r in (0, 1) or s in (0, 1) or r == s:
             return None
         (x, inv_x, one_minus_x, _), (y, _, _, inv_one_minus_y) = memo[r], memo[s]
-        return _vanishing(field, dilog.li2p, bloch._pentagon_terms(x, inv_x, one_minus_x, y, inv_one_minus_y),
+        return _vanishing(field, li2p, bloch._pentagon_terms(x, inv_x, one_minus_x, y, inv_one_minus_y),
                           lambda: {"r": str(r), "s": str(s)})
     return judge
 
 
-# name: (make, dimension, dual); make(field) builds the judge once per check (the pentagon substitution's
-# and four_term's read units and elements from per-check memos); dual: the coordinates are dual numbers s_i, a_i
+# name: (make, dimension, dual); make(field, li2p) builds the judge once per check, li2p being the check's memo
+# of li2p values (four_term keeps its own of pounds1); dual: the coordinates are dual numbers s_i, a_i
 NAMED_IDENTITIES = {
     "four_term": (_four_term, 2, False),
     "elementary": (_elementary, 2, True),
@@ -606,7 +615,8 @@ def check_named_identity(name: str, p: int, trials: int | None = None, seed: int
         known = ", ".join(sorted(NAMED_IDENTITIES))
         raise ValueError(f"unknown identity {name!r}; known: {known}")
     make, dimension, dual = NAMED_IDENTITIES[name]
-    return _check_coords("named", name, {"identity": name}, p, dimension, trials, seed, make(GF(p)), dual)
+    judge = make(GF(p), _li2p_values(GF(p)))
+    return _check_coords("named", name, {"identity": name}, p, dimension, trials, seed, judge, dual)
 
 
 # -- wedge lemma ---------------------------------------------------------------

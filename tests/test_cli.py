@@ -231,6 +231,16 @@ def test_mutate_prints_trajectory(capsys):
     capsys.readouterr()
 
 
+def test_mutate_point_with_a_leading_minus_takes_the_equals_form(capsys):
+    # argparse reads "-1/2,2" after a space as an option, so the help names the = form
+    assert run(["mutate", "--pattern", "A2", "--point=-1/2,2"]) == 0
+    assert "step 0: direction 1, value -1/2 + 0*t" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        run(["mutate", "--help"])
+    assert err.value.code == 0
+    assert "--point=-1/2,2" in "".join(capsys.readouterr().out.split())
+
+
 def test_mutate_pads_every_row_to_one_precision(capsys):
     # rows of different lengths share the longest row's precision
     assert run(["mutate", "--pattern", "A2", "--point", "[[1, 2, 3], [4]]"]) == 0

@@ -229,6 +229,25 @@ def test_gfp_raws_above_p_do_not_carry_between_packed_slots():
         assert y * y == TruncatedSeries(GF(7), (1,) * len(raws)) ** 2
 
 
+# Any other raw is refused: x % p keeps a Fraction or a float as it is, and "%d" % 7 is the str "7".  A kept
+# 1/2 would compare unequal to its residue 4 and, at N >= 3, raise struct.error in a packed product.
+NON_INT_RAWS = [(Fraction(1, 2), 1), (1, Fraction(1, 2)), (Fraction(1, 2), 1, 0), (1, 2, Fraction(1, 2)),
+                ("a", 1), ("%d", 1), (1, "%d", 0), (0.5, 1), (1, 1, 0.5)]
+
+
+@pytest.mark.parametrize("raws", NON_INT_RAWS, ids=repr)
+def test_gfp_constructor_refuses_non_int_raws(raws):
+    with pytest.raises(TypeError):
+        TruncatedSeries(GF(7), raws)
+
+
+def test_gfp_fraction_enters_through_from_coeffs():
+    half = TruncatedSeries.from_coeffs(GF(7), [Fraction(1, 2), 1])
+    assert half == TruncatedSeries(GF(7), (4, 1)) and half.nums == (4, 1)
+    cubic = TruncatedSeries.from_coeffs(GF(7), [Fraction(1, 2), 1, 0])
+    assert cubic * cubic == TruncatedSeries(GF(7), (2, 1, 1))  # (4 + t)^2 = 16 + 8t + t^2
+
+
 def test_precision_and_field_mismatch():
     with pytest.raises(PrecisionError):
         q_series(1, 2) + q_series(1, 2, 3)

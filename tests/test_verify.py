@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from infdilog import bloch, cluster, dilog, verify
+from infdilog import bloch, cluster, dilog, fields, verify
 from infdilog.fields import GF, QQ, Field, FieldMismatchError, RationalField
 from infdilog.series import TruncatedSeries, random_series
 
@@ -168,34 +168,38 @@ def test_four_term_hand_trace():
     assert parts[0] - parts[1] + parts[2] + parts[3] == f5.zero
 
 
+def _reference_sum(field, value_of, terms, inputs):
+    """The witness of sum weight * value_of(arg) over field elements, added one term at a time."""
+    total = field.zero
+    for weight, arg in terms:
+        total = total + weight * value_of(arg)
+    return {"ok": False, "inputs": inputs, "value": str(total)} if total else {"ok": True}
+
+
 def _four_term_reference(field, coords):
-    """Reference: the four-term judge on field elements."""
+    """Reference: (witness, terms) of the four-term sum of pounds1 on field elements; (None, None) if rejected."""
     p = field.characteristic
     r_, s_ = coords
     if r_ in (0, 1) or s_ in (0, 1) or r_ == s_:
-        return None
+        return None, None
     r, s = field.element(r_), field.element(s_)
-    total = (dilog.pounds1(r) - dilog.pounds1(s) + r ** p * dilog.pounds1(s / r)
-             + (s - 1) ** p * dilog.pounds1((1 - r) / (1 - s)))
-    return {"ok": False, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)} if total else {"ok": True}
+    terms = [(1, r), (-1, s), (r ** p, s / r), ((s - 1) ** p, (1 - r) / (1 - s))]
+    return _reference_sum(field, dilog.pounds1, terms, {"r": str(r_), "s": str(s_)}), terms
 
 
 def _a2_pentagon_substitution_reference(field, coords):
-    """Reference: li2p summed over the five pentagon arguments as written, at
-    x = r + r(1 - r)t and y = s + s(1 - s)t, on field elements."""
+    """Reference: (witness, terms) of li2p summed over the five pentagon arguments as written, at
+    x = r + r(1 - r)t and y = s + s(1 - s)t, on field elements; (None, None) if rejected."""
     r_, s_ = coords
     if r_ in (0, 1) or s_ in (0, 1) or r_ == s_:
-        return None
+        return None, None
     r, s = field.element(r_), field.element(s_)
     x = TruncatedSeries.from_coeffs(field, [r, r * (1 - r)])
     y = TruncatedSeries.from_coeffs(field, [s, s * (1 - s)])
     one = TruncatedSeries.one(field, 2)
     terms = [(1, x), (-1, y), (1, y / x), (-1, (one - x.invert()) / (one - y.invert())),
              (1, (one - x) / (one - y))]
-    total = field.zero
-    for sign, arg in terms:
-        total = total + sign * dilog.li2p(arg)
-    return {"ok": False, "inputs": {"r": str(r_), "s": str(s_)}, "value": str(total)} if total else {"ok": True}
+    return _reference_sum(field, dilog.li2p, terms, {"r": str(r_), "s": str(s_)}), terms
 
 
 @pytest.mark.parametrize("name, reference, value_name", [
@@ -203,22 +207,91 @@ def _a2_pentagon_substitution_reference(field, coords):
     ("a2_pentagon_substitution", _a2_pentagon_substitution_reference, "li2p"),
 ])
 def test_residue_judges_match_the_element_judges(monkeypatch, name, reference, value_name):
-    """Every point of GF(43)^2, judged by one judge built once as a check builds it:
-    the same witness, and the same dilogarithm arguments."""
+    """Every point of GF(43)^2, judged by one judge built once as a check builds it: the same witness,
+    and the same sum: its ordered (weight, argument) terms, and the dilogarithm's value of each argument."""
     field = GF(43)
-    judge = verify.NAMED_IDENTITIES[name][0](field)
-    seen = []
-    original = getattr(dilog, value_name)
-    monkeypatch.setattr(dilog, value_name, lambda arg: seen.append(arg) or original(arg))
+    judge = verify.NAMED_IDENTITIES[name][0](field, verify._li2p_values(field))
+    sums, vanishing = [], verify._vanishing
+
+    def spy(field_, value_of, terms, inputs, label=""):
+        sums.append((value_of, list(terms)))
+        return vanishing(field_, value_of, sums[-1][1], inputs, label)
+
+    def canonical(terms):
+        return [(field.element(w), x if isinstance(x, TruncatedSeries) else field.element(x)) for w, x in terms]
+
+    monkeypatch.setattr(verify, "_vanishing", spy)
+    value = getattr(dilog, value_name)
     valid = 0
     for coords in itertools.product(range(43), repeat=2):
-        got, got_args = judge(coords), seen[:]
-        seen.clear()
-        assert got == reference(field, coords), coords
-        assert got_args == seen, coords
-        seen.clear()
+        got = judge(coords)
+        expected, terms = reference(field, coords)
+        assert got == expected, coords
+        if terms is None:
+            assert not sums, coords
+        else:
+            ((value_of, got_terms),) = sums
+            assert canonical(got_terms) == canonical(terms), coords
+            assert [value_of(x) for _, x in got_terms] == [value(x) for _, x in terms], coords
+        sums.clear()
         valid += got is not None
     assert valid == 41 * 40
+
+
+def _count_calls(monkeypatch, module, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, original=getattr(module, name)):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["four_term", "a2_pentagon_substitution"])
+def test_a_check_evaluates_each_dilogarithm_argument_once(monkeypatch, name):
+    """An exhaustive check at p = 43 calls li2p at most once per dual number and pounds1 at most once
+    per residue; the memo belongs to the check, so a second check calls them again."""
+    counts = _count_calls(monkeypatch, dilog, "li2p", "pounds1")
+    assert verify.check_named_identity(name, 43).passed
+    first = dict(counts)
+    assert 0 < first["li2p"] + first["pounds1"] and first["li2p"] <= 43 ** 2 and first["pounds1"] <= 43
+    assert verify.check_named_identity(name, 43).passed
+    assert counts == {key: 2 * n for key, n in first.items()}
+
+
+def test_a_mutant_installed_between_two_checks_is_seen_by_the_second(monkeypatch):
+    """clusterp[B2,p=5] passes, then fails with the kill matrix's witness once li2p + 1 is installed in
+    the same process: no li2p value outlives its check.  (A2 at p = 5 cannot show this: its five unit
+    weights add to 0 mod 5, so li2p + 1 passes there.)"""
+    install, ((check, name, witness, counts), *_) = KILL_MATRIX["li2p + 1"]
+    assert check().passed
+    install(monkeypatch)
+    report = check()
+    assert (report.name, report.verdict, report.witnesses[0]) == (name, "fail", witness)
+    assert (report.valid, report.failed) == counts
+
+
+def test_the_li2p_memo_stores_no_key_past_the_cap(monkeypatch):
+    """With _MEMO_CAP at 8, a sampled cluster sum over GF(2^61 - 1) keeps 8 keys in its li2p memo, each
+    holding li2p of its key; values past the cap are computed, and the check still passes."""
+    p = 2**61 - 1
+    memos = []
+
+    class RecordingMemo(verify._Memo):
+        def __init__(self, fn):
+            super().__init__(fn)
+            memos.append(self)
+
+    monkeypatch.setattr(fields, "_MEMO_CAP", 8)
+    monkeypatch.setattr(verify, "_Memo", RecordingMemo)
+    counts = _count_calls(monkeypatch, dilog, "li2p")
+    report = verify.check_cluster_charp("A2", p, trials=5)
+    assert report.passed and report.valid == 5
+    (memo,) = memos
+    assert len(memo) == 8 < counts["li2p"]
+    for nums, value in memo.items():
+        assert value == dilog.li2p(TruncatedSeries(GF(p), nums))
 
 
 def _count_inversions(monkeypatch):
@@ -249,7 +322,8 @@ def test_pentagon_substitution_memo_is_filled_on_first_use(monkeypatch):
 
 
 def test_four_term_element_memo_is_filled_on_first_use(monkeypatch):
-    """At p ~ 10^9 the per-check element memo holds only the arguments of attempted points."""
+    """At p ~ 10^9 the per-check pounds1 memo holds only the arguments of attempted points; the check's li2p
+    memo, made first by check_named_identity, stays empty, since four_term reads no li2p."""
     memos = []
 
     class RecordingMemo(verify._Memo):
@@ -260,7 +334,8 @@ def test_four_term_element_memo_is_filled_on_first_use(monkeypatch):
     monkeypatch.setattr(verify, "_Memo", RecordingMemo)
     report = verify.check_named_identity("four_term", 1000000007, trials=3)
     assert report.passed and report.attempted >= 3
-    assert len(memos) == 1 and 0 < len(memos[0]) <= 4 * report.attempted
+    li2p_values, pounds1_values = memos
+    assert not li2p_values and 0 < len(pounds1_values) <= 4 * report.attempted
 
 
 def test_vanishing_refuses_a_value_or_weight_of_another_field():
