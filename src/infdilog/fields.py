@@ -17,13 +17,13 @@ is unique; least residues over den = 1 over GF(p)).  The field is the one place
 that turns a vector into arithmetic: add and every QQ product are shared integer
 loops that normalise once per result.  Over GF(p), normalize, mul and invert at
 N = 2 (the dual numbers of every char-p check) are closed forms, and any other
-product is a Kronecker substitution: each least-residue vector is packed into one
-int of N struct slots, 2, 4 or 8 bytes wide, the narrowest with N (p - 1)^2 <
-2^(8 width), so no coefficient of the product carries into the next slot; the two
-ints are multiplied once and the low N slots read back mod p.  Where 8-byte slots
-are too narrow (p above about 2^32 / sqrt(N)) the shared loop stays.  invert,
-log_circ and exp_t are per field, fraction-free integer recurrences over QQ and
-residue loops over GF(p).
+product is a Kronecker substitution: each least-residue vector is packed into
+one int of N struct slots, 2, 4 or 8 bytes wide, the narrowest with N (p - 1)^2
+< 2^(8 width), so no coefficient of the product carries into the next slot; the
+two ints are multiplied once and the low N slots read back mod p.  Where 8-byte
+slots are too narrow (p above about 2^32 / sqrt(N)) the shared loop stays.
+invert, log_circ and exp_t are direct loops per field: fraction-free integer
+recurrences over QQ, residue loops over GF(p) reducing each inner sum once.
 
 At the public boundary a scalar is a FieldElement: a raw value tagged with its
 field.  Field.scalar is the one rule for operands: an exact scalar (an int
@@ -94,19 +94,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _recurrence(first: int, weights: list[tuple[int, int]], n: int, step) -> list[int]:
-    """out_0 = first, out_k = step(k, sum of w * out_(k-j) over (j, w) in weights, j <= k)."""
-    out = [first]
-    for k in range(1, n):
-        acc = 0
-        for j, w in weights:
-            if j > k:
-                break
-            acc += w * out[k - j]
-        out.append(step(k, acc))
-    return out
 
 
 def _slot_struct(n: int, p: int) -> struct.Struct | None:
@@ -210,7 +197,10 @@ class RationalField(Field):
         return _ONE / raw
 
     def vector(self, raws) -> Vector:
-        den = math.lcm(*(c.denominator for c in raws))
+        try:
+            den = math.lcm(*(c.denominator for c in raws))
+        except AttributeError:  # not an int or a Fraction; GF(p) refuses the same raws with TypeError
+            raise TypeError(f"QQ takes int or Fraction raws, got {raws!r}") from None
         return tuple([c.numerator * (den // c.denominator) for c in raws]), den
 
     def quotient(self, num: int, den: int) -> Raw:
@@ -229,24 +219,44 @@ class RationalField(Field):
         """Fraction-free: 1/a = da * (e_k a0^(N-1-k))_k / a0^N, e_k = -sum_j a_j a0^(j-1) e_(k-j)."""
         n, a0 = len(a), a[0]
         weights = [(j, x * a0 ** (j - 1)) for j, x in enumerate(a) if j and x]
-        e = _recurrence(1, weights, n, lambda k, acc: -acc)
+        e = [1]
+        for k in range(1, n):
+            acc = 0
+            for j, w in weights:
+                if j > k:
+                    break
+                acc -= w * e[k - j]
+            e.append(acc)
         return self.normalize([da * x * a0 ** (n - 1 - k) for k, x in enumerate(e)], a0 ** n)
 
     def log_circ(self, a: tuple[int, ...], da: int) -> Vector:
         """Fraction-free: L_k = H_k / (k a0^k), H_k = k a_k a0^(k-1) - sum_j a_j a0^(j-1) H_(k-j)."""
         n, a0, m = len(a), a[0], math.lcm(*range(1, len(a)))
         scaled = [x * a0 ** (j - 1) if j else 0 for j, x in enumerate(a)]
-        h = _recurrence(0, [(j, x) for j, x in enumerate(scaled) if x], n, lambda k, acc: k * scaled[k] - acc)
-        nums = [0] + [x * (m // k) * a0 ** (n - 1 - k) for k, x in enumerate(h[1:], 1)]
-        return self.normalize(nums, a0 ** (n - 1) * m)  # over a0^(N-1) lcm(1..N-1)
+        h = [0]
+        for k in range(1, n):
+            acc = k * scaled[k]
+            for j in range(1, k):  # H_0 = 0
+                acc -= scaled[j] * h[k - j]
+            h.append(acc)
+        pw = 1
+        for k in range(n - 1, 0, -1):
+            h[k], pw = h[k] * (m // k) * pw, pw * a0
+        return self.normalize(h, pw * m)  # over a0^(N-1) lcm(1..N-1)
 
     def exp_t(self, u: tuple[int, ...], du: int) -> Vector:
         """Fraction-free: E_k = F_k / c^k with c = du * lcm(1..N-1), so every F_k is an int."""
-        n = len(u)
-        m = math.lcm(*range(1, n))
+        n, m = len(u), math.lcm(*range(1, len(u)))
         c = du * m
         weights = [(j, j * x * c ** (j - 1)) for j, x in enumerate(u) if x]
-        f = _recurrence(1, weights, n, lambda k, acc: acc * (m // k))
+        f = [1]
+        for k in range(1, n):
+            acc = 0
+            for j, w in weights:
+                if j > k:
+                    break
+                acc += w * f[k - j]
+            f.append(acc * (m // k))
         return self.normalize([x * c ** (n - 1 - k) for k, x in enumerate(f)], c ** (n - 1))
 
     def random_element(self, rng: random.Random, height_bound: int = 10) -> FieldElement:
@@ -324,22 +334,35 @@ class PrimeField(Field):
         inv0 = self.inv(a[0])
         if len(a) == 2:
             return (inv0, -a[1] * inv0 * inv0 % p), 1
-        neg_inv0 = p - inv0
-        weights = [(j, x) for j, x in enumerate(a) if j and x]
-        return tuple(_recurrence(inv0, weights, len(a), lambda k, acc: neg_inv0 * acc % p)), 1
+        e = [inv0]
+        for k in range(1, len(a)):
+            acc = 0
+            for j in range(1, k + 1):
+                acc -= a[j] * e[k - j]
+            e.append(inv0 * acc % p)
+        return tuple(e), 1
 
     def log_circ(self, a: tuple[int, ...], da: int) -> Vector:
         """L_k = M_k / k, a0 M_k = k a_k - sum_j a_j M_(k-j): the coefficients of t L' = t a'/a."""
-        p, n, inv = self.p, len(a), self._inv
-        neg_inv0 = p - inv[a[0]]
-        weights = [(j, x) for j, x in enumerate(a) if j and x]
-        m = _recurrence(0, weights, n, lambda k, acc: neg_inv0 * (acc - k * a[k]) % p)
-        return (0, *[m[k] * inv[k] % p for k in range(1, n)]), 1
+        p, inv, inv0 = self.p, self._inv, self.inv(a[0])
+        m, out = [0], [0]
+        for k in range(1, len(a)):
+            acc = k * a[k]
+            for j in range(1, k):  # M_0 = 0
+                acc -= a[j] * m[k - j]
+            m.append(acc * inv0 % p)
+            out.append(m[k] * inv[k] % p)
+        return tuple(out), 1
 
     def exp_t(self, u: tuple[int, ...], du: int) -> Vector:
-        p, inv = self.p, self._inv
-        weights = [(j, j * x) for j, x in enumerate(u) if x]
-        return tuple(_recurrence(1, weights, len(u), lambda k, acc: acc * inv[k] % p)), 1
+        p, inv, w = self.p, self._inv, [j * x for j, x in enumerate(u)]
+        e = [1]
+        for k in range(1, len(u)):
+            acc = 0
+            for j in range(1, k + 1):
+                acc += w[j] * e[k - j]
+            e.append(acc * inv[k] % p)
+        return tuple(e), 1
 
     def random_element(self, rng: random.Random, height_bound: int = 10) -> FieldElement:
         """Uniform least residue; height_bound is accepted for interface parity."""

@@ -36,12 +36,12 @@ a pass from its p^n constant points.  li2p(s + a t) = (a / (s(1 - s)))^p
 pounds1(s) is linear in a over GF(p), and precision-2 arithmetic is k[t]/(t^2),
 so each weighted sum is linear in the tangent (a_1, ..., a_n) and validity
 reads only constant terms.  Once per check, li2p(s + b t) = b li2p(s + t) is
-checked at every flat s and every b; then each constant point is judged at the
-zero tangent, the n basis tangents and a guard tangent from its per-point rng,
-and counts as p^n points when all n + 2 are rejected or all are ok.  Anything
-else redoes the check by enumerating every point, so only passes are certified
-this way, every failing report is the enumeration's, and the counts always
-cover every point.
+checked at every flat s and every b through the check's li2p memo, which its
+judges then read; then each constant point is judged at the zero tangent, the n
+basis tangents and a guard tangent from its per-point rng, and counts as p^n
+points when all n + 2 are rejected or all are ok.  Anything else redoes the
+check by enumerating every point, so only passes are certified this way, every
+failing report is the enumeration's, and the counts always cover every point.
 """
 
 from __future__ import annotations
@@ -189,20 +189,20 @@ def _exhaust(report: CheckReport, points, judge, min_valid: int = 0) -> CheckRep
     return report.finish(min_valid=min_valid)
 
 
-def _li2p_is_tangent_linear(field: Field) -> bool:
+def _li2p_is_tangent_linear(field: Field, li2p) -> bool:
     """Whether li2p(s + b t) = b li2p(s + t) for every flat s and every b in GF(p).
 
     dilog.li2p is a * W_p(s) by construction: this guards against a replaced li2p only."""
     p = field.characteristic
     for s in range(2, p):
-        unit = dilog.li2p(TruncatedSeries(field, (s, 1))).value
-        if any(dilog.li2p(TruncatedSeries(field, (s, b))).value != b * unit % p for b in range(p) if b != 1):
+        unit = li2p(TruncatedSeries(field, (s, 1))).value
+        if any(li2p(TruncatedSeries(field, (s, b))).value != b * unit % p for b in range(p) if b != 1):
             return False
     return True
 
 
 def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int,
-                                  judge) -> CheckReport | None:
+                                  judge, li2p) -> CheckReport | None:
     """Certify a pass over GF(p)^(2n) from its p^n constant points, or return None.
 
     judge takes the coordinates (s_1, a_1, ..., s_n, a_n) of n dual numbers;
@@ -211,7 +211,7 @@ def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int
     point's n + 2 outcomes are mixed or not all ok) leaves the verdict to
     enumerating every point.
     """
-    if not _li2p_is_tangent_linear(GF(p)):
+    if not _li2p_is_tangent_linear(GF(p), li2p):
         return None
     zero = (0,) * n
     tangents = [zero] + [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
@@ -236,16 +236,16 @@ def _require_enumerable(p: int, dimension: int, remedy: str) -> None:
 
 
 def _check_coords(family: str, subject: str, params: dict, p: int, dimension: int,
-                  trials: int | None, seed: int, judge, dual: bool = False) -> CheckReport:
+                  trials: int | None, seed: int, judge, li2p=None) -> CheckReport:
     """Judge points of GF(p)^dimension, given to judge as tuples of least residues.
 
     The whole space is enumerated when it stays within EXHAUSTIVE_LIMIT and no
     trial count is forced; otherwise `trials` valid points are sampled.  A space
-    above the limit with no trial count is refused with ValueError.  dual says
-    the coordinates are dimension / 2 dual numbers (s_1, a_1, s_2, a_2, ...)
-    judged by a weighted li2p sum at precision 2: an exhaustive pass is then
-    first sought from the constant points by `_exhaust_by_tangent_linearity`,
-    and any other outcome comes from enumerating every point on a fresh report.
+    above the limit with no trial count is refused with ValueError.  li2p, the judge's own `_li2p_values`
+    lookup, says the coordinates are dimension / 2 dual numbers (s_1, a_1, s_2, a_2, ...) judged by a weighted
+    li2p sum at precision 2: an exhaustive pass is then first sought from the constant points by
+    `_exhaust_by_tangent_linearity`, whose guard reads li2p through it, and any other outcome comes from
+    enumerating every point on a fresh report.
     """
     exhaustive = trials is None
     if exhaustive:
@@ -259,8 +259,8 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
     if not exhaustive:
         return _resample(new_report(), trials, seed,
                          lambda rng: judge(tuple(rng.randrange(p) for _ in range(dimension))))
-    if dual:
-        report = _exhaust_by_tangent_linearity(new_report(), p, dimension // 2, seed, judge)
+    if li2p is not None:
+        report = _exhaust_by_tangent_linearity(new_report(), p, dimension // 2, seed, judge, li2p)
         if report is not None:
             return report
     return _exhaust(new_report(), itertools.product(range(p), repeat=dimension), judge)
@@ -462,9 +462,10 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
     )
 
     def judge(item):
-        (s, a), rng = item
+        index, (s, a) = item
         if s in (0, 1):
             return None
+        rng = _derive_rng(seed, report.name, index)  # the rng of point index, as _seeded_points derives it
         dual = TruncatedSeries(field, (s, a))
         expected = dilog.li2p(dual)
         lifts = [dual.with_precision(p)]
@@ -476,7 +477,7 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
                 return {"ok": False, "inputs": {"lift": str(lift)}, "value": f"{got} != {expected}"}
         return {"ok": True}
 
-    return _exhaust(report, _seeded_points(report, p, 2, seed), judge, min_valid=1)
+    return _exhaust(report, enumerate(itertools.product(range(p), repeat=2)), judge, min_valid=1)
 
 
 # -- cluster identity checks --------------------------------------------------
@@ -519,7 +520,7 @@ def check_cluster_charp(
     return _check_coords("clusterp", name, {"pattern": name, "theta": list(weights)},
                          p, 2 * matrix.n, trials, seed, lambda coords: judge(
                              tuple(TruncatedSeries(field, coords[2 * i: 2 * i + 2])
-                                   for i in range(matrix.n))), dual=True)
+                                   for i in range(matrix.n))), li2p)
 
 
 # -- named char-p identities --------------------------------------------------
@@ -615,8 +616,9 @@ def check_named_identity(name: str, p: int, trials: int | None = None, seed: int
         known = ", ".join(sorted(NAMED_IDENTITIES))
         raise ValueError(f"unknown identity {name!r}; known: {known}")
     make, dimension, dual = NAMED_IDENTITIES[name]
-    judge = make(GF(p), _li2p_values(GF(p)))
-    return _check_coords("named", name, {"identity": name}, p, dimension, trials, seed, judge, dual)
+    li2p = _li2p_values(GF(p))
+    return _check_coords("named", name, {"identity": name}, p, dimension, trials, seed, make(GF(p), li2p),
+                         li2p if dual else None)
 
 
 # -- wedge lemma ---------------------------------------------------------------

@@ -85,13 +85,39 @@ def oracle_inputs(field, rng, top):
                 yield n, a, draw(), draw(0)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(11), GF(13)], ids=["QQ", "GF3", "GF11", "GF13"])
-def test_kernels_match_the_fraction_loops(field):
-    """Every kernel against the Fraction loops, at N = 1..11 over QQ and N = 1..p over GF(p)."""
+def padded_duals(field, rng):
+    """(p, a, b, u) at N = p: dual numbers zero-padded to precision p, the lifts of the li2p-lift check."""
+    p = field.characteristic
+    for _ in range(4):
+        s, x, y = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
+        pad = (0,) * (p - 2)
+        yield p, TruncatedSeries(field, (s, x, *pad)), TruncatedSeries(field, (y, s, *pad)), \
+            TruncatedSeries(field, (0, x, *pad))
+
+
+def top_residues(field, top):
+    """(N, a, a, u) with every coefficient p - 1 but u_0 = 0, the largest unreduced inner sums, at N = 1..top."""
+    q = field.characteristic - 1
+    for n in range(1, top + 1):
+        a = TruncatedSeries(field, (q,) * n)
+        yield n, a, a, TruncatedSeries(field, (0,) + (q,) * (n - 1))
+
+
+@pytest.mark.parametrize("field, top", [(QQ, 11), (GF(3), 3), (GF(11), 11), (GF(13), 13), (GF(43), 12),
+                                        (GF(2**61 - 1), 12)],
+                         ids=["QQ", "GF3", "GF11", "GF13", "GF43", "GF2^61-1"])
+def test_kernels_match_the_fraction_loops(field, top):
+    """Every kernel against the Fraction loops, at N = 1..11 over QQ, N = 1..p over small GF(p), N = 1..12
+    over GF(43) and GF(2^61 - 1) (whose unreduced inner sums reach about N p^2), and on dual numbers
+    zero-padded to N = p."""
     rng = random.Random(11)
-    top = field.characteristic or 11
     compared = 0
-    for n, a, b, u in oracle_inputs(field, rng, top):
+    inputs = oracle_inputs(field, rng, top)
+    if field.characteristic:
+        inputs = itertools.chain(inputs, top_residues(field, top))
+    if 0 < field.characteristic <= 43:
+        inputs = itertools.chain(inputs, padded_duals(field, rng))
+    for n, a, b, u in inputs:
         for result, expected in (
             (a * b, ref_mul(field, a.coeffs, b.coeffs)),
             (b * a, ref_mul(field, b.coeffs, a.coeffs)),

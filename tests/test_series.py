@@ -241,6 +241,13 @@ def test_gfp_constructor_refuses_non_int_raws(raws):
         TruncatedSeries(GF(7), raws)
 
 
+@pytest.mark.parametrize("raws", [(0.5, 1), ("1/2", 1), (1, None, 0)], ids=repr)
+def test_qq_constructor_refuses_non_exact_raws(raws):
+    """A float, a str or None is refused with TypeError over QQ, as over GF(p)."""
+    with pytest.raises(TypeError, match="int or Fraction"):
+        TruncatedSeries(QQ, raws)
+
+
 def test_gfp_fraction_enters_through_from_coeffs():
     half = TruncatedSeries.from_coeffs(GF(7), [Fraction(1, 2), 1])
     assert half == TruncatedSeries(GF(7), (4, 1)) and half.nums == (4, 1)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -260,6 +262,16 @@ def test_a_check_evaluates_each_dilogarithm_argument_once(monkeypatch, name):
     assert counts == {key: 2 * n for key, n in first.items()}
 
 
+def test_the_tangent_guard_fills_the_memo_its_check_reads(monkeypatch):
+    """Exhaustive clusterp[A2,p=7] evaluates no dual number twice: the tangent guard reads li2p through the
+    check's memo, at the (p - 2) p flat numbers s + b t, and the judges find every value they read there."""
+    args = []
+    original = dilog.li2p
+    monkeypatch.setattr(dilog, "li2p", lambda y: args.append(y.nums) or original(y))
+    assert verify.check_cluster_charp("A2", 7).passed
+    assert len(args) == len(set(args)) == 5 * 7
+
+
 def test_a_mutant_installed_between_two_checks_is_seen_by_the_second(monkeypatch):
     """clusterp[B2,p=5] passes, then fails with the kill matrix's witness once li2p + 1 is installed in
     the same process: no li2p value outlives its check.  (A2 at p = 5 cannot show this: its five unit
@@ -429,6 +441,18 @@ def test_structural_checks():
     assert verify.check_theta_invariance("B2").passed
     assert verify.check_mutation_involution("A2", trials=100).passed
     assert verify.check_periodicity_report("B2", trials=20).passed
+
+
+def test_li2p_lift_derives_an_rng_only_for_the_points_it_judges(monkeypatch):
+    """The 2p points with s in {0, 1} draw nothing, so they seed no rng; every judged point keeps the rng
+    of (seed, name, its index), and the report at p = 11, seed 1 keeps its bytes."""
+    seeds = []
+    original = verify._derive_rng
+    monkeypatch.setattr(verify, "_derive_rng", lambda *key: seeds.append(key) or original(*key))
+    report = verify.check_li2p_lift(11, seed=1)
+    assert seeds == [(1, "li2p-lift[p=11]", index) for index in range(2 * 11, 11 * 11)]
+    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "c6f98f29aa0ea62a1c1a5ddf3d25e6afa4db7477dc23ef32114ce383a8188250"
 
 
 def test_periodicity_report_verdicts():
@@ -775,13 +799,13 @@ def test_dual_checks_match_enumeration_of_every_point(monkeypatch, mutant):
     original = verify._check_coords
     seen = {}
 
-    def capturing(family, subject, params, p, dimension, trials, seed, judge, dual=False):
+    def capturing(family, subject, params, p, dimension, trials, seed, judge, li2p=None):
         def counted(coords):
             seen["calls"] += 1
             return judge(coords)
 
         seen.update(dimension=dimension, judge=judge, calls=0)
-        return original(family, subject, params, p, dimension, trials, seed, counted, dual)
+        return original(family, subject, params, p, dimension, trials, seed, counted, li2p)
 
     monkeypatch.setattr(verify, "_check_coords", capturing)
     verdicts = set()
@@ -805,7 +829,7 @@ def test_dual_checks_match_enumeration_of_every_point(monkeypatch, mutant):
     lambda coords: {"ok": not all(coords[1::2]), "inputs": {"coords": str(coords)}, "value": "1"},
 ], ids=["rejects-at-tangent-3", "fails-off-the-basis"])
 def test_a_tangent_dependent_judge_is_enumerated(judge):
-    report = verify._check_coords("synthetic", "judge", {}, 7, 4, None, 0, judge, dual=True)
+    report = verify._check_coords("synthetic", "judge", {}, 7, 4, None, 0, judge, verify._li2p_values(GF(7)))
     reference = _enumerate_every_point(report, 7, 4, judge)
     assert report.to_dict() == reference.to_dict()
     assert reference.rejected or reference.failed
