@@ -128,7 +128,8 @@ class Field:
     Each field implements reduce and inv on raw scalars and the vector side on
     int numerator tuples `a` over a denominator `da`:
 
-      vector(raws)          the normalised vector of canonical raw values (of any ints, and ints only, over GF(p))
+      vector(raws)          the normalised vector of raw values: ints and Fractions over QQ, any ints over
+                            GF(p); TypeError for any other raw, a bool included
       quotient(num, den)    the canonical raw value of num / den
       normalize(nums, den)  the normalised vector of any ints over den != 0
       invert(a, da)         the inverse of a unit, truncated at len(a)
@@ -197,11 +198,14 @@ class RationalField(Field):
         return _ONE / raw
 
     def vector(self, raws) -> Vector:
-        try:
-            den = math.lcm(*(c.denominator for c in raws))
-        except AttributeError:  # not an int or a Fraction; GF(p) refuses the same raws with TypeError
-            raise TypeError(f"QQ takes int or Fraction raws, got {raws!r}") from None
-        return tuple([c.numerator * (den // c.denominator) for c in raws]), den
+        try:  # a bool is left out, so that the count refuses it; a raw with no denominator raises
+            dens = [c.denominator for c in raws if type(c) is not bool]
+        except AttributeError:
+            dens = ()
+        if len(dens) < len(raws):  # GF(p) refuses the same raws with TypeError
+            raise TypeError(f"QQ takes int or Fraction raws, got {raws!r}")
+        den = math.lcm(*dens)
+        return tuple([c.numerator * (den // d) for c, d in zip(raws, dens)]), den
 
     def quotient(self, num: int, den: int) -> Raw:
         return Fraction(num, den)
@@ -304,8 +308,8 @@ class PrimeField(Field):
         return num % self.p
 
     # Every vector over GF(p) has den 1 (no kernel makes another), so den is ignored.  vector reduces as normalize
-    # does (a raw outside [0, p) would compare unequal and carry between packed slots); its | 0 refuses a non-int
-    # raw (% keeps a Fraction).  At N = 2 normalize, mul and invert are closed forms; other products use _slots[N].
+    # does (a raw outside [0, p) would compare unequal and carry between packed slots) and refuses a non-int raw (%
+    # keeps a Fraction, makes a bool an int).  At N = 2 normalize, mul and invert are closed forms; others use _slots.
 
     def normalize(self, nums, den: int = 1) -> Vector:
         p = self.p
@@ -315,9 +319,12 @@ class PrimeField(Field):
 
     def vector(self, raws) -> Vector:
         p = self.p
-        if len(raws) == 2:
-            return (raws[0] % p | 0, raws[1] % p | 0), 1
-        return tuple([x % p | 0 for x in raws]), 1
+        if len(raws) == 2 and type(raws[0]) is int and type(raws[1]) is int:
+            return (raws[0] % p, raws[1] % p), 1
+        nums = tuple([x % p for x in raws if type(x) is int])
+        if len(nums) < len(raws):
+            raise TypeError(f"GF({p}) takes int raws, got {raws!r}")
+        return nums, 1
 
     def mul(self, a: tuple[int, ...], da: int, b: tuple[int, ...], db: int) -> Vector:
         p = self.p

@@ -8,27 +8,29 @@ dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
 from its (weight, argument) terms, as a raw sum reduced once; a char-p sum reads
 li2p (`_li2p_values`) or pounds1, and the pentagon substitution its units, from
 memos that live for one check, so each distinct argument is evaluated once per
-check.  The two cluster sums and the wedge lemma share one trajectory judge,
-`_cluster_judge`: it walks the schedule lazily, rejects a point at its first
-non-flat recorded value before mutating past it, and hands the weighted values
-to the family's verdict.  A point source is either an exhaustive enumeration
+check.  Each identity has one judge, which takes series and the field's
+dilogarithm and runs in either characteristic: `_pentagon_judge`, `_lift_judge`
+(welldef and li2p-lift) and the trajectory judge `_cluster_judge` (both cluster
+sums and the lemma), which walks the schedule lazily and rejects a point at its
+first non-flat recorded value before mutating past it; only the point sources
+differ between fields.  A point source is either an exhaustive enumeration
 (`_exhaust`) or seeded sampling (`_resample`).  `_sampled` opens every sampled
 report whose params are the family's own plus trials, height and seed, the
 lemma's too; only the coordinate checks (params p and mode) and periodicity
 (which can fail before a draw) open theirs by hand.  Trial k of a check, or
-point k of an enumeration through `_seeded_points`, draws from random.Random
+point k of an enumeration that draws per point, draws from random.Random
 seeded with the string "master seed:check id:k", so reports are deterministic
 and independent of execution order; rejected samples are resampled, up to
 RESAMPLE_FACTOR attempts per requested trial, and a sampled check that cannot
 gather enough valid samples reports that instead of passing.  Prime-field point
 spaces are enumerated exhaustively whenever p^dimension stays within
 EXHAUSTIVE_LIMIT and a trial count is not forced; above the limit a trial count
-is required.  A named identity is a judge factory, make(field, li2p) ->
-judge(coords), built once per check with the check's li2p.  An exhaustive
-cluster-p or named check passes when no valid point fails, even if no point
-was valid: at p = 3 the A2 and B2 cluster sums and four of the named
-identities pass that way, with valid = 0 in their reports (the battery leaves
-out the pentagon at p = 3).
+is required.  A named identity is a judge factory, make(field, li2p) -> judge,
+built once per check with the check's li2p; a dual judge reads dual numbers.
+An exhaustive cluster-p or named check passes when no valid point fails, even
+if no point was valid: at p = 3 the A2 and B2 cluster sums and four of the
+named identities pass that way, with valid = 0 in their reports (the battery
+leaves out the pentagon at p = 3).
 
 An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
 elementary, involution, pentagon and a2_five_term_charp) first tries to certify
@@ -189,36 +191,34 @@ def _exhaust(report: CheckReport, points, judge, min_valid: int = 0) -> CheckRep
     return report.finish(min_valid=min_valid)
 
 
-def _li2p_is_tangent_linear(field: Field, li2p) -> bool:
-    """Whether li2p(s + b t) = b li2p(s + t) for every flat s and every b in GF(p).
+def _li2p_is_tangent_linear(p: int, li2p, dual) -> bool:
+    """Whether li2p(s + b t) = b li2p(s + t) for every flat s and every b in GF(p), dual((s, b)) being s + b t.
 
     dilog.li2p is a * W_p(s) by construction: this guards against a replaced li2p only."""
-    p = field.characteristic
     for s in range(2, p):
-        unit = li2p(TruncatedSeries(field, (s, 1))).value
-        if any(li2p(TruncatedSeries(field, (s, b))).value != b * unit % p for b in range(p) if b != 1):
+        unit = li2p(dual((s, 1))).value
+        if any(li2p(dual((s, b))).value != b * unit % p for b in range(p) if b != 1):
             return False
     return True
 
 
 def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int,
-                                  judge, li2p) -> CheckReport | None:
+                                  judge, li2p, dual) -> CheckReport | None:
     """Certify a pass over GF(p)^(2n) from its p^n constant points, or return None.
 
-    judge takes the coordinates (s_1, a_1, ..., s_n, a_n) of n dual numbers;
+    judge takes n dual numbers s_i + a_i t, each made as dual((s_i, a_i));
     the guard tangent of constant point k comes from the rng of (seed,
     report.name, k).  None (li2p is not tangent-linear, or some constant
     point's n + 2 outcomes are mixed or not all ok) leaves the verdict to
     enumerating every point.
     """
-    if not _li2p_is_tangent_linear(GF(p), li2p):
+    if not _li2p_is_tangent_linear(p, li2p, dual):
         return None
     zero = (0,) * n
     tangents = [zero] + [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
     for constants, rng in _seeded_points(report, p, n, seed):
         guard = tuple(rng.randrange(p) for _ in range(n))
-        outcomes = [judge(tuple(itertools.chain.from_iterable(zip(constants, tangent))))
-                    for tangent in (*tangents, guard)]
+        outcomes = [judge(*map(dual, zip(constants, tangent))) for tangent in (*tangents, guard)]
         if all(outcome is None for outcome in outcomes):
             _tally(report, None, p ** n)
         elif all(outcome is not None and outcome["ok"] for outcome in outcomes):
@@ -242,10 +242,10 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
     The whole space is enumerated when it stays within EXHAUSTIVE_LIMIT and no
     trial count is forced; otherwise `trials` valid points are sampled.  A space
     above the limit with no trial count is refused with ValueError.  li2p, the judge's own `_li2p_values`
-    lookup, says the coordinates are dimension / 2 dual numbers (s_1, a_1, s_2, a_2, ...) judged by a weighted
-    li2p sum at precision 2: an exhaustive pass is then first sought from the constant points by
-    `_exhaust_by_tangent_linearity`, whose guard reads li2p through it, and any other outcome comes from
-    enumerating every point on a fresh report.
+    lookup, says the point is dimension / 2 dual numbers s_i + a_i t, handed to judge as its arguments, each
+    made from (s_i, a_i) by the trusted constructor: an exhaustive pass is then first sought from the constant
+    points by `_exhaust_by_tangent_linearity`, whose guard reads li2p through it, and any other outcome comes
+    from enumerating every point on a fresh report.
     """
     exhaustive = trials is None
     if exhaustive:
@@ -256,14 +256,23 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
         return CheckReport(name=f"{family}[{subject},p={p},{mode}]",
                            params={**params, "p": p, "mode": mode, "seed": seed})
 
+    field = GF(p)
+
+    def dual(pair):
+        return _series(field, (pair, 1))
+
+    def judge_duals(coords):
+        return judge(*[dual(coords[i:i + 2]) for i in range(0, dimension, 2)])
+    judge_coords = judge if li2p is None else judge_duals
+
     if not exhaustive:
         return _resample(new_report(), trials, seed,
-                         lambda rng: judge(tuple(rng.randrange(p) for _ in range(dimension))))
+                         lambda rng: judge_coords(tuple(rng.randrange(p) for _ in range(dimension))))
     if li2p is not None:
-        report = _exhaust_by_tangent_linearity(new_report(), p, dimension // 2, seed, judge, li2p)
+        report = _exhaust_by_tangent_linearity(new_report(), p, dimension // 2, seed, judge, li2p, dual)
         if report is not None:
             return report
-    return _exhaust(new_report(), itertools.product(range(p), repeat=dimension), judge)
+    return _exhaust(new_report(), itertools.product(range(p), repeat=dimension), judge_coords)
 
 
 def _resolve_pattern(pattern):
@@ -355,23 +364,43 @@ def check_oracle_agreement(m: int, w: int, trials: int = 200, height: int = 10, 
     return _sampled(f"oracle-agreement[m={m},w={w}]", {"m": m, "w": w}, trials, height, seed, evaluate)
 
 
-def check_pentagon(m: int, w: int, trials: int = 100, height: int = 10, seed: int = 0) -> CheckReport:
-    """The five-term relation for li_{m,w} over the rationals; its char-p form is the named `pentagon`.
+def _pentagon_judge(field: Field, li):
+    """judge(a, b) of the five-term relation for li over field, in either characteristic.
 
-    Pairs (a, b) are valid when a(1-a)b(1-b)(b-a) is a unit, which makes every
-    pentagon argument flat.
-    """
-    dilog.validate_modulus_weight(m, w)
-
-    def evaluate(rng: random.Random):
-        a = random_series(QQ, m, rng, height)
-        b = random_series(QQ, m, rng, height)
-        if not (a.is_flat and b.is_flat) or a.constant_term() == b.constant_term():
+    None unless a(1-a)b(1-b)(b-a) is a unit, which makes every pentagon
+    argument flat; else the witness that the weighted li values vanish."""
+    def judge(a, b):
+        if not (a.is_flat and b.is_flat) or a.nums[0] * b.den == b.nums[0] * a.den:  # a(0) = b(0)
             return None
-        return _vanishing(QQ, lambda arg: dilog.li_direct(m, w, arg), bloch.pentagon_terms(a, b),
-                          lambda: {"a": str(a), "b": str(b)})
+        return _vanishing(field, li, bloch.pentagon_terms(a, b), lambda: {"a": str(a), "b": str(b)})
+    return judge
 
-    return _sampled(f"pentagon[q,m={m},w={w}]", {"field": "q", "m": m, "w": w}, trials, height, seed, evaluate)
+
+def check_pentagon(m: int, w: int, trials: int = 100, height: int = 10, seed: int = 0) -> CheckReport:
+    """The five-term relation for li_{m,w} over the rationals; its char-p form is the named `pentagon`."""
+    dilog.validate_modulus_weight(m, w)
+    judge = _pentagon_judge(QQ, lambda arg: dilog.li_direct(m, w, arg))
+    return _sampled(f"pentagon[q,m={m},w={w}]", {"field": "q", "m": m, "w": w}, trials, height, seed,
+                    lambda rng: judge(random_series(QQ, m, rng, height), random_series(QQ, m, rng, height)))
+
+
+def _lift_judge(field: Field, direct, via_lift, top: int):
+    """judge(base, tails) of lift independence of the Bloch-differential formula, in either characteristic: via_lift
+    of base zero-padded to precision top equals direct(base), and via_lift of base + tail, for each tail of raw
+    coefficients in degrees base.precision to top - 1, equals that."""
+    def judge(base, tails):
+        lift = base.with_precision(top)
+        reference, expected = via_lift(lift), direct(base)
+        if reference != expected:
+            return {"ok": False, "inputs": {"lift": str(lift)}, "value": f"lift {reference} vs direct {expected}"}
+        head = base.coeffs
+        for tail in tails:
+            lift = TruncatedSeries(field, head + tail)
+            got = via_lift(lift)
+            if got != reference:
+                return {"ok": False, "inputs": {"lift": str(lift)}, "value": f"{got} != {reference}"}
+        return {"ok": True}
+    return judge
 
 
 def check_welldef(
@@ -391,24 +420,14 @@ def check_welldef(
     dilog.validate_modulus_weight(m, w)
     if perturbations < 0:
         raise ValueError(f"perturbations must be at least 0, got {perturbations}")
+    judge = _lift_judge(QQ, lambda a: dilog.li_direct(m, w, a), lambda lift: dilog.li_via_lift(m, w, lift), w)
 
     def evaluate(rng: random.Random):
         base = _sample_flat(QQ, m, rng, height)
         if base is None:
             return None
-        lift = base.with_precision(w)
-        reference = dilog.li_via_lift(m, w, lift)
-        if reference != dilog.li_direct(m, w, base):
-            return {"ok": False, "inputs": {"lift": str(lift)},
-                    "value": f"lift {reference} vs direct {dilog.li_direct(m, w, base)}"}
-        for _ in range(perturbations):
-            tail = tuple(QQ.random_element(rng, height).value for _ in range(w - m))
-            perturbed = TruncatedSeries(QQ, base.coeffs + tail)
-            got = dilog.li_via_lift(m, w, perturbed)
-            if got != reference:
-                return {"ok": False, "inputs": {"lift": str(perturbed)},
-                        "value": f"{got} != {reference}"}
-        return {"ok": True}
+        return judge(base, [tuple([QQ.random_element(rng, height).value for _ in range(w - m)])
+                            for _ in range(perturbations)])
 
     return _sampled(f"welldef[m={m},w={w}]", {"m": m, "w": w, "perturbations": perturbations},
                     trials, height, seed, evaluate)
@@ -460,24 +479,17 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
         name=f"li2p-lift[p={p}]",
         params={"p": p, "perturbations": perturbations, "seed": seed, "mode": "exhaustive"},
     )
+    judge = _lift_judge(field, dilog.li2p, dilog.li2p_via_lift, p)
 
-    def judge(item):
+    def evaluate(item):
         index, (s, a) = item
         if s in (0, 1):
             return None
         rng = _derive_rng(seed, report.name, index)  # the rng of point index, as _seeded_points derives it
-        dual = TruncatedSeries(field, (s, a))
-        expected = dilog.li2p(dual)
-        lifts = [dual.with_precision(p)]
-        for _ in range(perturbations):
-            lifts.append(TruncatedSeries(field, (s, a, *(rng.randrange(p) for _ in range(2, p)))))
-        for lift in lifts:
-            got = dilog.li2p_via_lift(lift)
-            if got != expected:
-                return {"ok": False, "inputs": {"lift": str(lift)}, "value": f"{got} != {expected}"}
-        return {"ok": True}
+        return judge(_series(field, ((s, a), 1)),
+                     [tuple([rng.randrange(p) for _ in range(2, p)]) for _ in range(perturbations)])
 
-    return _exhaust(report, enumerate(itertools.product(range(p), repeat=2)), judge, min_valid=1)
+    return _exhaust(report, enumerate(itertools.product(range(p), repeat=2)), evaluate, min_valid=1)
 
 
 # -- cluster identity checks --------------------------------------------------
@@ -518,9 +530,7 @@ def check_cluster_charp(
     matrix, name, weights, judge = _cluster_judge(pattern, lambda terms, inputs: _vanishing(
         field, li2p, terms, inputs, "li2p sum "))
     return _check_coords("clusterp", name, {"pattern": name, "theta": list(weights)},
-                         p, 2 * matrix.n, trials, seed, lambda coords: judge(
-                             tuple(TruncatedSeries(field, coords[2 * i: 2 * i + 2])
-                                   for i in range(matrix.n))), li2p)
+                         p, 2 * matrix.n, trials, seed, lambda *duals: judge(duals), li2p)
 
 
 # -- named char-p identities --------------------------------------------------
@@ -542,37 +552,17 @@ def _four_term(field, _):
 
 
 def _elementary(field, li2p):
-    def judge(coords):
-        if coords[0] in (0, 1):
-            return None
-        z = TruncatedSeries(field, coords)
-        return _vanishing(field, li2p, [(1, 1 - z), (1, z)], lambda: {"z": str(z)})
-    return judge
+    return lambda z: _vanishing(field, li2p, [(1, 1 - z), (1, z)], lambda: {"z": str(z)}) if z.is_flat else None
 
 
 def _involution(field, li2p):
-    def judge(coords):
-        if coords[0] in (0, 1):
-            return None
-        y = TruncatedSeries(field, coords)
-        return _vanishing(field, li2p, [(1, y.invert()), (1, y)], lambda: {"y": str(y)})
-    return judge
-
-
-def _pentagon(field, li2p):
-    def judge(coords):
-        if coords[0] in (0, 1) or coords[2] in (0, 1) or coords[0] == coords[2]:
-            return None
-        a, b = TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:])
-        return _vanishing(field, li2p, bloch.pentagon_terms(a, b), lambda: {"a": str(a), "b": str(b)})
-    return judge
+    return lambda y: _vanishing(field, li2p, [(1, y.invert()), (1, y)], lambda: {"y": str(y)}) if y.is_flat else None
 
 
 def _a2_five_term_charp(field, li2p):
-    def judge(coords):
-        if coords[0] == 0 or coords[2] == 0:
+    def judge(y1, y2):
+        if not (y1.is_unit and y2.is_unit):
             return None
-        y1, y2 = TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:])
         args = [y1, y2 * (1 - y1), y1.invert() * (1 - y2 + y1 * y2),
                 y1.invert() * (1 - y2.invert()), y2.invert()]
         if not all(arg.is_flat for arg in args):
@@ -599,12 +589,13 @@ def _a2_pentagon_substitution(field, li2p):
 
 
 # name: (make, dimension, dual); make(field, li2p) builds the judge once per check, li2p being the check's memo
-# of li2p values (four_term keeps its own of pounds1); dual: the coordinates are dual numbers s_i, a_i
+# of li2p values (four_term keeps its own of pounds1); dual: the judge takes dimension / 2 dual numbers as its
+# arguments, else one tuple of dimension least residues
 NAMED_IDENTITIES = {
     "four_term": (_four_term, 2, False),
     "elementary": (_elementary, 2, True),
     "involution": (_involution, 2, True),
-    "pentagon": (_pentagon, 4, True),
+    "pentagon": (_pentagon_judge, 4, True),
     "a2_five_term_charp": (_a2_five_term_charp, 4, True),
     "a2_pentagon_substitution": (_a2_pentagon_substitution, 2, False),
 }

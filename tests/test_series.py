@@ -229,10 +229,11 @@ def test_gfp_raws_above_p_do_not_carry_between_packed_slots():
         assert y * y == TruncatedSeries(GF(7), (1,) * len(raws)) ** 2
 
 
-# Any other raw is refused: x % p keeps a Fraction or a float as it is, and "%d" % 7 is the str "7".  A kept
-# 1/2 would compare unequal to its residue 4 and, at N >= 3, raise struct.error in a packed product.
+# Any other raw is refused: x % p keeps a Fraction or a float as it is, "%d" % 7 is the str "7", and True % 7 is
+# the int 1, while Field.element refuses a bool.  A kept 1/2 would compare unequal to its residue 4 and, at N >= 3,
+# raise struct.error in a packed product.
 NON_INT_RAWS = [(Fraction(1, 2), 1), (1, Fraction(1, 2)), (Fraction(1, 2), 1, 0), (1, 2, Fraction(1, 2)),
-                ("a", 1), ("%d", 1), (1, "%d", 0), (0.5, 1), (1, 1, 0.5)]
+                ("a", 1), ("%d", 1), (1, "%d", 0), (0.5, 1), (1, 1, 0.5), (True, 1), (1, 2, False)]
 
 
 @pytest.mark.parametrize("raws", NON_INT_RAWS, ids=repr)
@@ -241,9 +242,9 @@ def test_gfp_constructor_refuses_non_int_raws(raws):
         TruncatedSeries(GF(7), raws)
 
 
-@pytest.mark.parametrize("raws", [(0.5, 1), ("1/2", 1), (1, None, 0)], ids=repr)
+@pytest.mark.parametrize("raws", [(0.5, 1), ("1/2", 1), (1, None, 0), (True, 1), (1, 2, False)], ids=repr)
 def test_qq_constructor_refuses_non_exact_raws(raws):
-    """A float, a str or None is refused with TypeError over QQ, as over GF(p)."""
+    """A float, a str, None or a bool is refused with TypeError over QQ, as over GF(p)."""
     with pytest.raises(TypeError, match="int or Fraction"):
         TruncatedSeries(QQ, raws)
 

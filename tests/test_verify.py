@@ -602,6 +602,12 @@ KILL_MATRIX = {
         (lambda: verify.check_welldef(2, 3, trials=3), "welldef[m=2,w=3]",
          {"inputs": {"lift": "1/2 + -1/4*t + -7/4*t^2"}, "value": "-13/8 != 1/8"}, None),
     ]),
+    # the char-p twin: the lift at precision p agrees with li2p zero-padded, and
+    # a perturbed t^2 coefficient moves the value
+    "li2p_via_lift + lift_2": (_wrap(dilog, "li2p_via_lift", lambda li: lambda lift: li(lift) + lift.coeff(2)), [
+        (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
+         {"inputs": {"lift": "2 + 0*t + 3*t^2 + 3*t^3 + 0*t^4"}, "value": "3 != 0"}, (15, 15)),
+    ]),
     # involution reaches the b > 0 branch of YSeed.mutate that no battery schedule takes
     "mutation drops y_k^b": (_wrap(cluster.YSeed, "mutate", _dropped_y_k_b), [
         (lambda: verify.check_mutation_involution("A2", trials=3), "involution[A2]",
@@ -680,7 +686,7 @@ KILL_MATRIX = {
         (lambda: verify.check_named_identity("a2_pentagon_substitution", 5),
          "named[a2_pentagon_substitution,p=5,exhaustive]", {"inputs": {"r": "2", "s": "3"}, "value": "1"}, (6, 6)),
         (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
-         {"inputs": {"lift": "2 + 0*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "0 != 1"}, (15, 15)),
+         {"inputs": {"lift": "2 + 0*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "lift 0 vs direct 1"}, (15, 15)),
         (lambda: verify.check_named_identity("pentagon", 7), "named[pentagon,p=7,exhaustive]",
          {"inputs": {"a": "2 + 0*t", "b": "3 + 0*t"}, "value": "1"}, (980, 980)),
         (lambda: verify.check_named_identity("elementary", 7), "named[elementary,p=7,exhaustive]",
@@ -703,7 +709,7 @@ KILL_MATRIX = {
         (lambda: verify.check_welldef(3, 5, trials=3), "welldef[m=3,w=5]",
          {"inputs": {"lift": "-1 + 10/3*t + -1*t^2 + 0*t^3 + 0*t^4"}, "value": "lift 0 vs direct -119825/2916"}, None),
         (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
-         {"inputs": {"lift": "2 + 1*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "0 != 3"}, None),
+         {"inputs": {"lift": "2 + 1*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "lift 0 vs direct 3"}, None),
     ]),
     "pair sums lose antisymmetry": (_pair_sums_mutant(
         lambda rows: rows, lambda lo, ro, f, g: lo[f] * ro[g]), [
@@ -713,7 +719,7 @@ KILL_MATRIX = {
          {"inputs": {"lift": "-1 + 10/3*t + -1*t^2 + 0*t^3 + 0*t^4"}, "value": "lift 25325/2916 vs direct -119825/2916"},
          None),
         (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
-         {"inputs": {"lift": "2 + 1*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "4 != 3"}, None),
+         {"inputs": {"lift": "2 + 1*t + 0*t^2 + 0*t^3 + 0*t^4"}, "value": "lift 4 vs direct 3"}, None),
     ]),
 }
 
@@ -737,7 +743,7 @@ def test_corrupted_dilogarithm_is_caught(monkeypatch):
 
 
 def test_corrupted_lift_and_mutation_are_caught(monkeypatch):
-    _kill(monkeypatch, "li_via_lift * 2", "li_via_lift + lift_m", "mutation drops y_k^b")
+    _kill(monkeypatch, "li_via_lift * 2", "li_via_lift + lift_m", "li2p_via_lift + lift_2", "mutation drops y_k^b")
 
 
 def test_all_ones_symmetrizer_is_caught(monkeypatch):
@@ -788,9 +794,11 @@ DUAL_CHECKS = {
 
 
 def _enumerate_every_point(report, p, dimension, judge):
-    """The reference: the same judge over all of GF(p)^dimension, on a fresh report."""
+    """The reference: the same dual judge over all of GF(p)^dimension, on a fresh report, each point
+    (s_1, a_1, s_2, a_2, ...) handed over as the dual numbers s_i + a_i t made by the validating constructor."""
     fresh = verify.CheckReport(name=report.name, params=dict(report.params))
-    return verify._exhaust(fresh, itertools.product(range(p), repeat=dimension), judge)
+    return verify._exhaust(fresh, itertools.product(range(p), repeat=dimension), lambda coords: judge(
+        *(TruncatedSeries(GF(p), coords[i:i + 2]) for i in range(0, dimension, 2))))
 
 
 @pytest.mark.parametrize("mutant", sorted(LI2P_MUTANTS))
@@ -800,9 +808,9 @@ def test_dual_checks_match_enumeration_of_every_point(monkeypatch, mutant):
     seen = {}
 
     def capturing(family, subject, params, p, dimension, trials, seed, judge, li2p=None):
-        def counted(coords):
+        def counted(*duals):
             seen["calls"] += 1
-            return judge(coords)
+            return judge(*duals)
 
         seen.update(dimension=dimension, judge=judge, calls=0)
         return original(family, subject, params, p, dimension, trials, seed, counted, li2p)
@@ -825,8 +833,9 @@ def test_dual_checks_match_enumeration_of_every_point(monkeypatch, mutant):
 
 
 @pytest.mark.parametrize("judge", [
-    lambda coords: None if 3 in coords[1::2] else {"ok": True, "inputs": {}, "value": "0"},
-    lambda coords: {"ok": not all(coords[1::2]), "inputs": {"coords": str(coords)}, "value": "1"},
+    lambda *duals: None if any(y.nums[1] == 3 for y in duals) else {"ok": True, "inputs": {}, "value": "0"},
+    lambda *duals: {"ok": not all(y.nums[1] for y in duals), "inputs": {"duals": ", ".join(map(str, duals))},
+                    "value": "1"},
 ], ids=["rejects-at-tangent-3", "fails-off-the-basis"])
 def test_a_tangent_dependent_judge_is_enumerated(judge):
     report = verify._check_coords("synthetic", "judge", {}, 7, 4, None, 0, judge, verify._li2p_values(GF(7)))
