@@ -5,9 +5,9 @@ the second exterior power of the unit group.  Wedges are kept as WedgeLedger
 objects: formal integer combinations of ordered pairs of units, with no
 rewriting applied on insertion.  Consumers are linear: the antisymmetric
 functional pairs (ell_i ^ ell_j) and the rationalized zero test.  A ledger
-computes each distinct side's log_circ once, brings every log onto one
-ledger-wide common denominator and resolves each term to (coeff, log left,
-log right) as int numerator tuples, once.  _pair_sums evaluates the
+resolves each term to (coeff, log left, log right): each side's log_circ as an
+int numerator tuple on one ledger-wide common denominator, computed afresh on
+every evaluation, with no cache or side index.  _pair_sums evaluates the
 antisymmetric form of every coordinate pair of a list on such rows in one
 pass, as ints: a field value is made only for a result.
 
@@ -77,7 +77,7 @@ class WedgeLedger:
     construction, and zero membership is decided by zero_test_rational.
     """
 
-    __slots__ = ("terms", "_logged")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[int, TruncatedSeries, TruncatedSeries]] = ()) -> None:
         checked: list[tuple[int, TruncatedSeries, TruncatedSeries]] = []
@@ -95,24 +95,17 @@ class WedgeLedger:
             if coeff:
                 checked.append((coeff, left, right))
         self.terms = tuple(checked)
-        self._logged: tuple | None = None
 
     def logged(self) -> tuple[int, tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]:
-        """(den, ((coeff, log(left), log(right)), ...)), resolved once on first use.
+        """(den, ((coeff, log(left), log(right)), ...)), a pure function of terms.
 
-        A log is the numerator tuple of log_circ(side), computed once per
-        distinct side and scaled to the common denominator den of all logs.
+        A log is the numerator tuple of log_circ(side), scaled to the common
+        denominator den of all logs; each call computes two logs per term.
         """
-        if self._logged is None:
-            index: dict[TruncatedSeries, int] = {}  # side -> position of its log
-            resolved = [(c, index.setdefault(l, len(index)), index.setdefault(r, len(index)))
-                        for c, l, r in self.terms]
-            logs = [log_circ(side) for side in index]
-            den = math.lcm(*(log.den for log in logs))
-            nums = [log.nums if log.den == den else tuple(x * (den // log.den) for x in log.nums)
-                    for log in logs]
-            self._logged = den, tuple((c, nums[i], nums[j]) for c, i, j in resolved)
-        return self._logged
+        logs = [log_circ(side) for _, left, right in self.terms for side in (left, right)]
+        den = math.lcm(*(log.den for log in logs))
+        nums = [log.nums if log.den == den else tuple(x * (den // log.den) for x in log.nums) for log in logs]
+        return den, tuple((c, nums[2 * k], nums[2 * k + 1]) for k, (c, _, _) in enumerate(self.terms))
 
 
 def delta(alpha: TruncatedSeries) -> WedgeLedger:

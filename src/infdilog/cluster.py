@@ -158,9 +158,10 @@ class ExchangeMatrix:
 def skew_symmetrizer(matrix: ExchangeMatrix) -> tuple[int, ...]:
     """Componentwise-minimal positive integers theta with theta_j b_ij = -theta_i b_ji.
 
-    Ratios propagate along nonzero entries, each checked on the way (zeros pair
-    up in a sign-skew-symmetric matrix); each connected component is normalized
-    by clearing denominators and dividing by the gcd.
+    Ratios propagate along nonzero entries, all positive as ExchangeMatrix gives
+    b_ij and b_ji opposite signs; each connected component is normalized by
+    clearing denominators and dividing by the gcd.  Inconsistent constraints
+    around a cycle leave an entry unmet, so theta is checked once at the end.
     """
     n = matrix.n
     ratios: list[Fraction | None] = [None] * n
@@ -174,28 +175,19 @@ def skew_symmetrizer(matrix: ExchangeMatrix) -> tuple[int, ...]:
             i = queue.pop()
             for j in range(n):
                 b_ij = matrix.entry(i, j)
-                if j == i or b_ij == 0:
-                    continue
-                # theta_j * b_ij = -theta_i * b_ji
-                required = ratios[i] * Fraction(-matrix.entry(j, i), b_ij)
-                if required <= 0:
-                    raise NotSkewSymmetrizableError(
-                        f"entries ({i},{j}) force a non-positive weight ratio"
-                    )
-                if ratios[j] is None:
-                    ratios[j] = required
+                if ratios[j] is None and b_ij:  # theta_j * b_ij = -theta_i * b_ji
+                    ratios[j] = ratios[i] * Fraction(-matrix.entry(j, i), b_ij)
                     component.append(j)
                     queue.append(j)
-                elif ratios[j] != required:
-                    raise NotSkewSymmetrizableError(
-                        f"inconsistent weight constraints around index {j}"
-                    )
         scale = math.lcm(*(r.denominator for r in (ratios[i] for i in component)))
         scaled = {i: int(ratios[i] * scale) for i in component}
         common = math.gcd(*scaled.values())
         for i in component:
             ratios[i] = Fraction(scaled[i] // common)
-    return tuple(int(r) for r in ratios)
+    theta = tuple(int(r) for r in ratios)
+    if not skew_symmetrizes(theta, matrix):
+        raise NotSkewSymmetrizableError(f"no positive theta skew-symmetrizes {matrix}")
+    return theta
 
 
 def skew_symmetrizes(theta, matrix: ExchangeMatrix) -> bool:

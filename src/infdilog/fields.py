@@ -309,7 +309,8 @@ class PrimeField(Field):
 
     # Every vector over GF(p) has den 1 (no kernel makes another), so den is ignored.  vector reduces as normalize
     # does (a raw outside [0, p) would compare unequal and carry between packed slots) and refuses a non-int raw (%
-    # keeps a Fraction, makes a bool an int).  At N = 2 normalize, mul and invert are closed forms; others use _slots.
+    # keeps a Fraction, makes a bool an int) by one path at every N.  At N = 2 normalize, mul and invert are closed
+    # forms, others use _slots; checks make their dual numbers from least residues with series._series.
 
     def normalize(self, nums, den: int = 1) -> Vector:
         p = self.p
@@ -319,8 +320,6 @@ class PrimeField(Field):
 
     def vector(self, raws) -> Vector:
         p = self.p
-        if len(raws) == 2 and type(raws[0]) is int and type(raws[1]) is int:
-            return (raws[0] % p, raws[1] % p), 1
         nums = tuple([x % p for x in raws if type(x) is int])
         if len(nums) < len(raws):
             raise TypeError(f"GF({p}) takes int raws, got {raws!r}")

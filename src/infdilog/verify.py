@@ -5,10 +5,11 @@ checks share one driver: a judge maps a point to None when a validity filter (a
 failed inversion, a non-flat value) rejects it, or else to a witness dict, and
 `_tally` keeps the counts.  Every identity stated as a weighted sum of one
 dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
-from its (weight, argument) terms, as a raw sum reduced once; a char-p sum reads
-li2p (`_li2p_values`) or pounds1, and the pentagon substitution its units, from
-memos that live for one check, so each distinct argument is evaluated once per
-check.  Each identity has one judge, which takes series and the field's
+from its (weight, argument) terms, as a raw sum reduced once; a char-p
+enumeration reads li2p (`_li2p_values`) from a memo that lives for one check, a
+sampled char-p check calls li2p directly, and four_term's pounds1 and the
+pentagon substitution's units come from memos that live for one check too.
+Each identity has one judge, which takes series and the field's
 dilogarithm and runs in either characteristic: `_pentagon_judge`, `_lift_judge`
 (welldef and li2p-lift) and the trajectory judge `_cluster_judge` (both cluster
 sums and the lemma), which walks the schedule lazily and rejects a point at its
@@ -301,10 +302,14 @@ def _vanishing(field: Field, value_of, terms, inputs, label: str = "") -> dict:
     return {"ok": False, "inputs": inputs(), "value": f"{label}{total}"} if total else {"ok": True}
 
 
-def _li2p_values(field: Field):
-    """li2p of a GF(p) dual number, from a memo that lives for one check keyed by its least residues; a miss
-    rebuilds the number from them by the trusted constructor and calls dilog.li2p through the module."""
-    memo = _Memo(lambda nums: dilog.li2p(_series(field, (nums, 1))))
+def _li2p_values(field: Field, trials: int | None = None):
+    """li2p of a GF(p) dual number by dilog.li2p as the check starts: called directly given a trial count, else
+    read from a memo that lives for one enumeration keyed by least residues, which its tangent guard fills; a
+    miss rebuilds the number from them by the trusted constructor."""
+    li2p = dilog.li2p
+    if trials is not None:
+        return li2p
+    memo = _Memo(lambda nums: li2p(_series(field, (nums, 1))))
     return lambda y: memo[y.nums]
 
 
@@ -526,7 +531,7 @@ def check_cluster_charp(
     then required.
     """
     field = GF(p)
-    li2p = _li2p_values(field)
+    li2p = _li2p_values(field, trials)
     matrix, name, weights, judge = _cluster_judge(pattern, lambda terms, inputs: _vanishing(
         field, li2p, terms, inputs, "li2p sum "))
     return _check_coords("clusterp", name, {"pattern": name, "theta": list(weights)},
@@ -588,8 +593,8 @@ def _a2_pentagon_substitution(field, li2p):
     return judge
 
 
-# name: (make, dimension, dual); make(field, li2p) builds the judge once per check, li2p being the check's memo
-# of li2p values (four_term keeps its own of pounds1); dual: the judge takes dimension / 2 dual numbers as its
+# name: (make, dimension, dual); make(field, li2p) builds the judge once per check, li2p being the check's
+# `_li2p_values` (four_term keeps a memo of pounds1); dual: the judge takes dimension / 2 dual numbers as its
 # arguments, else one tuple of dimension least residues
 NAMED_IDENTITIES = {
     "four_term": (_four_term, 2, False),
@@ -607,7 +612,7 @@ def check_named_identity(name: str, p: int, trials: int | None = None, seed: int
         known = ", ".join(sorted(NAMED_IDENTITIES))
         raise ValueError(f"unknown identity {name!r}; known: {known}")
     make, dimension, dual = NAMED_IDENTITIES[name]
-    li2p = _li2p_values(GF(p))
+    li2p = _li2p_values(GF(p), trials)
     return _check_coords("named", name, {"identity": name}, p, dimension, trials, seed, make(GF(p), li2p),
                          li2p if dual else None)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -439,12 +440,13 @@ def test_ledger_computes_each_log_once(monkeypatch):
         if a.is_flat and b.is_flat and a.constant_term() != b.constant_term():
             break
     ledger = _delta_pentagon(a, b)
+    # each evaluation computes two logs per term: the ledger keeps no logs between evaluations
     calls.clear()
     assert zero_test_rational(ledger).is_zero
-    assert len(calls) == len({side for _, left, right in ledger.terms for side in (left, right)})
+    assert len(calls) == 2 * len(ledger.terms)
     calls.clear()
     apply_functional_pair(1, 4, ledger)
-    assert calls == []
+    assert len(calls) == 2 * len(ledger.terms)
     with pytest.raises(PrecisionError):
         apply_functional_pair(0, 1, ledger)
     with pytest.raises(PrecisionError):
@@ -463,11 +465,9 @@ def test_ledger_resolves_each_term_once(monkeypatch):
     original = TruncatedSeries.__hash__
     monkeypatch.setattr(TruncatedSeries, "__hash__", lambda s: hashes.append(s) or original(s))
     assert zero_test_rational(ledger).is_zero
-    # each side of each term is looked up (and on a miss stored) once, when
-    # the terms are resolved; every coordinate pair of the zero test reads
-    # the resolved tuples instead of 2 lookups per term each
-    assert len(hashes) <= 4 * len(ledger.terms)
-    hashes.clear()
+    # the terms are resolved into log tuples by position, with no side index: evaluation hashes no series,
+    # and every coordinate pair of the zero test reads the resolved tuples
+    assert hashes == []
     apply_functional_pair(1, 5, ledger)
     assert hashes == []
 
@@ -519,6 +519,45 @@ def test_ledger_keeps_a_log_already_over_its_denominator(monkeypatch):
     assert (den, logs[half].den, logs[one].den) == (8, 8, 2)
     assert lo is logs[half].nums
     assert ro == tuple(4 * x for x in logs[one].nums)
+
+
+def _logged_reference(ledger):
+    """Reference for WedgeLedger.logged: term by term, each side's log_circ coefficients times the lcm of all
+    the log denominators, as ints."""
+    logs = [(c, log_circ(left), log_circ(right)) for c, left, right in ledger.terms]
+    den = math.lcm(*(log.den for _, lo, ro in logs for log in (lo, ro)))
+    return den, tuple((c, *(tuple(int(Fraction(x) * den) for x in log.coeffs) for log in (lo, ro)))
+                      for c, lo, ro in logs)
+
+
+def test_logged_rows_match_a_per_term_reference(monkeypatch):
+    """On random QQ and GF(p) ledgers drawn from a small pool of units, so that sides repeat, and on the
+    empty ledger: logged() equals the per-term reference, and the zero test reaches the same verdict from
+    the reference's rows."""
+    rng = random.Random(44)
+    cases, repeated = [WedgeLedger()], 0
+    for field, precision in ((QQ, 4), (QQ, 6), (GF(7), 5), (GF(11), 8)):
+        pool = [u for u in (random_series(field, precision, rng, 5) for _ in range(12)) if u.is_unit]
+        for _ in range(40):
+            ledger = WedgeLedger([(rng.randint(-3, 3), rng.choice(pool), rng.choice(pool))
+                                  for _ in range(rng.randint(1, 6))])
+            sides = [side for _, left, right in ledger.terms for side in (left, right)]
+            repeated += len(set(sides)) < len(sides)
+            cases.append(ledger)
+        while True:
+            a, b = random_series(field, precision, rng, 5), random_series(field, precision, rng, 5)
+            if a.is_flat and b.is_flat and a.nums[0] * b.den != b.nums[0] * a.den:
+                break
+        cases.append(_delta_pentagon(a, b))  # a zero ledger
+        cases.append(_combined((1, _delta_pentagon(a, b)), (2, delta(a))))
+    assert repeated >= 100
+    assert WedgeLedger().logged() == (1, ())
+    verdicts = [zero_test_rational(ledger) for ledger in cases]
+    for ledger in cases:
+        assert ledger.logged() == _logged_reference(ledger)
+    monkeypatch.setattr(WedgeLedger, "logged", _logged_reference)
+    assert [zero_test_rational(ledger) for ledger in cases] == verdicts
+    assert {verdict.verdict for verdict in verdicts} == {"zero", "nonzero"}
 
 
 def _pentagon_terms_reference(a, b):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -68,8 +69,45 @@ def test_skew_symmetrizer_examples():
         skew_symmetrizer(ExchangeMatrix([[0, 1, -1], [-2, 0, 1], [1, -2, 0]]))
 
 
+def _reference_skew_symmetrizer(matrix):
+    """skew_symmetrizer as it was written before it checked its result with skew_symmetrizes: every ratio
+    checked for sign and against the ratio already assigned, on the way."""
+    n = matrix.n
+    ratios = [None] * n
+    for root in range(n):
+        if ratios[root] is not None:
+            continue
+        component = [root]
+        ratios[root] = Fraction(1)
+        queue = [root]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                b_ij = matrix.entry(i, j)
+                if j == i or b_ij == 0:
+                    continue
+                required = ratios[i] * Fraction(-matrix.entry(j, i), b_ij)
+                if required <= 0:
+                    raise NotSkewSymmetrizableError(f"entries ({i},{j}) force a non-positive weight ratio")
+                if ratios[j] is None:
+                    ratios[j] = required
+                    component.append(j)
+                    queue.append(j)
+                elif ratios[j] != required:
+                    raise NotSkewSymmetrizableError(f"inconsistent weight constraints around index {j}")
+        scale = math.lcm(*(r.denominator for r in (ratios[i] for i in component)))
+        scaled = {i: int(ratios[i] * scale) for i in component}
+        common = math.gcd(*scaled.values())
+        for i in component:
+            ratios[i] = Fraction(scaled[i] // common)
+    return tuple(int(r) for r in ratios)
+
+
 def test_skew_symmetrizer_satisfies_the_condition_at_every_entry():
+    """On 1 500 random sign-skew-symmetric matrices, theta satisfies the condition at every entry, and it
+    equals the reference's theta, or both refuse the matrix."""
     rng = random.Random(11)
+    refused = 0
     for _ in range(1500):
         n = rng.randint(1, 4)
         rows = [[0] * n for _ in range(n)]
@@ -80,12 +118,18 @@ def test_skew_symmetrizer_satisfies_the_condition_at_every_entry():
                     rows[i][j], rows[j][i] = sign * rng.randint(1, 4), -sign * rng.randint(1, 4)
         matrix = ExchangeMatrix(rows)
         try:
-            theta = skew_symmetrizer(matrix)
+            expected = _reference_skew_symmetrizer(matrix)
         except NotSkewSymmetrizableError:
+            with pytest.raises(NotSkewSymmetrizableError):
+                skew_symmetrizer(matrix)
+            refused += 1
             continue
+        theta = skew_symmetrizer(matrix)
+        assert theta == expected
         assert all(t > 0 for t in theta)
         assert all(theta[j] * rows[i][j] == -theta[i] * rows[j][i]
                    for i in range(n) for j in range(n))
+    assert 0 < refused < 1500
 
 
 def test_seed_mutation_pins_the_convention():

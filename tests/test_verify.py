@@ -284,26 +284,60 @@ def test_a_mutant_installed_between_two_checks_is_seen_by_the_second(monkeypatch
     assert (report.valid, report.failed) == counts
 
 
-def test_the_li2p_memo_stores_no_key_past_the_cap(monkeypatch):
-    """With _MEMO_CAP at 8, a sampled cluster sum over GF(2^61 - 1) keeps 8 keys in its li2p memo, each
-    holding li2p of its key; values past the cap are computed, and the check still passes."""
-    p = 2**61 - 1
-    memos = []
+def _record_memos(monkeypatch):
+    """The list of every verify._Memo made from here to the end of the test, in order."""
+    made = []
 
     class RecordingMemo(verify._Memo):
         def __init__(self, fn):
             super().__init__(fn)
-            memos.append(self)
+            made.append(self)
 
-    monkeypatch.setattr(fields, "_MEMO_CAP", 8)
     monkeypatch.setattr(verify, "_Memo", RecordingMemo)
-    counts = _count_calls(monkeypatch, dilog, "li2p")
-    report = verify.check_cluster_charp("A2", p, trials=5)
-    assert report.passed and report.valid == 5
+    return made
+
+
+def test_the_li2p_memo_stores_no_key_past_the_cap(monkeypatch):
+    """With _MEMO_CAP at 8, exhaustive clusterp[A2,p=7] keeps 8 of its 35 keys in its li2p memo, each
+    holding li2p of its key; values past the cap are computed again, and the check still passes."""
+    memos = _record_memos(monkeypatch)
+    monkeypatch.setattr(fields, "_MEMO_CAP", 8)
+    args = []
+    original = dilog.li2p
+    monkeypatch.setattr(dilog, "li2p", lambda y: args.append(y.nums) or original(y))
+    report = verify.check_cluster_charp("A2", 7)
+    assert report.passed and report.params["mode"] == "exhaustive"
     (memo,) = memos
-    assert len(memo) == 8 < counts["li2p"]
+    assert len(memo) == 8 < len(set(args)) == 35 < len(args)
     for nums, value in memo.items():
-        assert value == dilog.li2p(TruncatedSeries(GF(p), nums))
+        assert value == original(TruncatedSeries(GF(7), nums))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify.check_cluster_charp("A2", 101, trials=20, seed=1),
+    lambda: verify.check_named_identity("pentagon", 101, trials=20, seed=1),
+], ids=["clusterp[A2,p=101]", "named[pentagon,p=101]"])
+def test_a_sampled_check_calls_li2p_once_per_term_it_reads(monkeypatch, check):
+    """A sampled char-p check builds no li2p memo and calls dilog.li2p, read through the module when the
+    check starts, once per term its sums read; li2p + 1 installed between two checks fails the second."""
+    memos = _record_memos(monkeypatch)
+    read, vanishing = [], verify._vanishing
+
+    def spy(field, value_of, terms, inputs, label=""):
+        terms = list(terms)
+        read.append(len(terms))
+        return vanishing(field, value_of, terms, inputs, label)
+
+    monkeypatch.setattr(verify, "_vanishing", spy)
+    counts = _count_calls(monkeypatch, dilog, "li2p")
+    report = check()
+    assert report.passed and report.valid == 20
+    assert memos == []
+    assert counts["li2p"] == sum(read) >= 5 * 20
+    install, _ = KILL_MATRIX["li2p + 1"]
+    install(monkeypatch)
+    failed = check()
+    assert failed.verdict == "fail" and failed.failed == failed.valid == 20
 
 
 def _count_inversions(monkeypatch):
@@ -334,20 +368,13 @@ def test_pentagon_substitution_memo_is_filled_on_first_use(monkeypatch):
 
 
 def test_four_term_element_memo_is_filled_on_first_use(monkeypatch):
-    """At p ~ 10^9 the per-check pounds1 memo holds only the arguments of attempted points; the check's li2p
-    memo, made first by check_named_identity, stays empty, since four_term reads no li2p."""
-    memos = []
-
-    class RecordingMemo(verify._Memo):
-        def __init__(self, fn):
-            super().__init__(fn)
-            memos.append(self)
-
-    monkeypatch.setattr(verify, "_Memo", RecordingMemo)
+    """At p ~ 10^9 the per-check pounds1 memo holds only the arguments of attempted points; the sampled
+    check makes no li2p memo, so the pounds1 memo is the only one."""
+    memos = _record_memos(monkeypatch)
     report = verify.check_named_identity("four_term", 1000000007, trials=3)
     assert report.passed and report.attempted >= 3
-    li2p_values, pounds1_values = memos
-    assert not li2p_values and 0 < len(pounds1_values) <= 4 * report.attempted
+    (pounds1_values,) = memos
+    assert 0 < len(pounds1_values) <= 4 * report.attempted
 
 
 def test_vanishing_refuses_a_value_or_weight_of_another_field():
