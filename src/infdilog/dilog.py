@@ -1,7 +1,10 @@
 """Infinitesimal dilogarithms of modulus m and weight w, and the char-p pair.
 
-Characteristic 0.  For 1 < m < w < 2m the dilogarithm li_{m,w} acts on flat
-elements of k[t]/(t^m).  Writing a = s e^u with s = a(0) and u = log_circ(a),
+Characteristic 0 and p >= w.  For 1 < m < w < 2m the dilogarithm li_{m,w} acts
+on flat elements of k[t]/(t^m), k = QQ or GF(p) with p >= w: the formula divides
+only by integers below w and by units, so over GF(p) it reduces the QQ function
+at p-integral points (w > p raises log_circ's PrecisionError).  With a = s e^u,
+s = a(0) and u = log_circ(a),
 
     li_{m,w}(s e^u) = t_{w-1}( log_circ(1 - s e^(u|_m)) * (du/dt)|_(w-m) )
 
@@ -21,9 +24,9 @@ Compositio Math. 130, 2002); the closed form is the one evaluated, in O(log p).
 The weight-two map on dual numbers is li2p(s + at) = (a / (s(1-s)))^p *
 pounds1(s) = a * W_p(s) with W_p(s) = pounds1(s) / (s(1-s)), since x^p = x in
 GF(p), checked against the lift expression (1/2) * sum_{1<=i<p} i *
-(ell_{p-i} ^ ell_i) applied to delta of a lift at precision exactly p.  pounds1
-and W_p (which reads pounds1's memo) are read from per-field memos keyed by the
-least residue of s (fields.PrimeField.memos), once per residue below _MEMO_CAP keys.
+(ell_{p-i} ^ ell_i) applied to delta of a lift at precision exactly p.  W_p is
+read from a per-field memo, PrimeField.memos, keyed by the least residue of s
+and stored below _MEMO_CAP keys; pounds1 is evaluated on every call.
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ def validate_modulus_weight(m: int, w: int) -> None:
         raise ValueError(f"modulus/weight must satisfy 1 < m < w < 2m, got m={m}, w={w}")
 
 
-def _require_char0(field, what: str) -> None:
-    if field.characteristic != 0:
-        raise ValueError(f"{what} is defined over characteristic 0 only")
-
-
 def _require_flat(a: TruncatedSeries, what: str) -> None:
     if not a.is_flat:
         raise NotFlatError(f"{what} requires a flat argument, got constant term {a.constant_term()}")
@@ -75,10 +73,10 @@ def li_direct(m: int, w: int, a: TruncatedSeries) -> FieldElement:
 
     The argument is read modulo t^m (it must carry at least m coefficients),
     then zero-padded to precision w, matching the fact that the function
-    factors through the projection onto k[t]/(t^m).
+    factors through the projection onto k[t]/(t^m).  Over GF(p) it needs
+    w <= p; a larger w raises PrecisionError from log_circ.
     """
     validate_modulus_weight(m, w)
-    _require_char0(a.field, "li_direct")
     if a.precision < m:
         raise PrecisionError(f"argument needs at least {m} coefficients, has {a.precision}")
     _require_flat(a, "li_direct")
@@ -95,9 +93,9 @@ def li_via_lift(m: int, w: int, lift: TruncatedSeries) -> FieldElement:
     """Evaluate li_{m,w} of (lift mod t^m) through the Bloch differential.
 
     The value does not depend on the lift coefficients in degrees m and above.
+    Over GF(p) the lift precision must not exceed p (PrecisionError), so w <= p.
     """
     validate_modulus_weight(m, w)
-    _require_char0(lift.field, "li_via_lift")
     if lift.precision < w:
         raise PrecisionError(f"lift needs precision >= {w}, has {lift.precision}")
     _require_flat(lift, "li_via_lift")
@@ -153,7 +151,7 @@ def _pounds1(field, x: int) -> int:
 
 def _li2p_weight(field, s: int) -> int:
     """W_p(s) = pounds1(s) / (s(1 - s)), so that li2p(s + a t) = a W_p(s)."""
-    return field.memos[_pounds1][s] * field.inv(s * (1 - s) % field.p) % field.p
+    return _pounds1(field, s) * field.inv(s * (1 - s) % field.p) % field.p
 
 
 def pounds1(s: FieldElement) -> FieldElement:
@@ -161,7 +159,7 @@ def pounds1(s: FieldElement) -> FieldElement:
     p = s.field.characteristic
     if p == 0:
         raise ValueError("pounds1 is defined over prime fields only")
-    return FieldElement(s.field, s.field.memos[_pounds1][s.value % p])
+    return FieldElement(s.field, _pounds1(s.field, s.value))
 
 
 def li2p(y: TruncatedSeries) -> FieldElement:

@@ -8,8 +8,8 @@ nonzero canonical value.  Only FieldElement powers bypass them, with a
 three-argument pow over GF(p), so that exponents as large as p stay cheap.
 Over GF(p), inv reads a per-field memo keyed by the least residue, so
 pow(x, p - 2, p) runs once per residue (log_circ and exp_t read 1/k there),
-and memos[fn] does the same for any scalar function fn(field, x) of a residue
-(dilog's pounds1 and li2p weight); a memo stores no key past _MEMO_CAP.
+and memos[fn] does the same for a scalar function fn(field, x) of a residue
+(dilog's li2p weight, the only one); a memo stores no key past _MEMO_CAP.
 
 A series' coefficients are a vector: int numerators over one positive common
 denominator, normalised by the field (gcd(den, *nums) = 1 over QQ, so the form
@@ -291,7 +291,7 @@ class PrimeField(Field):
         self.one = FieldElement(self, 1)
         self._inv = _Memo(lambda x: pow(x, p - 2, p))
         self._slots = _Memo(lambda n: _slot_struct(n, p))
-        self.memos = _Memo(lambda fn: _Memo(lambda x: fn(self, x)))
+        self.memos = _Memo(lambda fn: _Memo(lambda x: fn(self, x)))  # dilog's li2p weight is the one fn
 
     def reduce(self, raw: Raw) -> Raw:
         if isinstance(raw, int):

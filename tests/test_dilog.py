@@ -54,8 +54,8 @@ def test_li_direct_validation():
         li_direct(1, 2, q_series(2, 1))
     with pytest.raises(NotFlatError):
         li_direct(2, 3, q_series(1, 1))
-    with pytest.raises(ValueError):
-        li_direct(2, 3, TruncatedSeries.from_coeffs(GF(5), [2, 1]))
+    with pytest.raises(PrecisionError, match=r"^log_circ at precision 4 over GF\(3\)"):
+        li_direct(3, 4, TruncatedSeries.from_coeffs(GF(3), [2, 1, 1]))  # w = 4 > p = 3
     with pytest.raises(PrecisionError):
         li_direct(3, 4, q_series(2))
 
@@ -123,6 +123,72 @@ def test_lift_independence_all_params():
                 tail = [QQ.random_element(rng) for _ in range(w - m)]
                 lift = TruncatedSeries.from_coeffs(QQ, list(base.coeffs) + tail)
                 assert li_via_lift(m, w, lift) == reference
+
+
+# (m, w) with the primes p >= w the reduction oracle reads, p = w included wherever w is prime
+REDUCTION_PRIMES = {
+    (2, 3): (3, 5, 101, 10**6 + 3),
+    (3, 4): (5, 7, 101, 10**6 + 3),
+    (3, 5): (5, 7, 101, 10**6 + 3),
+    (4, 5): (5, 7, 101, 10**6 + 3),
+    (4, 7): (7, 11, 101, 10**6 + 3),
+    (5, 9): (11, 13, 101, 10**6 + 3),
+    (6, 11): (11, 13, 101, 10**6 + 3),
+}
+
+
+def _p_integral_point(m, p, rng, height=10):
+    """A flat QQ series of precision m whose coefficients have denominators prime to p and whose
+    constant term reduces outside {0, 1} mod p, so its reduction is flat over GF(p)."""
+    while True:
+        coeffs = [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(m)]
+        s = coeffs[0]
+        if all(c.denominator % p for c in coeffs) and s.numerator * (s.denominator - s.numerator) % p:
+            return coeffs
+
+
+@pytest.mark.parametrize("m, w", sorted(REDUCTION_PRIMES))
+def test_li_reduces_mod_p_at_p_integral_points(m, w):
+    """li_direct over GF(p) at the reduction of a p-integral QQ point is the reduction of li_direct over QQ,
+    and li_via_lift of random-tail lifts at each precision from w to min(p, w + 2) equals it."""
+    rng = random.Random(1000 * m + w)
+    for p in REDUCTION_PRIMES[m, w]:
+        field = GF(p)
+        for _ in range(24):
+            coeffs = _p_integral_point(m, p, rng)
+            expected = field.element(li_direct(m, w, TruncatedSeries.from_coeffs(QQ, coeffs)).value)
+            base = TruncatedSeries.from_coeffs(field, coeffs)
+            assert li_direct(m, w, base) == expected, (m, w, p, coeffs)
+            for precision in range(w, min(p, w + 2) + 1):
+                for _ in range(2):
+                    tail = [rng.randrange(p) for _ in range(precision - m)]
+                    lift = TruncatedSeries.from_coeffs(field, list(base.coeffs) + tail)
+                    assert li_via_lift(m, w, lift) == expected, (m, w, p, coeffs, tail)
+
+
+def test_li_over_gf_p_needs_p_at_least_w():
+    """p = w is defined (and li_{2,3} over GF(3) is its closed form); a lift past p is refused, as li_direct
+    refuses w > p (test_li_direct_validation)."""
+    f3 = GF(3)
+    for a1 in range(3):
+        a = TruncatedSeries(f3, (2, a1))
+        assert li_direct(2, 3, a) == li_via_lift(2, 3, a.with_precision(3)) == li_closed_form(2, 3, f3.element(2), a1)
+    with pytest.raises(PrecisionError, match=r"^log_circ at precision 4 over GF\(3\)"):
+        li_via_lift(3, 4, TruncatedSeries(f3, (2, 1, 1, 0)))
+    with pytest.raises(PrecisionError, match=r"^log_circ at precision 4 over GF\(3\)"):
+        li_via_lift(2, 3, TruncatedSeries(f3, (2, 1, 0, 0)))
+
+
+@pytest.mark.parametrize("m, w", CLOSED_FORM_PARAMS)
+def test_closed_forms_are_an_oracle_over_gf_p(m, w):
+    """li_direct equals the displayed closed form at every flat point of GF(5)^m and GF(7)^m."""
+    for p in (5, 7):
+        field = GF(p)
+        flat = [point for point in itertools.product(range(p), repeat=m) if point[0] not in (0, 1)]
+        assert len(flat) == (p - 2) * p ** (m - 1)
+        for point in flat:
+            direct = li_direct(m, w, TruncatedSeries(field, point))
+            assert direct == li_closed_form(m, w, field.element(point[0]), *point[1:]), (m, w, p, point)
 
 
 def test_pentagon_hand_witness():
@@ -317,7 +383,7 @@ def test_cold_and_warm_memos_give_the_same_values():
                 + [field.inv(x) for x in range(1, 101)])
 
     first = values(cold)
-    assert set(cold.memos) == {dilog._pounds1, dilog._li2p_weight}
+    assert set(cold.memos) == {dilog._li2p_weight}
     assert first == values(cold) == values(GF(101))
 
 
@@ -325,17 +391,14 @@ def _assert_memos_hold_their_residues(field):
     """At most p keys per memo, each a least residue, each value recomputed without a memo."""
     p = field.p
     memos = {"inv": field._inv, **{fn.__name__: memo for fn, memo in field.memos.items()}}
-    assert set(memos) <= {"inv", "_pounds1", "_li2p_weight"}
+    assert set(memos) <= {"inv", "_li2p_weight"}
     for name, memo in memos.items():
         assert len(memo) <= p and all(type(x) is int and 0 <= x < p for x in memo), (p, name)
     for x, value in field._inv.items():
         assert x * value % p == (x != 0), (p, x)
-    pounds = {x: sum(pow(x, i, p) * pow(i, -1, p) for i in range(1, p)) % p
-              for x in set(memos.get("_pounds1", ())) | set(memos.get("_li2p_weight", ()))}
-    for x, value in memos.get("_pounds1", {}).items():
-        assert value == pounds[x], (p, x)
     for s, value in memos.get("_li2p_weight", {}).items():
-        assert value == pounds[s] * pow(s * (1 - s), -1, p) % p, (p, s)
+        pounds = sum(pow(s, i, p) * pow(i, -1, p) for i in range(1, p)) % p
+        assert value == pounds * pow(s * (1 - s), -1, p) % p, (p, s)
 
 
 def test_memos_hold_at_most_p_least_residues_after_exhaustive_checks():
@@ -346,13 +409,13 @@ def test_memos_hold_at_most_p_least_residues_after_exhaustive_checks():
     for p in (7, 43, 101):
         assert GF(p).memos, p
         _assert_memos_hold_their_residues(GF(p))
-    # pounds1 reads a lift that is not the least residue under its least residue's key
+    # pounds1 of a lift that is not the least residue equals the least residue's, and is stored nowhere
     field = GF(43)
     for x in range(43):
         for k in (-2, -1, 1, 3):
             assert pounds1(FieldElement(field, x + k * 43)) == pounds1(field.element(x)), (x, k)
     _assert_memos_hold_their_residues(field)
-    assert len(field.memos[dilog._pounds1]) == 43
+    assert set(field.memos) == {dilog._li2p_weight}
 
 
 def test_residue_memos_stop_growing_at_the_cap(monkeypatch):
@@ -367,11 +430,12 @@ def test_residue_memos_stop_growing_at_the_cap(monkeypatch):
             assert field.inv(s) == pow(s, -1, p)
             weight = dilog._pounds1(field, s) * pow(s * (1 - s), -1, p) % p
             assert li2p(TruncatedSeries(field, (s, a))).value == a * weight % p
-    assert set(field.memos) == {dilog._pounds1, dilog._li2p_weight}
+    assert set(field.memos) == {dilog._li2p_weight}
     for memo in (field._inv, *field.memos.values()):
         assert len(memo) == 8
     assert all(x * y % p == 1 for x, y in field._inv.items())
-    assert all(y == dilog._pounds1(field, x) for x, y in field.memos[dilog._pounds1].items())
+    assert all(y == dilog._pounds1(field, x) * pow(x * (1 - x), -1, p) % p
+               for x, y in field.memos[dilog._li2p_weight].items())
 
 
 def test_li2p_involution_witness():

@@ -1008,6 +1008,36 @@ def test_lazy_cluster_judge_matches_the_reference_reports(monkeypatch):
     assert all(report["verdict"] == "pass" and report["valid"] for report in lazy)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_named_a2_five_term_and_the_a2_cluster_sum_judge_the_same_sums(p):
+    """At (y1, y2), the named judge hands li2p the -y_r that the A2 trajectory judge reads at (-y1, -y2),
+    in order and with unit weights, and each side rejects exactly the points the other rejects."""
+    field = GF(p)
+    named_args, cluster_terms = [], []
+
+    def recording_li2p(y):
+        named_args.append(y)
+        return field.zero
+
+    def recording_verdict(terms, inputs):
+        cluster_terms.extend(terms)
+        return {"ok": True}
+
+    named = verify._a2_five_term_charp(field, recording_li2p)
+    *_, trajectory = verify._cluster_judge("A2", recording_verdict)
+    valid = 0
+    for coords in itertools.product(range(p), repeat=4):
+        y1, y2 = TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:])
+        named_args.clear()
+        cluster_terms.clear()
+        rejected = named(y1, y2) is None
+        assert rejected == (trajectory((-y1, -y2)) is None), coords
+        assert named_args == [value for _, value in cluster_terms], coords
+        assert all(weight == 1 for weight, _ in cluster_terms), coords
+        valid += not rejected
+    assert valid == (p - 2) * (p - 3) * p * p  # 150, 980, 8 712 and 18 590 points
+
+
 def test_unit_weights_take_no_field_product(monkeypatch):
     field = GF(7)
     args = [field.element(3), field.element(5)]
