@@ -7,9 +7,10 @@ rewriting applied on insertion.  Consumers are linear: the antisymmetric
 functional pairs (ell_i ^ ell_j) and the rationalized zero test.  A ledger
 resolves each term to (coeff, log left, log right): each side's log_circ as an
 int numerator tuple on one ledger-wide common denominator, computed afresh on
-every evaluation, with no cache or side index.  _pair_sums evaluates the
-antisymmetric form of every coordinate pair of a list on such rows in one
-pass, as ints: a field value is made only for a result.
+every evaluation, with no cache or side index: preconditions are checked once
+per ledger and each side is one call of the field's log kernel.  _pair_sums
+evaluates the antisymmetric form of every coordinate pair of a list on such
+rows in one pass, as ints: a field value is made only for a result.
 
 Zero testing works through the splitting of a unit a into its constant a(0)
 and the principal part exp(log_circ(a)).  Rationally (torsion discarded) a
@@ -45,7 +46,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .fields import FieldElement
-from .series import NonUnitError, NotFlatError, PrecisionError, TruncatedSeries, log_circ
+from .series import NonUnitError, NotFlatError, PrecisionError, TruncatedSeries, _require_charp_precision, log_circ
 
 __all__ = [
     "WedgeLedger",
@@ -86,11 +87,11 @@ class WedgeLedger:
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"ledger coefficient must be an integer, got {coeff!r}")
             for side in (left, right):
-                if not side.is_unit:
+                if not side.nums[0]:
                     raise NonUnitError(f"ledger entry {side} is not a unit")
                 if reference is None:
                     reference = side
-                elif side.field is not reference.field or side.precision != reference.precision:
+                elif side.field is not reference.field or len(side.nums) != len(reference.nums):
                     raise PrecisionError("all ledger entries must share field and precision")
             if coeff:
                 checked.append((coeff, left, right))
@@ -100,12 +101,20 @@ class WedgeLedger:
         """(den, ((coeff, log(left), log(right)), ...)), a pure function of terms.
 
         A log is the numerator tuple of log_circ(side), scaled to the common
-        denominator den of all logs; each call computes two logs per term.
+        denominator den of all logs: two logs per term on each call, after one
+        precondition check per ledger, each side one call of the field's kernel.
         """
-        logs = [log_circ(side) for _, left, right in self.terms for side in (left, right)]
-        den = math.lcm(*(log.den for log in logs))
-        nums = [log.nums if log.den == den else tuple(x * (den // log.den) for x in log.nums) for log in logs]
-        return den, tuple((c, nums[2 * k], nums[2 * k + 1]) for k, (c, _, _) in enumerate(self.terms))
+        return _log_rows(self.terms)
+
+
+def _log_rows(terms) -> tuple[int, tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]:
+    """logged() of unit terms sharing field and precision: one char-p precision check, one kernel call a side."""
+    if terms:
+        _require_charp_precision(terms[0][1], "log_circ")
+    logs = [side.field.log_circ(side.nums, side.den) for _, left, right in terms for side in (left, right)]
+    den = math.lcm(*(d for _, d in logs))
+    nums = [n if d == den else tuple(x * (den // d) for x in n) for n, d in logs]
+    return den, tuple((c, nums[2 * k], nums[2 * k + 1]) for k, (c, _, _) in enumerate(terms))
 
 
 def delta(alpha: TruncatedSeries) -> WedgeLedger:

@@ -31,7 +31,7 @@ and stored below _MEMO_CAP keys; pounds1 is evaluated on every call.
 
 from __future__ import annotations
 
-from .bloch import _pair_sums, delta
+from .bloch import _log_rows, _pair_sums
 from .fields import FieldElement
 from .series import (
     NotFlatError,
@@ -103,8 +103,9 @@ def li_via_lift(m: int, w: int, lift: TruncatedSeries) -> FieldElement:
 
 
 def _lift_sum(lift: TruncatedSeries, top: int, count: int) -> FieldElement:
-    """sum_{1 <= i <= count} i * (ell_{top-i} ^ ell_i)(delta(lift)): one pass, one field value."""
-    den, rows = delta(lift).logged()
+    """sum_{1 <= i <= count} i * (ell_{top-i} ^ ell_i)(delta(lift)): one pass, one field value.
+    Callers refuse a non-flat lift, so both sides are units: one precondition check, one kernel call a side."""
+    den, rows = _log_rows([(1, 1 - lift, lift)])
     sums = _pair_sums(rows, [(top - i, i) for i in range(1, count + 1)])
     return FieldElement(lift.field, lift.field.quotient(sum(i * s for i, s in enumerate(sums, 1)), den * den))
 

@@ -16,7 +16,7 @@ from infdilog.bloch import (
     zero_test_rational,
 )
 from infdilog.fields import GF, QQ, FieldElement, PrimeField, RationalField
-from infdilog.series import NotFlatError, PrecisionError, TruncatedSeries, log_circ, random_series
+from infdilog.series import NonUnitError, NotFlatError, PrecisionError, TruncatedSeries, log_circ, random_series
 
 
 def q_series(*coeffs, precision=None):
@@ -416,17 +416,35 @@ def test_pentagon_delta_combination_zero_tests_to_zero():
 
 
 def test_ledger_validation():
-    with pytest.raises(Exception):
-        WedgeLedger([(1, q_series(0, 1), q_series(2, 1))])
-    with pytest.raises(TypeError):
-        WedgeLedger([(Fraction(1, 2), q_series(2, 1), q_series(2, 1))])
-    assert WedgeLedger([(0, q_series(2, 1), q_series(3, 1))]).terms == ()
+    unit, other = q_series(2, 1), q_series(3, 1)
+    for terms in ([(1, q_series(0, 1), unit)], [(1, unit, q_series(0, 1))]):
+        with pytest.raises(NonUnitError, match=r"^ledger entry 0 \+ 1\*t is not a unit$"):
+            WedgeLedger(terms)
+    for terms in ([(1, unit, q_series(3, 1, 0))],  # within a term
+                  [(1, unit, other), (2, q_series(2, 1, 0), q_series(3, 1, 0))],  # across terms
+                  [(1, unit, TruncatedSeries.from_coeffs(GF(5), [3, 1]))],  # same precision, another field
+                  [(1, unit, other), (1, TruncatedSeries.from_coeffs(GF(5), [2, 1]), unit)]):
+        with pytest.raises(PrecisionError, match=r"^all ledger entries must share field and precision$"):
+            WedgeLedger(terms)
+    with pytest.raises(TypeError, match=r"^ledger coefficient must be an integer, got True$"):
+        WedgeLedger([(True, unit, other)])
+    with pytest.raises(TypeError, match=r"^ledger coefficient must be an integer, got Fraction\(1, 2\)$"):
+        WedgeLedger([(Fraction(1, 2), unit, unit)])
+    assert WedgeLedger([(0, unit, other)]).terms == ()
+
+
+def _log_kernel_calls(monkeypatch):
+    """The list, in call order, of ((a, da), result) for every call of RationalField.log_circ and
+    PrimeField.log_circ, the field kernels that a ledger calls once per side."""
+    calls = []
+    for cls in (RationalField, PrimeField):
+        monkeypatch.setattr(cls, "log_circ", lambda self, a, da, original=cls.log_circ:
+                            calls.append(((a, da), original(self, a, da))) or calls[-1][1])
+    return calls
 
 
 def test_ledger_computes_each_log_once(monkeypatch):
-    calls = []
-    original = bloch.log_circ
-    monkeypatch.setattr(bloch, "log_circ", lambda a: calls.append(a) or original(a))
+    calls = _log_kernel_calls(monkeypatch)
     dilog.li_via_lift(4, 7, q_series(2, 1, 3, -1, 5, 0, 2))
     assert len(calls) == 2  # delta(lift) has the two sides 1 - lift and lift
     calls.clear()
@@ -502,23 +520,85 @@ def test_a_passing_charp_zero_test_builds_no_field_element(monkeypatch):
 
 
 def test_ledger_keeps_a_log_already_over_its_denominator(monkeypatch):
-    logs = {}
-    original = bloch.log_circ
-    monkeypatch.setattr(bloch, "log_circ", lambda side: logs.setdefault(side, original(side)))
-    # over GF(p) every denominator is 1, so every log tuple is log_circ's own
+    calls = _log_kernel_calls(monkeypatch)
+    # over GF(p) every denominator is 1, so every log tuple is the kernel's own, called on each side in turn
     f7 = GF(7)
     a, b = (TruncatedSeries.from_coeffs(f7, c) for c in ([3, 1, 2, 0, 5], [2, 6, 0, 1, 1]))
     ledger = WedgeLedger([(1, a, b), (2, b, a * b)])
     den, logged = ledger.logged()
     assert den == 1
-    for (_, lo, ro), (_, left, right) in zip(logged, ledger.terms):
-        assert lo is logs[left].nums and ro is logs[right].nums
+    sides = [side for _, left, right in ledger.terms for side in (left, right)]
+    assert [vector for vector, _ in calls] == [(side.nums, side.den) for side in sides]
+    logs = [nums for _, (nums, _) in calls]
+    for k, (_, lo, ro) in enumerate(logged):
+        assert lo is logs[2 * k] and ro is logs[2 * k + 1]
     # over QQ a log with the ledger's denominator is kept and another is scaled
+    calls.clear()
     half, one = q_series(2, 1, 0), q_series(1, 1, 0)
     den, ((_, lo, ro),) = WedgeLedger([(1, half, one)]).logged()
-    assert (den, logs[half].den, logs[one].den) == (8, 8, 2)
-    assert lo is logs[half].nums
-    assert ro == tuple(4 * x for x in logs[one].nums)
+    (_, (half_log, half_den)), (_, (one_log, one_den)) = calls
+    assert (den, half_den, one_den) == (8, 8, 2)
+    assert lo is half_log
+    assert ro == tuple(4 * x for x in one_log)
+
+
+def _check_lift_sums(lift, params, p=None):
+    """li_via_lift(m, w, lift) for (m, w) in params, _lift_sum(lift, N, count) at every count below the lift's
+    precision N, and over GF(p) li2p_via_lift(lift), against sums of apply_functional_pair on delta(lift), pair by
+    pair; the pairs at top N are also checked against _reference_pair_values, which logs by series.log_circ."""
+    field, ledger, n = lift.field, delta(lift), lift.precision
+    pairs = {top: [apply_functional_pair(top - i, i, ledger) for i in range(1, top)]
+             for top in {n, *(w for _, w in params)}}
+    assert pairs[n] == _reference_pair_values(field, ledger, [(n - i, i) for i in range(1, n)])
+
+    def weighted(top, count):
+        return sum((i * v for i, v in enumerate(pairs[top][:count], 1)), field.zero)
+
+    for count in range(1, n):
+        assert dilog._lift_sum(lift, n, count) == weighted(n, count), (lift, count)
+    for m, w in params:
+        assert dilog.li_via_lift(m, w, lift) == weighted(w, w - m), (lift, m, w)
+    if p is not None:
+        assert dilog.li2p_via_lift(lift) == weighted(p, p - 1) / 2, lift
+
+
+def test_lift_sums_match_the_functional_pair_reference():
+    """The lift sums read delta(lift)'s rows straight from _log_rows; the reference goes through the validated
+    ledger and apply_functional_pair.  Over GF(5) every flat lift at precision 5; over GF(7) (588 245 flat lifts
+    at precision 7) every flat choice of the three lowest coefficients, each with one seeded tail; over QQ seeded
+    lifts at (m, w) = (2, 3), (4, 7) and (5, 9), at precision w and w + 1."""
+    rng = random.Random(45)
+    for p, head in ((5, 5), (7, 3)):
+        field = GF(p)
+        params = [(m, w) for m in range(2, p) for w in range(m + 1, min(2 * m, p + 1))]
+        for coeffs in itertools.product(range(2, p), *[range(p)] * (head - 1)):
+            lift = TruncatedSeries(field, (*coeffs, *(rng.randrange(p) for _ in range(p - head))))
+            _check_lift_sums(lift, params, p)
+    for m, w in ((2, 3), (4, 7), (5, 9)):
+        for precision in (w, w + 1):
+            for _ in range(20):
+                lift = next(u for u in iter(lambda: random_series(QQ, precision, rng, 6), None) if u.is_flat)
+                _check_lift_sums(lift, [(m, w)])
+
+
+def test_a_gf_p_ledger_past_p_is_refused_once_before_any_log(monkeypatch):
+    """Over GF(p) a lift or ledger of precision above p is refused with log_circ's message, read once per ledger
+    from its first side, before any log kernel runs."""
+    calls = _log_kernel_calls(monkeypatch)
+    for p in (3, 5, 7):
+        field, n = GF(p), p + 1
+        lift = TruncatedSeries.from_coeffs(field, [2, 1, 1], n)
+        ledger = WedgeLedger([(1, 1 - lift, lift), (2, lift, TruncatedSeries.from_coeffs(field, [1, 1], n))])
+        message = rf"^log_circ at precision {n} over GF\({p}\) would divide by {p}; precision must not exceed {p}$"
+        for refused in (lambda: dilog.li_via_lift(2, 3, lift), lambda: zero_test_rational(ledger),
+                        lambda: apply_functional_pair(1, 2, ledger), ledger.logged):
+            with pytest.raises(PrecisionError, match=message):
+                refused()
+    assert calls == []
+    # at precision p the same ledger is evaluated, two logs per term
+    lift = TruncatedSeries.from_coeffs(GF(5), [2, 1, 1], 5)
+    zero_test_rational(WedgeLedger([(1, 1 - lift, lift), (2, lift, lift)]))
+    assert len(calls) == 4
 
 
 def _logged_reference(ledger):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from infdilog import bloch, cluster, dilog, fields, verify
-from infdilog.fields import GF, QQ, Field, FieldMismatchError, RationalField
+from infdilog.fields import GF, QQ, Field, FieldMismatchError, PrimeField, RationalField
 from infdilog.series import TruncatedSeries, random_series
 
 
@@ -555,7 +555,8 @@ def _dropped_y_k_b(original):
     return mutate
 
 
-def _bumped_rational_log(original):
+def _bumped_log(original):
+    """A field's log_circ kernel with the t^2 coefficient off by one (normalize reduces it mod p over GF(p))."""
     def log_circ(self, a, da):
         nums, den = original(self, a, da)
         return self.normalize([*nums[:2], nums[2] + den, *nums[3:]], den) if len(nums) > 2 else (nums, den)
@@ -664,7 +665,7 @@ KILL_MATRIX = {
     ]),
     # the t^2 coefficient of every rational log_circ off by one: each family
     # that reads a log at precision 3 or more fails
-    "rational log t^2 + 1": (_wrap(RationalField, "log_circ", _bumped_rational_log), [
+    "rational log t^2 + 1": (_wrap(RationalField, "log_circ", _bumped_log), [
         (lambda: verify.check_oracle_agreement(3, 4, trials=3), "oracle-agreement[m=3,w=4]",
          {"inputs": {"a": "-5/4 + 5/9*t + -4/3*t^2"},
           "value": "direct 1374656/14348907 vs closed 674816/14348907"}, None),
@@ -680,6 +681,18 @@ KILL_MATRIX = {
           "value": "-622674/4375"}, None),
         (lambda: verify.check_lemma_wedge("A2", trials=3), "lemma[A2,q,N=6,random[3]]",
          _lemma_a2_witness("-499/912"), None),
+    ]),
+    # the same defect in the GF(p) kernel, which the wedge ledgers and the lift sums call directly: the lemma's
+    # zero test over GF(7) and the lift expression of li2p fail at every valid point
+    "prime log t^2 + 1": (_wrap(PrimeField, "log_circ", _bumped_log), [
+        (_lemma_wedge_gf7, "lemma[B2,fp7,N=6,exhaustive-constants]",
+         {"inputs": {"alpha_1": "1 + 2*t + 0*t^2 + 5*t^3 + 1*t^4 + 6*t^5",
+                     "alpha_2": "1 + 3*t + 3*t^2 + 3*t^3 + 3*t^4 + 0*t^5"},
+          "value": "infinitesimal: (ell_1 ^ ell_2) evaluates to 2"}, (16, 16)),
+        (lambda: verify.check_li2p_lift(5), "li2p-lift[p=5]",
+         {"inputs": {"lift": "2 + 0*t + 3*t^2 + 3*t^3 + 0*t^4"}, "value": "3 != 0"}, (15, 15)),
+        (lambda: verify.check_li2p_lift(7), "li2p-lift[p=7]",
+         {"inputs": {"lift": "2 + 0*t + 5*t^2 + 6*t^3 + 6*t^4 + 0*t^5 + 2*t^6"}, "value": "4 != 0"}, (35, 35)),
     ]),
     # the t coefficient of every series inverse off by one, in both characteristics
     "series inverse t + 1": (_wrap(TruncatedSeries, "invert", _bumped_inverse), [
@@ -780,6 +793,10 @@ def test_all_ones_symmetrizer_is_caught(monkeypatch):
 
 def test_wrong_rational_log_is_caught(monkeypatch):
     _kill(monkeypatch, "rational log t^2 + 1")
+
+
+def test_wrong_prime_log_is_caught(monkeypatch):
+    _kill(monkeypatch, "prime log t^2 + 1")
 
 
 def test_wrong_series_inverse_is_caught(monkeypatch):
