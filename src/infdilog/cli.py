@@ -41,8 +41,8 @@ _FLAGS: dict[str, tuple[dict, int | None]] = {
     "field": ({"choices": ("q", "fp"), "default": "q",
                "help": "coefficient field: rationals (q) or GF(p) (fp); default q"}, None),
     "p": ({"type": int, "help": "odd prime characteristic (required with --field fp)"}, None),
-    "m": ({"type": int, "help": "modulus (1 < m)"}, None),
-    "w": ({"type": int, "help": "weight (m < w < 2m)"}, None),
+    "m": ({"type": int, "required": True, "help": "modulus (1 < m)"}, None),
+    "w": ({"type": int, "required": True, "help": "weight (m < w < 2m)"}, None),
     "pattern": ({"help": f"built-in pattern name ({', '.join(cluster.BUILTIN_PATTERNS)})"}, None),
     "pattern-file": ({"help": "path to a JSON pattern config"}, None),
     "trials": ({"type": int, "default": 100, "help": "requested valid sample count; default 100"}, 1),
@@ -134,12 +134,6 @@ def _load_pattern(args):
         raise ValueError(f"invalid pattern: {exc}") from exc
 
 
-def _validate_mw(args) -> tuple[int, int]:
-    if args.m is None or args.w is None:
-        raise ValueError("this check requires --m and --w")
-    return args.m, args.w
-
-
 def _parse_point(text: str, field: Field, precision: int) -> tuple[TruncatedSeries, ...]:
     try:
         if text.lstrip().startswith("["):
@@ -182,9 +176,9 @@ def _report(args) -> verify.CheckReport:
     """
     kind = args.check if args.command == "check" else args.command
     if kind == "pentagon":
-        return verify.check_pentagon(*_validate_mw(args), trials=args.trials, height=args.height, seed=args.seed)
+        return verify.check_pentagon(args.m, args.w, trials=args.trials, height=args.height, seed=args.seed)
     if kind == "cluster":
-        return verify.check_cluster_char0(_load_pattern(args), *_validate_mw(args), trials=args.trials,
+        return verify.check_cluster_char0(_load_pattern(args), args.m, args.w, trials=args.trials,
                                           height=args.height, seed=args.seed)
     if kind == "cluster-p":
         return verify.check_cluster_charp(_load_pattern(args), _field(args).characteristic,
@@ -198,7 +192,7 @@ def _report(args) -> verify.CheckReport:
                                         height=args.height, seed=args.seed,
                                         exhaustive_constants=args.exhaustive)
     if kind == "welldef":
-        return verify.check_welldef(*_validate_mw(args), trials=args.trials,
+        return verify.check_welldef(args.m, args.w, trials=args.trials,
                                     perturbations=args.perturbations, height=args.height, seed=args.seed)
     return verify.check_periodicity_report(_load_pattern(args), trials=args.trials, height=args.height,
                                            seed=args.seed, field=_field(args),
@@ -207,16 +201,23 @@ def _report(args) -> verify.CheckReport:
 
 def _check_out(path: str, parser) -> None:
     """Refuse an --out that open() could not write, before any check runs and with the OSError it
-    would raise, without creating or truncating the file; _emit still refuses a write that fails later."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not path or not os.path.isdir(parent):
-        code = errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
+    would raise, without creating or truncating the file; _emit still refuses a write that fails later.
+
+    As open(path, "w") does, walk to the parent directory, refuse a trailing separator or a directory as the
+    file, then ask for write permission on the file, or on the parent that would hold a new one."""
+    parent = os.path.dirname(path.rstrip(os.sep)) or os.curdir
+    try:
+        os.stat(os.path.join(parent, ""))  # the trailing separator makes a parent that is a file ENOTDIR
+        if not path:
+            code = errno.ENOENT
+        elif path.endswith(os.sep) or os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            return
+    except OSError as exc:  # the walk's own error: ENOENT, ENOTDIR, EACCES or ELOOP
+        code = exc.errno
     parser.error(f"cannot write --out: {OSError(code, os.strerror(code), path)}")
 
 

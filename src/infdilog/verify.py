@@ -3,19 +3,23 @@
 Every check asserts exact equality with zero; there are no tolerances.  All
 checks share one driver: a judge maps a point to None when a validity filter (a
 failed inversion, a non-flat value) rejects it, or else to a witness dict, and
-`_tally` keeps the counts.  Every identity stated as a weighted sum of one
-dilogarithm that must vanish is judged by the one witness builder, `_vanishing`,
-from its (weight, argument) terms, as a raw sum reduced once; a char-p
-enumeration reads li2p (`_li2p_values`) from a memo that lives for one check, a
-sampled char-p check calls li2p directly, and four_term's pounds1 and the
-pentagon substitution's units come from memos that live for one check too.
-Each identity has one judge, which takes series and the field's
-dilogarithm and runs in either characteristic: `_pentagon_judge`, `_lift_judge`
-(welldef and li2p-lift) and the trajectory judge `_cluster_judge` (both cluster
-sums and the lemma), which walks the schedule lazily and rejects a point at its
-first non-flat recorded value before mutating past it; only the point sources
-differ between fields.  A point source is either an exhaustive enumeration
-(`_exhaust`) or seeded sampling (`_resample`).  `_sampled` opens every sampled
+`_tally` keeps the counts.  Every judge has one call shape: a point's
+coordinates are its positional arguments, judge(*point), whether they are least
+residues, dual numbers or series.  Every identity stated as a weighted sum of
+one dilogarithm that must vanish is judged by the one witness builder,
+`_vanishing`, from its (weight, argument) terms, as a raw sum reduced once, with
+one exception: scale-weight, li(lam a) - lam^w li(a), names both sides in its
+own "lhs vs rhs" witness.  A char-p enumeration reads li2p (`_li2p_values`)
+from a memo that lives for one check, a sampled char-p check calls li2p
+directly, and four_term's pounds1 and the pentagon substitution's units come
+from memos that live for one check too.  Each identity has one judge, which
+takes series and the field's dilogarithm and runs in either characteristic:
+`_pentagon_judge`, `_lift_judge` (welldef and li2p-lift) and the trajectory
+judge `_cluster_judge` (both cluster sums and the lemma), which walks the
+schedule lazily and rejects a point at its first non-flat recorded value before
+mutating past it; only the point sources differ between fields.  A point source
+is either an exhaustive enumeration (`_exhaust`) or seeded sampling
+(`_resample`).  `_sampled` opens every sampled
 report whose params are the family's own plus trials, height and seed, the
 lemma's too; only the coordinate checks (params p and mode) and periodicity
 (which can fail before a draw) open theirs by hand.  Trial k of a check, or
@@ -105,13 +109,9 @@ class CheckReport:
 
     MAX_WITNESSES = 5
 
-    def __init__(self, name: str, params: dict, attempted: int = 0, valid: int = 0,
-                 rejected: int = 0, failed: int = 0, witnesses: list | None = None,
-                 verdict: str = VERDICT_PASS) -> None:
-        self.name, self.params, self.attempted, self.valid = name, params, attempted, valid
-        self.rejected, self.failed = rejected, failed
-        self.witnesses = [] if witnesses is None else witnesses
-        self.verdict = verdict
+    def __init__(self, name: str, params: dict) -> None:
+        self.name, self.params, self.witnesses, self.verdict = name, params, [], VERDICT_PASS
+        self.attempted = self.valid = self.rejected = self.failed = 0
 
     @property
     def passed(self) -> bool:
@@ -186,9 +186,9 @@ def _seeded_points(report: CheckReport, p: int, k: int, seed: int):
 
 
 def _exhaust(report: CheckReport, points, judge, min_valid: int = 0) -> CheckReport:
-    """Judge every point of an enumerated point space."""
+    """Judge every point of an enumerated point space, each point's coordinates being judge's arguments."""
     for point in points:
-        _tally(report, judge(point))
+        _tally(report, judge(*point))
     return report.finish(min_valid=min_valid)
 
 
@@ -238,7 +238,7 @@ def _require_enumerable(p: int, dimension: int, remedy: str) -> None:
 
 def _check_coords(family: str, subject: str, params: dict, p: int, dimension: int,
                   trials: int | None, seed: int, judge, li2p=None) -> CheckReport:
-    """Judge points of GF(p)^dimension, given to judge as tuples of least residues.
+    """Judge points of GF(p)^dimension, their least residues being judge's positional arguments.
 
     The whole space is enumerated when it stays within EXHAUSTIVE_LIMIT and no
     trial count is forced; otherwise `trials` valid points are sampled.  A space
@@ -262,13 +262,11 @@ def _check_coords(family: str, subject: str, params: dict, p: int, dimension: in
     def dual(pair):
         return _series(field, (pair, 1))
 
-    def judge_duals(coords):
-        return judge(*[dual(coords[i:i + 2]) for i in range(0, dimension, 2)])
-    judge_coords = judge if li2p is None else judge_duals
+    judge_coords = judge if li2p is None else lambda *coords: judge(*map(dual, zip(coords[::2], coords[1::2])))
 
     if not exhaustive:
         return _resample(new_report(), trials, seed,
-                         lambda rng: judge_coords(tuple(rng.randrange(p) for _ in range(dimension))))
+                         lambda rng: judge_coords(*[rng.randrange(p) for _ in range(dimension)]))
     if li2p is not None:
         report = _exhaust_by_tangent_linearity(new_report(), p, dimension // 2, seed, judge, li2p, dual)
         if report is not None:
@@ -316,16 +314,17 @@ def _li2p_values(field: Field, trials: int | None = None):
 def _cluster_judge(pattern, verdict):
     """(matrix, name, weights, judge) of a pattern whose matrix returns to nu of itself.
 
-    judge(point) walks the schedule from point, reading each y_r before its mutation: None at the
-    first -y_r that is not flat (y_r or 1 + y_r is not a unit), else verdict(terms, inputs) of the
-    (theta_r, -y_r) pairs, where inputs() renders the point.  A flat -y_r makes y_r, 1 + y_r and
-    1 + 1/y_r units, so no mutation can fail; the unread last one never runs."""
+    judge(*point), one argument a coordinate, walks the schedule from point, reading each y_r before
+    its mutation: None at the first -y_r that is not flat (y_r or 1 + y_r is not a unit), else
+    verdict(terms, inputs) of the (theta_r, -y_r) pairs, where inputs() renders the point.  A flat
+    -y_r makes y_r, 1 + y_r and 1 + 1/y_r units, so no mutation can fail; the unread last one never
+    runs."""
     matrix, schedule, name = _resolve_pattern(pattern)
     if not cluster.matrix_returns(matrix, schedule):
         raise ValueError(f"pattern {name} is not nu-periodic at the matrix level")
     weights = schedule.resolved_theta(matrix)
 
-    def judge(point):
+    def judge(*point):
         terms = []
         for r, seed in zip(schedule.directions, cluster.walk(matrix, point, schedule.directions)):
             value = -seed.ys[r]
@@ -486,12 +485,11 @@ def check_li2p_lift(p: int, perturbations: int = 3, seed: int = 0) -> CheckRepor
     )
     judge = _lift_judge(field, dilog.li2p, dilog.li2p_via_lift, p)
 
-    def evaluate(item):
-        index, (s, a) = item
-        if s in (0, 1):
+    def evaluate(index, dual):
+        if dual[0] in (0, 1):
             return None
         rng = _derive_rng(seed, report.name, index)  # the rng of point index, as _seeded_points derives it
-        return judge(_series(field, ((s, a), 1)),
+        return judge(_series(field, (dual, 1)),
                      [tuple([rng.randrange(p) for _ in range(2, p)]) for _ in range(perturbations)])
 
     return _exhaust(report, enumerate(itertools.product(range(p), repeat=2)), evaluate, min_valid=1)
@@ -514,7 +512,7 @@ def check_cluster_char0(
         QQ, lambda y: dilog.li_direct(m, w, y), terms, inputs))
     return _sampled(f"cluster0[{name},m={m},w={w}]", {"pattern": name, "m": m, "w": w, "theta": list(weights)},
                     trials, height, seed,
-                    lambda rng: judge(tuple(random_series(QQ, m, rng, height) for _ in range(matrix.n))))
+                    lambda rng: judge(*[random_series(QQ, m, rng, height) for _ in range(matrix.n)]))
 
 
 def check_cluster_charp(
@@ -535,7 +533,7 @@ def check_cluster_charp(
     matrix, name, weights, judge = _cluster_judge(pattern, lambda terms, inputs: _vanishing(
         field, li2p, terms, inputs, "li2p sum "))
     return _check_coords("clusterp", name, {"pattern": name, "theta": list(weights)},
-                         p, 2 * matrix.n, trials, seed, lambda *duals: judge(duals), li2p)
+                         p, 2 * matrix.n, trials, seed, judge, li2p)
 
 
 # -- named char-p identities --------------------------------------------------
@@ -545,8 +543,7 @@ def _four_term(field, _):
     p = field.characteristic
     pounds1 = _Memo(lambda x: dilog.pounds1(FieldElement(field, x)))  # per check, on first use: p may be ~10^9
 
-    def judge(coords):
-        r, s = coords
+    def judge(r, s):
         if r in (0, 1) or s in (0, 1) or r == s:
             return None
         # the weights r^p and (s - 1)^p are r and s - 1 in GF(p)
@@ -583,8 +580,7 @@ def _a2_pentagon_substitution(field, li2p):
         return x, x.invert(), 1 - x, (1 - x).invert()
     memo = _Memo(units)
 
-    def judge(coords):
-        r, s = coords
+    def judge(r, s):
         if r in (0, 1) or s in (0, 1) or r == s:
             return None
         (x, inv_x, one_minus_x, _), (y, _, _, inv_one_minus_y) = memo[r], memo[s]
@@ -595,7 +591,7 @@ def _a2_pentagon_substitution(field, li2p):
 
 # name: (make, dimension, dual); make(field, li2p) builds the judge once per check, li2p being the check's
 # `_li2p_values` (four_term keeps a memo of pounds1); dual: the judge takes dimension / 2 dual numbers as its
-# arguments, else one tuple of dimension least residues
+# arguments, else dimension least residues
 NAMED_IDENTITIES = {
     "four_term": (_four_term, 2, False),
     "elementary": (_elementary, 2, True),
@@ -666,15 +662,14 @@ def check_lemma_wedge(
     params = {"pattern": pattern_name, "field": field_tag, "precision": precision, "mode": mode}
     if not exhaustive_constants:
         return _sampled(name, params, trials, height, seed, lambda rng: judge(
-            tuple(random_series(field, precision, rng, height) for _ in range(matrix.n))))
+            *[random_series(field, precision, rng, height) for _ in range(matrix.n)]))
 
     _require_enumerable(p, matrix.n, "sample the constants instead")
     report = CheckReport(name, {**params, "seed": seed})
 
-    def judge_constants(item):
-        constants, rng = item
-        return judge(tuple(TruncatedSeries(field, (c, *(rng.randrange(p) for _ in range(precision - 1))))
-                           for c in constants))
+    def judge_constants(constants, rng):
+        return judge(*[TruncatedSeries(field, (c, *(rng.randrange(p) for _ in range(precision - 1))))
+                       for c in constants])
 
     return _exhaust(report, _seeded_points(report, p, matrix.n, seed), judge_constants, min_valid=1)
 
@@ -688,8 +683,7 @@ def check_theta_invariance(pattern) -> CheckReport:
     theta = cluster.skew_symmetrizer(matrix)
     report = CheckReport(name=f"theta-invariance[{name}]", params={"pattern": name, "theta": list(theta)})
 
-    def judge(item):
-        step, mat = item
+    def judge(step, mat):
         if cluster.skew_symmetrizes(theta, mat):
             return {"ok": True}
         return {"ok": False, "inputs": {"step": str(step)},

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -49,6 +50,17 @@ def test_invalid_modulus_weight_is_config_error():
     with pytest.raises(SystemExit) as err:
         run(["check", "cluster", "--pattern", "A2", "--m", "2", "--w", "4"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("check", ["pentagon", "cluster", "welldef"])
+def test_m_and_w_are_required_by_argparse(check, capsys):
+    pattern = ["--pattern", "A2"] if check == "cluster" else []
+    for given, missing in (([], "--m, --w"), (["--m", "2"], "--w"), (["--w", "3"], "--m")):
+        with pytest.raises(SystemExit) as err:
+            run(["check", check, *pattern, *given])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"infdilog check {check}: error: the following arguments are required: {missing}\n")
 
 
 def test_fp_requires_prime(capsys):
@@ -187,7 +199,7 @@ def test_pentagon_check_runs(capsys):
 def test_charp_pentagon_via_field_flag(capsys):
     # the char-p pentagon is the named dual identity; check pentagon has no field flags
     with pytest.raises(SystemExit) as err:
-        run(["check", "pentagon", "--field", "fp", "--p", "5"])
+        run(["check", "pentagon", "--m", "2", "--w", "3", "--field", "fp", "--p", "5"])
     assert err.value.code == 2
     assert "unrecognized arguments: --field fp --p 5" in capsys.readouterr().err
     assert run(["check", "named", "pentagon", "--p", "5"]) == 0
@@ -383,14 +395,21 @@ def _refuse_to_run(monkeypatch):
 def test_unwritable_out_is_refused_before_any_check_runs(command, tmp_path, capsys, monkeypatch):
     _refuse_to_run(monkeypatch)
     missing = tmp_path / "missing" / "report.json"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("kept")
     for out, reason in ((tmp_path, "[Errno 21] Is a directory"), (missing, "[Errno 2] No such file or directory"),
-                        ("", "[Errno 2] No such file or directory")):
+                        ("", "[Errno 2] No such file or directory"),
+                        (f"{missing.parent}{os.sep}", "[Errno 21] Is a directory"),
+                        (a_file / "report.json", "[Errno 20] Not a directory")):
         with pytest.raises(SystemExit) as err:
             run([*REPORT_COMMANDS[command], "--out", str(out)])
         assert err.value.code == 2
         # the text open() would give
         assert f"cannot write --out: {reason}: {str(out)!r}" in capsys.readouterr().err
+        with pytest.raises(OSError, match=re.escape(reason)):
+            open(out, "w")
     assert not missing.parent.exists()
+    assert a_file.read_text() == "kept"
 
 
 def test_out_in_a_read_only_directory_is_refused_before_the_battery_runs(tmp_path, capsys, monkeypatch):

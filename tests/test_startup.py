@@ -104,8 +104,9 @@ def test_make_and_replace_check_the_rank_too():
 
 def test_check_report_to_dict_is_a_copy_with_the_report_keys():
     witness = {"inputs": {"a": "2"}, "value": "1/3"}
-    report = verify.CheckReport("pentagon[m=2,w=3]", {"m": 2, "w": 3, "theta": [1, 2]},
-                                3, 2, 1, 1, [witness], "fail")
+    report = verify.CheckReport("pentagon[m=2,w=3]", {"m": 2, "w": 3, "theta": [1, 2]})
+    report.attempted, report.valid, report.rejected, report.failed = 3, 2, 1, 1
+    report.witnesses, report.verdict = [witness], "fail"
     expected = {"name": "pentagon[m=2,w=3]", "params": {"m": 2, "w": 3, "theta": [1, 2]},
                 "attempted": 3, "valid": 2, "rejected": 1, "failed": 1,
                 "witnesses": [{"inputs": {"a": "2"}, "value": "1/3"}], "verdict": "fail"}

@@ -226,7 +226,7 @@ def test_residue_judges_match_the_element_judges(monkeypatch, name, reference, v
     value = getattr(dilog, value_name)
     valid = 0
     for coords in itertools.product(range(43), repeat=2):
-        got = judge(coords)
+        got = judge(*coords)
         expected, terms = reference(field, coords)
         assert got == expected, coords
         if terms is None:
@@ -442,7 +442,7 @@ def test_lemma_ledger_sign_does_not_change_the_zero_test():
         trajectories = []
         _, _, _, judge = verify._cluster_judge(pattern, lambda terms, inputs: trajectories.append(terms))
         while len(trajectories) < 25:
-            judge(tuple(random_series(field, precision, rng, 10) for _ in range(2)))
+            judge(*[random_series(field, precision, rng, 10) for _ in range(2)])
         for terms, ones in itertools.product(trajectories, (False, True)):
             weighted = [(1 if ones else weight, beta) for weight, beta in terms]
             result = bloch.zero_test_rational(bloch.WedgeLedger([(w, b, 1 - b) for w, b in weighted]))
@@ -841,7 +841,7 @@ def _enumerate_every_point(report, p, dimension, judge):
     """The reference: the same dual judge over all of GF(p)^dimension, on a fresh report, each point
     (s_1, a_1, s_2, a_2, ...) handed over as the dual numbers s_i + a_i t made by the validating constructor."""
     fresh = verify.CheckReport(name=report.name, params=dict(report.params))
-    return verify._exhaust(fresh, itertools.product(range(p), repeat=dimension), lambda coords: judge(
+    return verify._exhaust(fresh, itertools.product(range(p), repeat=dimension), lambda *coords: judge(
         *(TruncatedSeries(GF(p), coords[i:i + 2]) for i in range(0, dimension, 2))))
 
 
@@ -974,7 +974,7 @@ def _reference_cluster_judge(pattern, verdict):
         raise ValueError(f"pattern {name} is not nu-periodic at the matrix level")
     weights = schedule.resolved_theta(matrix)
 
-    def judge(point):
+    def judge(*point):
         try:
             trajectory = cluster.run_schedule(matrix, point, schedule)
         except cluster.InvalidPointError:
@@ -1004,8 +1004,8 @@ def test_lazy_cluster_judge_matches_the_reference_at_every_point(pattern, p):
     outcomes = set()
     for coords in itertools.product(range(p), repeat=4):
         point = (TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:]))
-        outcome = judge(point)
-        assert outcome == reference(point), coords
+        outcome = judge(*point)
+        assert outcome == reference(*point), coords
         outcomes.add(None if outcome is None else outcome["ok"])
     assert outcomes == {None, True}
 
@@ -1048,11 +1048,53 @@ def test_named_a2_five_term_and_the_a2_cluster_sum_judge_the_same_sums(p):
         named_args.clear()
         cluster_terms.clear()
         rejected = named(y1, y2) is None
-        assert rejected == (trajectory((-y1, -y2)) is None), coords
+        assert rejected == (trajectory(-y1, -y2) is None), coords
         assert named_args == [value for _, value in cluster_terms], coords
         assert all(weight == 1 for weight, _ in cluster_terms), coords
         valid += not rejected
     assert valid == (p - 2) * (p - 3) * p * p  # 150, 980, 8 712 and 18 590 points
+
+
+def test_battery_sums_nest_only_where_a_named_identity_repeats_another_entry(monkeypatch):
+    """Every sum each exhaustive clusterp and named battery entry at p <= 7 hands the witness builder, with
+    the tangent shortcut off, as (function, weights mod p, least residues of the arguments in order): at one p,
+    one entry's sums lie inside another's only where a named identity re-judges sums another entry judges."""
+    monkeypatch.setattr(verify, "_li2p_is_tangent_linear", lambda p, li2p, dual: False)
+    li2p_lookups, values_of_li2p = [], verify._li2p_values
+    monkeypatch.setattr(verify, "_li2p_values", lambda *args: li2p_lookups.append(values_of_li2p(*args))
+                        or li2p_lookups[-1])
+    sums, vanishing = set(), verify._vanishing
+
+    def recording(field, value_of, terms, inputs, label=""):
+        terms = list(terms)
+        p = field.characteristic
+        function = "li2p" if any(value_of is lookup for lookup in li2p_lookups) else "pounds1"
+        args = tuple(arg if function == "pounds1" else arg.nums for _, arg in terms)
+        sums.add((function, tuple(field.element(w).value for w, _ in terms), args))
+        assert all(type(arg) is int and 0 <= arg < p for arg in args) if function == "pounds1" else all(
+            len(nums) == 2 and all(0 <= c < p for c in nums) for nums in args)
+        return vanishing(field, value_of, terms, inputs, label)
+
+    monkeypatch.setattr(verify, "_vanishing", recording)
+    judged = {}
+    for fn, kwargs in verify._battery(0):
+        if fn in (verify.check_cluster_charp, verify.check_named_identity) and kwargs["p"] <= 7:
+            sums.clear()
+            report = fn(**kwargs)
+            assert report.params["mode"] == "exhaustive" and len(sums) <= report.valid
+            if report.valid:
+                subject = kwargs.get("pattern") or kwargs["name"]
+                judged[(f"{report.name.split('[')[0]}[{subject}]", kwargs["p"])] = frozenset(sums)
+    assert len(judged) == 17  # all 22 entries but five at p = 3 with no valid point
+    nested = {(inner, outer, p) for (inner, p), (outer, q) in itertools.permutations(judged, 2)
+              if p == q and judged[(inner, p)] <= judged[(outer, q)]}
+    assert nested == {("named[a2_pentagon_substitution]", "named[pentagon]", 5),
+                      ("named[a2_pentagon_substitution]", "named[pentagon]", 7),
+                      ("named[a2_five_term_charp]", "clusterp[A2]", 5),
+                      ("clusterp[A2]", "named[a2_five_term_charp]", 5),
+                      # over GF(3), z^2 - z + 1 = (z + 1)^2, so 1 - z = 1/z at every flat z = 2 + a t
+                      ("named[elementary]", "named[involution]", 3),
+                      ("named[involution]", "named[elementary]", 3)}
 
 
 def test_unit_weights_take_no_field_product(monkeypatch):
