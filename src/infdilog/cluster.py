@@ -253,8 +253,8 @@ class YSeed(namedtuple("YSeed", "matrix ys")):
         for i, b in enumerate(matrix.rows[k]):
             if b == 0:  # b_kk = 0 too: y_k itself is only inverted
                 continue
-            try:
-                factor = (1 + (yk_inv if b > 0 else yk)) ** (-b)
+            try:  # (1 + y_k)^1 is its own base: no power call for b = -1
+                factor = 1 + yk if b == -1 else (1 + (yk_inv if b > 0 else yk)) ** (-b)
             except NonUnitError as exc:
                 raise InvalidPointError(
                     f"1 + y_{k + 1} is not invertible here", direction=k

@@ -37,6 +37,7 @@ from .series import (
     NotFlatError,
     PrecisionError,
     TruncatedSeries,
+    _require_charp_precision,
     exp_t,
     log_circ,
 )
@@ -71,19 +72,19 @@ def _require_flat(a: TruncatedSeries, what: str) -> None:
 def li_direct(m: int, w: int, a: TruncatedSeries) -> FieldElement:
     """Evaluate li_{m,w} by the defining formula at internal precision w.
 
-    The argument is read modulo t^m (it must carry at least m coefficients),
-    then zero-padded to precision w, matching the fact that the function
-    factors through the projection onto k[t]/(t^m).  Over GF(p) it needs
-    w <= p; a larger w raises PrecisionError from log_circ.
+    The argument is read modulo t^m (it needs m coefficients): li factors
+    through k[t]/(t^m), and u = log_circ(a mod t^m) zero-padded to precision w
+    is u|_m, as coefficient k of log_circ reads a_0 .. a_k only.  Over GF(p)
+    it needs w <= p; a larger w raises log_circ's PrecisionError.
     """
     validate_modulus_weight(m, w)
     if a.precision < m:
         raise PrecisionError(f"argument needs at least {m} coefficients, has {a.precision}")
     _require_flat(a, "li_direct")
 
-    rep = a.with_precision(m).with_precision(w)
-    u = log_circ(rep)
-    lg = log_circ(1 - rep.constant_term() * exp_t(u.truncate_below(m)))
+    u = log_circ(a.with_precision(m)).with_precision(w)
+    _require_charp_precision(u, "log_circ")  # the precision-w log that lg takes, refused before exp_t
+    lg = log_circ(1 - a.constant_term() * exp_t(u))
     # t_(w-1)(lg * du), du = (du/dt)|_(w-m) = sum_(j<w-m) (j+1) u_(j+1) t^j: an O(w) sum
     num = sum((j + 1) * u.nums[j + 1] * lg.nums[w - 1 - j] for j in range(w - m))
     return FieldElement(a.field, a.field.quotient(num, u.den * lg.den))

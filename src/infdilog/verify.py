@@ -2,40 +2,41 @@
 
 Every check asserts exact equality with zero; there are no tolerances.  All
 checks share one driver: a judge maps a point to None when a validity filter (a
-failed inversion, a non-flat value) rejects it, or else to a witness dict, and
-`_tally` keeps the counts.  Every judge has one call shape: a point's
-coordinates are its positional arguments, judge(*point), whether they are least
-residues, dual numbers or series.  Every identity stated as a weighted sum of
-one dilogarithm that must vanish is judged by the one witness builder,
-`_vanishing`, from its (weight, argument) terms, as a raw sum reduced once, with
-one exception: scale-weight, li(lam a) - lam^w li(a), names both sides in its
-own "lhs vs rhs" witness.  A char-p enumeration reads li2p (`_li2p_values`)
+failed inversion, a non-flat value) rejects it, to True when it holds, or else
+to the witness {"inputs", "value"} of its failure, and `_tally` keeps the
+counts.  Every judge has one call shape: a point's coordinates are its
+positional arguments, judge(*point), whether they are least residues, dual
+numbers or series.  Every identity stated as a weighted sum of one dilogarithm
+that must vanish is judged by the one witness builder, `_vanishing`, from its
+(weight, argument) terms, as a raw sum reduced once, with one exception:
+scale-weight, li(lam a) - lam^w li(a), names both sides in its own "lhs vs rhs"
+witness.  A char-p enumeration reads li2p (`_li2p_values`) as least residues
 from a memo that lives for one check, a sampled char-p check calls li2p
-directly, and four_term's pounds1 and the pentagon substitution's units come
-from memos that live for one check too.  Each identity has one judge, which
-takes series and the field's dilogarithm and runs in either characteristic:
-`_pentagon_judge`, `_lift_judge` (welldef and li2p-lift) and the trajectory
-judge `_cluster_judge` (both cluster sums and the lemma), which walks the
-schedule lazily and rejects a point at its first non-flat recorded value before
-mutating past it; only the point sources differ between fields.  A point source
-is either an exhaustive enumeration (`_exhaust`) or seeded sampling
-(`_resample`).  `_sampled` opens every sampled
-report whose params are the family's own plus trials, height and seed, the
-lemma's too; only the coordinate checks (params p and mode) and periodicity
-(which can fail before a draw) open theirs by hand.  Trial k of a check, or
-point k of an enumeration that draws per point, draws from random.Random
-seeded with the string "master seed:check id:k", so reports are deterministic
-and independent of execution order; rejected samples are resampled, up to
-RESAMPLE_FACTOR attempts per requested trial, and a sampled check that cannot
-gather enough valid samples reports that instead of passing.  Prime-field point
-spaces are enumerated exhaustively whenever p^dimension stays within
-EXHAUSTIVE_LIMIT and a trial count is not forced; above the limit a trial count
-is required.  A named identity is a judge factory, make(field, li2p) -> judge,
-built once per check with the check's li2p; a dual judge reads dual numbers.
-An exhaustive cluster-p or named check passes when no valid point fails, even
-if no point was valid: at p = 3 the A2 and B2 cluster sums and four of the
-named identities pass that way, with valid = 0 in their reports (the battery
-leaves out the pentagon at p = 3).
+directly, and four_term's pounds1 residues and the pentagon substitution's
+units come from memos that live for one check too.  Each identity has one
+judge, which takes series and the field's dilogarithm and runs in either
+characteristic: `_pentagon_judge`, `_lift_judge` (welldef and li2p-lift) and
+the trajectory judge `_cluster_judge` (both cluster sums and the lemma), which
+walks the schedule lazily and rejects a point at its first non-flat recorded
+value before mutating past it; only the point sources differ between fields.  A
+point source is either an exhaustive enumeration (`_exhaust`) or seeded
+sampling (`_resample`).  `_sampled` opens every sampled report whose params are
+the family's own plus trials, height and seed, the lemma's too; only the
+coordinate checks (params p and mode) and periodicity (which can fail before a
+draw) open theirs by hand.  Trial k of a check, or point k of an enumeration
+that draws per point, draws from random.Random seeded with the string "master
+seed:check id:k", so reports are deterministic and independent of execution
+order; rejected samples are resampled, up to RESAMPLE_FACTOR attempts per
+requested trial, and a sampled check that cannot gather enough valid samples
+reports that instead of passing.  Prime-field point spaces are enumerated
+exhaustively whenever p^dimension stays within EXHAUSTIVE_LIMIT and a trial
+count is not forced; above the limit a trial count is required.  A named
+identity is a judge factory, make(field, li2p) -> judge, built once per check
+with the check's li2p; a dual judge reads dual numbers.  An exhaustive
+cluster-p or named check passes when no valid point fails, even if no point was
+valid: at p = 3 the A2 and B2 cluster sums and four of the named identities
+pass that way, with valid = 0 in their reports (the battery leaves out the
+pentagon at p = 3).
 
 An exhaustive check over n dual numbers s_i + a_i t (cluster-p, and the named
 elementary, involution, pentagon and a2_five_term_charp) first tries to certify
@@ -46,7 +47,7 @@ reads only constant terms.  Once per check, li2p(s + b t) = b li2p(s + t) is
 checked at every flat s and every b through the check's li2p memo, which its
 judges then read; then each constant point is judged at the zero tangent, the n
 basis tangents and a guard tangent from its per-point rng, and counts as p^n
-points when all n + 2 are rejected or all are ok.  Anything else redoes the
+points when all n + 2 are rejected or all are True.  Anything else redoes the
 check by enumerating every point, so only passes are certified this way, every
 failing report is the enumeration's, and the counts always cover every point.
 """
@@ -140,18 +141,18 @@ class CheckReport:
 # -- the check driver ------------------------------------------------------------
 
 
-def _tally(report: CheckReport, outcome: dict | None, count: int = 1) -> bool:
+def _tally(report: CheckReport, outcome: dict | bool | None, count: int = 1) -> bool:
     """Count `count` attempted points that share one outcome; return whether they were valid.
 
-    outcome is None for a rejected point, otherwise a witness dict with an
-    "ok" key.  A valid point that is not ok is a failure.
+    outcome is None for a rejected point, True for a point that holds, and otherwise the
+    witness {"inputs", "value"} of a failure: any outcome but None and True fails.
     """
     report.attempted += count
     if outcome is None:
         report.rejected += count
         return False
     report.valid += count
-    if not outcome.pop("ok"):
+    if outcome is not True:
         report.record_failure(outcome, count)
     return True
 
@@ -195,10 +196,11 @@ def _exhaust(report: CheckReport, points, judge, min_valid: int = 0) -> CheckRep
 def _li2p_is_tangent_linear(p: int, li2p, dual) -> bool:
     """Whether li2p(s + b t) = b li2p(s + t) for every flat s and every b in GF(p), dual((s, b)) being s + b t.
 
-    dilog.li2p is a * W_p(s) by construction: this guards against a replaced li2p only."""
+    li2p is the check's memo lookup, so residues are compared.  dilog.li2p is a * W_p(s) by construction: this
+    guards against a replaced li2p only."""
     for s in range(2, p):
-        unit = li2p(dual((s, 1))).value
-        if any(li2p(dual((s, b))).value != b * unit % p for b in range(p) if b != 1):
+        unit = li2p(dual((s, 1)))
+        if any(li2p(dual((s, b))) != b * unit % p for b in range(p) if b != 1):
             return False
     return True
 
@@ -210,7 +212,7 @@ def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int
     judge takes n dual numbers s_i + a_i t, each made as dual((s_i, a_i));
     the guard tangent of constant point k comes from the rng of (seed,
     report.name, k).  None (li2p is not tangent-linear, or some constant
-    point's n + 2 outcomes are mixed or not all ok) leaves the verdict to
+    point's n + 2 outcomes are mixed or not all True) leaves the verdict to
     enumerating every point.
     """
     if not _li2p_is_tangent_linear(p, li2p, dual):
@@ -222,8 +224,8 @@ def _exhaust_by_tangent_linearity(report: CheckReport, p: int, n: int, seed: int
         outcomes = [judge(*map(dual, zip(constants, tangent))) for tangent in (*tangents, guard)]
         if all(outcome is None for outcome in outcomes):
             _tally(report, None, p ** n)
-        elif all(outcome is not None and outcome["ok"] for outcome in outcomes):
-            _tally(report, outcomes[0], p ** n)
+        elif all(outcome is True for outcome in outcomes):
+            _tally(report, True, p ** n)
         else:
             return None
     return report.finish(min_valid=0)
@@ -285,29 +287,31 @@ def _resolve_pattern(pattern):
     return matrix, schedule, schedule.name
 
 
-def _vanishing(field: Field, value_of, terms, inputs, label: str = "") -> dict:
+def _vanishing(field: Field, value_of, terms, inputs, label: str = "") -> dict | bool:
     """The witness that sum weight * value_of(arg) over (weight, arg) terms is zero.
 
-    A raw sum of weight * value, reduced once; a non-int weight goes through
-    field.element and every value through field.scalar, so a weight or a value
-    of another field raises FieldMismatchError.  A zero sum gives {"ok": True};
-    only a failure calls inputs() and renders the witness text."""
+    A raw sum of weight * value, reduced once; an int weight or value is added as it is, any other weight
+    goes through field.element and any other value through field.scalar, so a weight or a value of another
+    field raises FieldMismatchError.  A zero sum gives True; only a failure calls inputs() and renders the
+    witness text."""
     total = 0
     for weight, arg in terms:
         weight = weight if type(weight) is int else field.element(weight).value
-        total += weight * field.scalar(value_of(arg))
+        value = value_of(arg)
+        total += weight * (value if type(value) is int else field.scalar(value))
     total = field.reduce(total)
-    return {"ok": False, "inputs": inputs(), "value": f"{label}{total}"} if total else {"ok": True}
+    return {"inputs": inputs(), "value": f"{label}{total}"} if total else True
 
 
 def _li2p_values(field: Field, trials: int | None = None):
     """li2p of a GF(p) dual number by dilog.li2p as the check starts: called directly given a trial count, else
     read from a memo that lives for one enumeration keyed by least residues, which its tangent guard fills; a
-    miss rebuilds the number from them by the trusted constructor."""
+    miss rebuilds the number from them by the trusted constructor and stores field.scalar of its li2p, a least
+    residue, so another field's value raises FieldMismatchError as the key fills."""
     li2p = dilog.li2p
     if trials is not None:
         return li2p
-    memo = _Memo(lambda nums: li2p(_series(field, (nums, 1))))
+    memo = _Memo(lambda nums: field.scalar(li2p(_series(field, (nums, 1)))))
     return lambda y: memo[y.nums]
 
 
@@ -362,8 +366,8 @@ def check_oracle_agreement(m: int, w: int, trials: int = 200, height: int = 10, 
         direct = dilog.li_direct(m, w, a)
         closed = dilog.li_closed_form(m, w, a.coeff(0), *a.coeffs[1:])
         if direct == closed:
-            return {"ok": True}
-        return {"ok": False, "inputs": {"a": str(a)}, "value": f"direct {direct} vs closed {closed}"}
+            return True
+        return {"inputs": {"a": str(a)}, "value": f"direct {direct} vs closed {closed}"}
 
     return _sampled(f"oracle-agreement[m={m},w={w}]", {"m": m, "w": w}, trials, height, seed, evaluate)
 
@@ -396,14 +400,14 @@ def _lift_judge(field: Field, direct, via_lift, top: int):
         lift = base.with_precision(top)
         reference, expected = via_lift(lift), direct(base)
         if reference != expected:
-            return {"ok": False, "inputs": {"lift": str(lift)}, "value": f"lift {reference} vs direct {expected}"}
+            return {"inputs": {"lift": str(lift)}, "value": f"lift {reference} vs direct {expected}"}
         head = base.coeffs
         for tail in tails:
             lift = TruncatedSeries(field, head + tail)
             got = via_lift(lift)
             if got != reference:
-                return {"ok": False, "inputs": {"lift": str(lift)}, "value": f"{got} != {reference}"}
-        return {"ok": True}
+                return {"inputs": {"lift": str(lift)}, "value": f"{got} != {reference}"}
+        return True
     return judge
 
 
@@ -449,8 +453,8 @@ def check_scale_weight(m: int, w: int, trials: int = 100, height: int = 10, seed
         lhs = dilog.li_direct(m, w, a.scale(lam))
         rhs = lam ** w * dilog.li_direct(m, w, a)
         if lhs == rhs:
-            return {"ok": True}
-        return {"ok": False, "inputs": {"a": str(a), "lam": str(lam)}, "value": f"{lhs} vs {rhs}"}
+            return True
+        return {"inputs": {"a": str(a), "lam": str(lam)}, "value": f"{lhs} vs {rhs}"}
 
     return _sampled(f"scale-weight[m={m},w={w}]", {"m": m, "w": w}, trials, height, seed, evaluate)
 
@@ -541,15 +545,14 @@ def check_cluster_charp(
 
 def _four_term(field, _):
     p = field.characteristic
-    pounds1 = _Memo(lambda x: dilog.pounds1(FieldElement(field, x)))  # per check, on first use: p may be ~10^9
+    pounds1 = _Memo(lambda x: field.scalar(dilog.pounds1(FieldElement(field, x))))  # per check: p may be ~10^9
 
     def judge(r, s):
         if r in (0, 1) or s in (0, 1) or r == s:
             return None
         # the weights r^p and (s - 1)^p are r and s - 1 in GF(p)
-        terms = [(1, r), (-1, s), (r, s * field.inv(r)), (s - 1, (1 - r) * field.inv((1 - s) % p))]
-        return _vanishing(field, pounds1.__getitem__, [(w, x % p) for w, x in terms],
-                          lambda: {"r": str(r), "s": str(s)})
+        terms = [(1, r), (-1, s), (r, s * field.inv(r) % p), (s - 1, (1 - r) * field.inv((1 - s) % p) % p)]
+        return _vanishing(field, pounds1.__getitem__, terms, lambda: {"r": str(r), "s": str(s)})
     return judge
 
 
@@ -565,8 +568,8 @@ def _a2_five_term_charp(field, li2p):
     def judge(y1, y2):
         if not (y1.is_unit and y2.is_unit):
             return None
-        args = [y1, y2 * (1 - y1), y1.invert() * (1 - y2 + y1 * y2),
-                y1.invert() * (1 - y2.invert()), y2.invert()]
+        inv1, inv2 = y1.invert(), y2.invert()
+        args = [y1, y2 * (1 - y1), inv1 * (1 - y2 + y1 * y2), inv1 * (1 - inv2), inv2]
         if not all(arg.is_flat for arg in args):
             return None
         return _vanishing(field, li2p, [(1, arg) for arg in args], lambda: {"y1": str(y1), "y2": str(y2)})
@@ -590,8 +593,8 @@ def _a2_pentagon_substitution(field, li2p):
 
 
 # name: (make, dimension, dual); make(field, li2p) builds the judge once per check, li2p being the check's
-# `_li2p_values` (four_term keeps a memo of pounds1); dual: the judge takes dimension / 2 dual numbers as its
-# arguments, else dimension least residues
+# `_li2p_values` (four_term keeps a memo of pounds1's least residues); dual: the judge takes dimension / 2 dual
+# numbers as its arguments, else dimension least residues; a judge returns None, True or a witness
 NAMED_IDENTITIES = {
     "four_term": (_four_term, 2, False),
     "elementary": (_elementary, 2, True),
@@ -652,8 +655,8 @@ def check_lemma_wedge(
         ledger = bloch.WedgeLedger([(weight, beta, 1 - beta) for weight, beta in terms])
         result = bloch.zero_test_rational(ledger)
         if result.is_zero:
-            return {"ok": True}
-        return {"ok": False, "inputs": inputs(), "value": f"{result.failing_component}: {result.detail}"}
+            return True
+        return {"inputs": inputs(), "value": f"{result.failing_component}: {result.detail}"}
 
     matrix, pattern_name, _, judge = _cluster_judge(pattern, verdict)
     field_tag = _field_tag(field)
@@ -685,8 +688,8 @@ def check_theta_invariance(pattern) -> CheckReport:
 
     def judge(step, mat):
         if cluster.skew_symmetrizes(theta, mat):
-            return {"ok": True}
-        return {"ok": False, "inputs": {"step": str(step)},
+            return True
+        return {"inputs": {"step": str(step)},
                 "value": f"theta does not skew-symmetrize {[list(row) for row in mat.rows]}"}
 
     path = cluster.matrix_path(matrix, schedule.directions)[1:]
@@ -710,8 +713,8 @@ def check_mutation_involution(
         except cluster.InvalidPointError:
             return None
         if back.ys == point and back.matrix == matrix:
-            return {"ok": True}
-        return {"ok": False, "inputs": {"direction": str(direction + 1),
+            return True
+        return {"inputs": {"direction": str(direction + 1),
                                         **{f"y_{i + 1}": str(s) for i, s in enumerate(point)}},
                 "value": "seed not restored"}
 
@@ -746,10 +749,10 @@ def check_periodicity_report(
         point = tuple(random_series(field, precision, rng, height) for _ in range(matrix.n))
         try:
             if cluster.check_periodicity(matrix, schedule, point):
-                return {"ok": True}
+                return True
         except cluster.InvalidPointError:
             return None
-        return {"ok": False, "inputs": {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)},
+        return {"inputs": {f"alpha_{i + 1}": str(s) for i, s in enumerate(point)},
                 "value": "y-values disagree"}
 
     return _resample(report, trials, seed, evaluate)

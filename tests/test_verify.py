@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from infdilog import bloch, cluster, dilog, fields, verify
-from infdilog.fields import GF, QQ, Field, FieldMismatchError, PrimeField, RationalField
-from infdilog.series import TruncatedSeries, random_series
+from infdilog.fields import GF, QQ, Field, FieldElement, FieldMismatchError, PrimeField, RationalField
+from infdilog.series import TruncatedSeries, _series, random_series
 
 
 def test_oracle_agreement_check():
@@ -175,7 +175,7 @@ def _reference_sum(field, value_of, terms, inputs):
     total = field.zero
     for weight, arg in terms:
         total = total + weight * value_of(arg)
-    return {"ok": False, "inputs": inputs, "value": str(total)} if total else {"ok": True}
+    return {"inputs": inputs, "value": str(total)} if total else True
 
 
 def _four_term_reference(field, coords):
@@ -377,6 +377,50 @@ def test_four_term_element_memo_is_filled_on_first_use(monkeypatch):
     assert 0 < len(pounds1_values) <= 4 * report.attempted
 
 
+def test_char_p_memos_hold_the_least_residues_of_the_dilogarithms(monkeypatch):
+    """Every exhaustive clusterp and named battery entry (all at p <= 13): each key its li2p memo filled holds
+    the least residue dilog.li2p gives that dual number, and each key of four_term's memo the least residue
+    dilog.pounds1 gives that residue.  The li2p memo is the first memo each check makes; the pentagon
+    substitution's second memo holds series and is left alone."""
+    memos = _record_memos(monkeypatch)
+    entries = [(fn, kwargs) for fn, kwargs in verify._battery(0)
+               if fn in (verify.check_cluster_charp, verify.check_named_identity)]
+    assert len(entries) == 36 and all("trials" not in kwargs and kwargs["p"] <= 13 for _, kwargs in entries)
+    filled = {"li2p": 0, "pounds1": 0}
+    for fn, kwargs in entries:
+        field = GF(kwargs["p"])
+        assert fn(**kwargs).passed
+        li2p_memo, *others = memos
+        for nums, value in li2p_memo.items():
+            assert type(value) is int and value == dilog.li2p(_series(field, (nums, 1))).value, (kwargs, nums)
+        filled["li2p"] += len(li2p_memo)
+        if kwargs.get("name") == "four_term":
+            (pounds1_memo,) = others
+            for x, value in pounds1_memo.items():
+                assert type(value) is int and value == dilog.pounds1(FieldElement(field, x)).value, (kwargs, x)
+            filled["pounds1"] += len(pounds1_memo)
+        memos.clear()
+    assert filled["li2p"] > 0 and filled["pounds1"] > 0
+
+
+@pytest.mark.parametrize("name, check", [
+    ("li2p", lambda: verify.check_cluster_charp("A2", 7)),
+    ("li2p", lambda: verify.check_cluster_charp("A2", 101, trials=5)),
+    ("li2p", lambda: verify.check_named_identity("elementary", 7)),
+    ("li2p", lambda: verify.check_named_identity("a2_pentagon_substitution", 7)),
+    ("li2p", lambda: verify.check_named_identity("pentagon", 101, trials=5)),
+    ("pounds1", lambda: verify.check_named_identity("four_term", 7)),
+    ("pounds1", lambda: verify.check_named_identity("four_term", 101, trials=5)),
+], ids=["clusterp-exhaustive", "clusterp-sampled", "named-dual-exhaustive", "named-residue-exhaustive",
+        "named-sampled", "four_term-exhaustive", "four_term-sampled"])
+def test_a_dilogarithm_value_of_another_field_is_refused(monkeypatch, name, check):
+    """A li2p or pounds1 that returns an element of GF(11) is refused with FieldMismatchError on every path:
+    as a memo key fills, or as a sampled check's sum reads the value."""
+    monkeypatch.setattr(dilog, name, lambda y: GF(11).element(1))
+    with pytest.raises(FieldMismatchError):
+        check()
+
+
 def test_vanishing_refuses_a_value_or_weight_of_another_field():
     f5, f7 = GF(5), GF(7)
     with pytest.raises(FieldMismatchError):
@@ -385,7 +429,7 @@ def test_vanishing_refuses_a_value_or_weight_of_another_field():
         verify._vanishing(f7, f7.element, [(f5.element(2), 3)], dict)
     # a weight of the same field, or an int or a Fraction, is accepted
     witness = verify._vanishing(f7, f7.element, [(f7.element(2), 3), (Fraction(1, 2), 2), (-7, 4)], dict)
-    assert witness == {"ok": True}
+    assert witness is True
 
 
 def test_passing_points_build_no_witness_text(monkeypatch):
@@ -394,7 +438,7 @@ def test_passing_points_build_no_witness_text(monkeypatch):
         raise AssertionError("witness text built for a passing point")
 
     field = GF(7)
-    assert verify._vanishing(field, field.element, [(1, 3), (-1, 3)], refuse) == {"ok": True}
+    assert verify._vanishing(field, field.element, [(1, 3), (-1, 3)], refuse) is True
     monkeypatch.setattr(TruncatedSeries, "__str__", refuse)
     for report in (verify.check_cluster_charp("A2", 5), verify.check_cluster_charp("B2", 7, trials=20),
                    verify.check_pentagon(2, 3, trials=5), verify.check_vanish_constants(2, 3, trials=5),
@@ -877,15 +921,63 @@ def test_dual_checks_match_enumeration_of_every_point(monkeypatch, mutant):
 
 
 @pytest.mark.parametrize("judge", [
-    lambda *duals: None if any(y.nums[1] == 3 for y in duals) else {"ok": True, "inputs": {}, "value": "0"},
-    lambda *duals: {"ok": not all(y.nums[1] for y in duals), "inputs": {"duals": ", ".join(map(str, duals))},
-                    "value": "1"},
+    lambda *duals: None if any(y.nums[1] == 3 for y in duals) else True,
+    lambda *duals: True if not all(y.nums[1] for y in duals) else {"inputs": {"duals": ", ".join(map(str, duals))},
+                                                                   "value": "1"},
 ], ids=["rejects-at-tangent-3", "fails-off-the-basis"])
 def test_a_tangent_dependent_judge_is_enumerated(judge):
     report = verify._check_coords("synthetic", "judge", {}, 7, 4, None, 0, judge, verify._li2p_values(GF(7)))
     reference = _enumerate_every_point(report, 7, 4, judge)
     assert report.to_dict() == reference.to_dict()
     assert reference.rejected or reference.failed
+
+
+def test_tally_counts_none_as_rejected_true_as_holding_and_a_witness_as_failing():
+    report = verify.CheckReport("tally", {})
+    witness = {"inputs": {"x": "1"}, "value": "2"}
+    assert verify._tally(report, None, 3) is False
+    assert verify._tally(report, True, 4) is True
+    assert verify._tally(report, witness, 2) is True
+    assert (report.attempted, report.rejected, report.valid, report.failed) == (9, 3, 6, 2)
+    assert report.witnesses == [witness] and report.finish(min_valid=0).verdict == "fail"
+
+
+@pytest.mark.parametrize("outcome", [{"ok": True}, 1, "pass", [True]], ids=["old-style", "one", "text", "list"])
+def test_a_truthy_outcome_other_than_true_fails(outcome):
+    """Only True holds: an old-style {"ok": True} or any other truthy outcome is a failure, counted and
+    recorded as the witness, by _tally and through both exhaustive drivers, where it certifies nothing."""
+    report = verify.CheckReport("tally", {})
+    assert verify._tally(report, outcome) is True
+    assert (report.valid, report.failed, report.witnesses) == (1, 1, [outcome])
+    residues = verify._check_coords("synthetic", "judge", {}, 5, 2, None, 0,
+                                    lambda r, s: None if r == s else outcome)
+    assert (residues.verdict, residues.valid, residues.failed) == ("fail", 20, 20)
+    duals = verify._check_coords("synthetic", "judge", {}, 5, 4, None, 0, lambda *duals: outcome,
+                                 verify._li2p_values(GF(5)))
+    assert (duals.verdict, duals.valid, duals.failed) == ("fail", 625, 625)
+
+
+@pytest.mark.parametrize("failing", [
+    lambda tangents: tangents == (0, 0),
+    lambda tangents: tangents == (0, 1),
+    lambda tangents: True,
+], ids=["zero-tangent", "basis-tangent", "every-tangent"])
+def test_a_witness_among_the_tangent_outcomes_falls_back_to_enumeration(failing):
+    """A witness at any of a constant point's n + 2 outcomes leaves the verdict to enumerating every point."""
+    field = GF(5)
+
+    def judge(y1, y2):
+        fails = (y1.nums[0], y2.nums[0]) == (2, 3) and failing((y1.nums[1], y2.nums[1]))
+        return {"inputs": {}, "value": "1"} if fails else True
+
+    def dual(pair):
+        return _series(field, (pair, 1))
+
+    report = verify.CheckReport("fallback", {})
+    assert verify._exhaust_by_tangent_linearity(report, 5, 2, 0, judge, verify._li2p_values(field), dual) is None
+    enumerated = verify._check_coords("synthetic", "judge", {}, 5, 4, None, 0, judge, verify._li2p_values(field))
+    assert enumerated.valid == 625
+    assert enumerated.failed == sum(failing(tangents) for tangents in itertools.product(range(5), repeat=2))
 
 
 def _count_walks_and_mutations(monkeypatch):
@@ -1006,7 +1098,7 @@ def test_lazy_cluster_judge_matches_the_reference_at_every_point(pattern, p):
         point = (TruncatedSeries(field, coords[:2]), TruncatedSeries(field, coords[2:]))
         outcome = judge(*point)
         assert outcome == reference(*point), coords
-        outcomes.add(None if outcome is None else outcome["ok"])
+        outcomes.add(None if outcome is None else outcome is True)
     assert outcomes == {None, True}
 
 
@@ -1038,7 +1130,7 @@ def test_named_a2_five_term_and_the_a2_cluster_sum_judge_the_same_sums(p):
 
     def recording_verdict(terms, inputs):
         cluster_terms.extend(terms)
-        return {"ok": True}
+        return True
 
     named = verify._a2_five_term_charp(field, recording_li2p)
     *_, trajectory = verify._cluster_judge("A2", recording_verdict)
@@ -1105,7 +1197,7 @@ def test_unit_weights_take_no_field_product(monkeypatch):
     monkeypatch.setattr(Field, "element", lambda self, value: made.append(value) or original(self, value))
     witness = verify._vanishing(field, lambda x: x, [(1, arg) for arg in args], lambda: {"x": "3, 5"}, "sum ")
     assert made == []
-    assert witness == {"ok": False, "inputs": {"x": "3, 5"}, "value": "sum 1"}
+    assert witness == {"inputs": {"x": "3, 5"}, "value": "sum 1"}
 
 
 def test_reports_are_deterministic():
